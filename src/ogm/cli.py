@@ -241,12 +241,10 @@ def covering_report(
     for lab in ts.class_labels:
         cov = cvg.tree_covering(tc_d[lab], tc_d[lab][0], scale)
         factors.append(cov)
-        factor_checks.append(
-            cvg.check_covering(cov, tc_d[lab], slack=8 * tr.PROFILE_H)
-        )
+        factor_checks.append(cvg.check_covering(cov, tc_d[lab]))
         sum_d += tc_d[lab]
     prod = cvg.product_covering(factors)
-    prod_check = cvg.check_covering(prod, sum_d, slack=8 * tr.PROFILE_H)
+    prod_check = cvg.check_covering(prod, sum_d)
     consts = vf.base_constants(spec.n)
 
     solver_cache: dict[tuple[int, int], float] = {}
@@ -262,7 +260,7 @@ def covering_report(
         sum_d,
         cover_distance,
         consts["C"],
-        slack=1.0 + 8 * tr.PROFILE_H,
+        slack=1.0,
         binding_pairs=binding_pairs,
     )
     ok = all(c.ok for c in factor_checks) and prod_check.ok and pull.ok
@@ -445,7 +443,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CoverError, hx.TruncationError, OSError, ValueError) as exc:
+    except (
+        CoverError, geo.ConvergenceError, hx.TruncationError, OSError, ValueError
+    ) as exc:
         _log(f"error: {exc}")
         return 1
 

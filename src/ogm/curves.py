@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint
 from .geodesics import block_distance
@@ -79,14 +77,9 @@ def tree_path_nodes(a: hx.TbinPoint, b: hx.TbinPoint) -> list[hx.TbinPoint]:
             return [a, mid, b]
         return [a, b]
 
-    def anchors(p: hx.TbinPoint):
-        if p.child is None:
-            return [(p.parent, 0.0)]
-        return [(p.parent, p.offset), (p.child, hx.EDGE - p.offset)]
-
     best = None
-    for va, da in anchors(a):
-        for vb, db in anchors(b):
+    for va, da in hx.tbin_anchors(a):
+        for vb, db in hx.tbin_anchors(b):
             tot = da + hx.EDGE * hx.hex_tree_edges(va, vb) + db
             if best is None or tot < best[0]:
                 best = (tot, va, vb)
@@ -158,13 +151,11 @@ def _build(
     comp_exit = cplx.wall_component(wall, child_side=True)
     a_tree = hx.retract(x.base)
 
-    # distance profile from phi_c(y) to the exit line, then split the T_c
-    # geodesic at the gate z*
-    b_point = ts.phi_c(label, y)
-    profile = _profile_to_line(ts, label, b_point, v, comp_exit, chain)
-    lam_g, d_g = gate_on_line(comp_exit, a_tree, ts.positions)
-    own = np.abs(ts.grid - lam_g) + d_g
-    t_star = float(ts.grid[int(np.argmin(own + profile))])
+    # distance profiles of phi_c(x) and phi_c(y) on the exit line; the T_c
+    # geodesic splits at the smallest minimiser z* of their sum
+    g_y, _, _ = ts.line_profile(label, ts.phi_c(label, y), v, comp_exit)
+    g_x, _ = gate_on_line(comp_exit, a_tree, ts.positions)
+    t_star = min(g_x, g_y)
     lo, hi = cplx.model.arclength_window(comp_exit)
     if not (lo <= t_star <= hi):
         raise CurveTruncationError(
@@ -189,37 +180,3 @@ def _build(
         raise RuntimeError("special-curve recursion failed to shorten the chain")
     return BlockPath(tuple(segments) + rest.segments)
 
-
-def _profile_to_line(ts, label, src, dst_block, dst_comp, chain_to_src):
-    """Distance profile (grid array) in T_c from src to the chain line of
-    dst_comp inside the piece over dst_block; dst_block is in class c and is
-    entered through dst_comp itself along the chain."""
-    cplx = ts.cplx
-    if src.owner == dst_block:
-        lam_g, d_g = gate_on_line(dst_comp, src.tree, ts.positions)
-        return np.abs(ts.grid - lam_g) + d_g
-    # walk from src.owner toward dst_block; the chain given runs dst -> src
-    chain = cplx.wall_chain(src.owner, dst_block)
-    blocks = [src.owner]
-    for w, up in chain:
-        blocks.append(w.parent if up else w.child)
-    assert blocks[-1] == dst_block
-    in_c = [ts.labels[bid] == label for bid in blocks]
-    if in_c[0]:
-        comp0 = ts._wall_side_comp(chain[0][0], blocks[0])
-        lam_g, d_g = gate_on_line(comp0, src.tree, ts.positions)
-        profile = np.abs(ts.grid - lam_g) + d_g
-    else:
-        if abs(src.value) > ts.window - 2.0:
-            raise CoverError("line value outside the profile window")
-        profile = np.abs(ts.grid - src.value)
-    for i in range(1, len(blocks) - 1):
-        if not in_c[i]:
-            continue
-        comp_in = ts._wall_side_comp(chain[i - 1][0], blocks[i])
-        comp_out = ts._wall_side_comp(chain[i][0], blocks[i])
-        profile = ts._propagate_tree(profile, comp_in, comp_out)
-    entry = ts._wall_side_comp(chain[-1][0], dst_block)
-    if entry != dst_comp:
-        profile = ts._propagate_tree(profile, entry, dst_comp)
-    return profile

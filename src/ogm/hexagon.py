@@ -301,7 +301,8 @@ def hex_tree_edges(a: Address, b: Address) -> int:
     return len(a) + len(b) - 2 * _lcp_len(a, b)
 
 
-def _anchors(p: TbinPoint) -> list[tuple[Address, float]]:
+def tbin_anchors(p: TbinPoint) -> list[tuple[Address, float]]:
+    """(vertex, distance) for the vertex p is, or both ends of p's edge."""
     if p.child is None:
         return [(p.parent, 0.0)]
     return [(p.parent, p.offset), (p.child, EDGE - p.offset)]
@@ -313,8 +314,8 @@ def tbin_distance(x: TbinPoint, y: TbinPoint) -> float:
             and x.child == y.child:
         return abs(x.offset - y.offset)
     best = math.inf
-    for va, da in _anchors(x):
-        for vb, db in _anchors(y):
+    for va, da in tbin_anchors(x):
+        for vb, db in tbin_anchors(y):
             best = min(best, da + EDGE * hex_tree_edges(va, vb) + db)
     return best
 

@@ -14,12 +14,17 @@ line; the quotient pseudometric therefore travels chain lines at parameter
 speed.  Since every T_bin edge lies on a chain line and lines may be
 switched at shared vertices, the induced piece metric is the dual-tree
 metric divided by 2*rho (each tree edge costs one grid unit), and with it
-every gluing is isometric, so T_c is an honest metric tree.  Distances are
-evaluated by profile propagation along the T0 geodesic between the owning
-blocks: within a tree piece the profile moves from the entry chain line to
-the exit chain line by the tree-gate projection (lines in a metric tree
-either share a segment or are joined by a unique bridge).  All profile
-parameters are in grid units, where the line gluings are the identity.
+every gluing is isometric, so T_c is an honest metric tree.
+
+Distances are exact.  The T_c distance from a fixed point to the points of
+one line is a V-shape |s - g| + c in the line's grid coordinate s, kept as
+the pair (gate g, offset c) and propagated along the T0 geodesic between
+the owning blocks.  Within a tree piece it moves from the entry chain line
+to the exit chain line by the tree-gate projection: lines in a metric tree
+either share a segment or are joined by a unique bridge, and both keep the
+V-shape (a bridge is crossed from one gate, and on a shared segment the
+clipped gate only adds the constant |g - clip(g)|).  All profile parameters
+are in grid units, where the line gluings are the identity.
 """
 
 from __future__ import annotations
@@ -28,21 +33,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint, Wall
 from .manifold import Permutation
 
 BlockId = tuple[int, ...]
-
-PROFILE_H = 1.0 / 64.0
-PROFILE_WINDOW = 24.0
-
-
-def piece_scale() -> float:
-    """Grid units per unit of dual-tree arclength in a c piece."""
-    return 1.0 / hx.EDGE
 
 
 def tree_piece_distance(a: hx.TbinPoint, b: hx.TbinPoint) -> float:
@@ -70,41 +65,6 @@ class ProductPoint:
             if lab == label:
                 return p
         raise KeyError(label)
-
-
-class DistanceProfile:
-    """Piecewise-linear function sampled on a uniform parameter grid."""
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray):
-        self.grid = grid
-        self.values = values
-
-    @property
-    def breakpoints(self) -> list[tuple[float, float]]:
-        return list(zip(self.grid.tolist(), self.values.tolist()))
-
-    def evaluate(self, t: float) -> float:
-        if t < self.grid[0] or t > self.grid[-1]:
-            raise CoverError("profile evaluated outside its window")
-        return float(np.interp(t, self.grid, self.values))
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def argmin(self) -> float:
-        return float(self.grid[int(self.values.argmin())])
-
-    def is_one_lipschitz(self, slack: float = 1e-9) -> bool:
-        h = self.grid[1] - self.grid[0]
-        return bool(np.all(np.abs(np.diff(self.values)) <= h + slack))
-
-    def is_unimodal(self, slack: float = 1e-9) -> bool:
-        d = np.diff(self.values)
-        falling = d < -slack
-        rising = d > slack
-        if not falling.any() or not rising.any():
-            return True
-        return int(np.nonzero(falling)[0].max()) <= int(np.nonzero(rising)[0].min())
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +155,10 @@ def gate_on_line(
 
 
 class TreeSystem:
-    def __init__(
-        self,
-        cplx: CoverComplex,
-        h: float = PROFILE_H,
-        window: float = PROFILE_WINDOW,
-    ):
+    positions = 26  # chain-vertex window searched for gates and shared segments
+
+    def __init__(self, cplx: CoverComplex):
         self.cplx = cplx
-        self.h = h
-        self.window = window
-        n = int(round(window / h))
-        self.grid = np.linspace(-n * h, n * h, 2 * n + 1)
-        self.positions = int(window) + 2  # chain-vertex window for gates
         self._rel_cache: dict[tuple, LineRelation] = {}
         # composed permutation and class label per explored block
         self.sigma: dict[BlockId, Permutation] = {}
@@ -267,25 +219,51 @@ class TreeSystem:
         return self.cplx.wall_component(wall, child_side=(bid == wall.child))
 
     def _propagate_tree(
-        self, values: np.ndarray, comp_in: hx.ComponentId, comp_out: hx.ComponentId
-    ) -> np.ndarray:
-        """Push a profile on the entry line through the tree piece onto the
-        exit line; both profiles are functions of the grid coordinate."""
+        self, g: float, c: float, comp_in: hx.ComponentId, comp_out: hx.ComponentId
+    ) -> tuple[float, float]:
+        """Push the profile |t - g| + c on the entry line through the tree
+        piece onto the exit line; the result is again a V-profile."""
         rel = self._relation(comp_in, comp_out)
-        t = self.grid
         if rel.kind == "bridge":
-            if abs(rel.lam_gate) > self.window - 1.0 or abs(rel.mu_gate) > self.window - 1.0:
-                raise CoverError("gate beyond the profile window (resolution)")
-            base = float(np.interp(rel.lam_gate, t, values))
-            return np.abs(t - rel.mu_gate) + rel.bridge + base
-        if rel.orient == 1:
-            lam_of_mu = rel.lam_lo + (t - rel.mu_lo)
+            return rel.mu_gate, c + abs(rel.lam_gate - g) + rel.bridge
+        clipped = min(max(g, rel.lam_lo), rel.lam_hi)
+        return rel.mu_lo + rel.orient * (clipped - rel.lam_lo), c + abs(g - clipped)
+
+    def line_profile(
+        self,
+        label: int,
+        src: TcPoint,
+        dst: BlockId,
+        comp: Optional[hx.ComponentId] = None,
+    ) -> tuple[float, float, Optional[hx.ComponentId]]:
+        """Exact T_c distance from src to a line over block dst, as (g, c,
+        line): the line's point at grid coordinate s lies at |s - g| + c.
+        Over a dst in c the line is the chain line comp, by default the one
+        through which the T0 geodesic from src enters dst; over a dst outside
+        c it is the fiber line, and line is None."""
+        if src.owner == dst:
+            return (*gate_on_line(comp, src.tree, self.positions), comp)
+        chain = self.cplx.wall_chain(src.owner, dst)
+        if src.tree is not None:
+            comp_exit = self._wall_side_comp(chain[0][0], src.owner)
+            g, c = gate_on_line(comp_exit, src.tree, self.positions)
         else:
-            lam_of_mu = rel.lam_lo + (rel.mu_lo - t)
-        inside = np.interp(np.clip(lam_of_mu, rel.lam_lo, rel.lam_hi), t, values)
-        lo_mu, hi_mu = min(rel.mu_lo, rel.mu_hi), max(rel.mu_lo, rel.mu_hi)
-        excess = np.maximum(lo_mu - t, 0.0) + np.maximum(t - hi_mu, 0.0)
-        return inside + excess
+            g, c = src.value, 0.0
+        line = None
+        for i, (w, up) in enumerate(chain):
+            bid = w.parent if up else w.child
+            if self.labels[bid] != label:
+                line = None
+                continue
+            line = self._wall_side_comp(w, bid)
+            if i + 1 < len(chain):
+                comp_out = self._wall_side_comp(chain[i + 1][0], bid)
+            else:
+                comp_out = line if comp is None else comp
+            if comp_out != line:
+                g, c = self._propagate_tree(g, c, line, comp_out)
+                line = comp_out
+        return g, c, line
 
     def tc_distance(self, label: int, a: TcPoint, b: TcPoint) -> float:
         for p in (a, b):
@@ -295,48 +273,14 @@ class TreeSystem:
             if a.tree is not None:
                 return tree_piece_distance(a.tree, b.tree)
             return abs(a.value - b.value)
-        chain = self.cplx.wall_chain(a.owner, b.owner)
-        blocks = [a.owner]
-        for w, up in chain:
-            blocks.append(w.parent if up else w.child)
-        in_c = [self.labels[bid] == label for bid in blocks]
-        if not any(in_c):
-            return abs(a.value - b.value)
-
-        if in_c[0]:
-            comp_exit = self._wall_side_comp(chain[0][0], blocks[0])
-            lam_g, d_g = gate_on_line(comp_exit, a.tree, self.positions)
-            profile = np.abs(self.grid - lam_g) + d_g
-        else:
-            if abs(a.value) > self.window - 2.0:
-                raise CoverError("line value outside the profile window")
-            profile = np.abs(self.grid - a.value)
-
-        for i in range(1, len(blocks)):
-            if not in_c[i]:
-                continue
-            comp_in = self._wall_side_comp(chain[i - 1][0], blocks[i])
-            if i == len(blocks) - 1:
-                lam_g, d_g = gate_on_line(comp_in, b.tree, self.positions)
-                if abs(lam_g) > self.window - 1.0:
-                    raise CoverError("gate beyond the profile window (resolution)")
-                return float(np.interp(lam_g, self.grid, profile)) + d_g
-            comp_out = self._wall_side_comp(chain[i][0], blocks[i])
-            profile = self._propagate_tree(profile, comp_in, comp_out)
-
-        if abs(b.value) > self.window - 2.0:
-            raise CoverError("line value outside the profile window")
-        return float(np.interp(b.value, self.grid, profile))
+        g, c, line = self.line_profile(label, a, b.owner)
+        if line is None:
+            return abs(b.value - g) + c
+        lam, d = gate_on_line(line, b.tree, self.positions)
+        return abs(lam - g) + c + d
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:
         total = self.t0_distance(p.t0, q.t0)
         for lab, pc in p.coords:
             total += self.tc_distance(lab, pc, q.coord(lab))
         return total
-
-    # -- profile access (tests and diagnostics) ------------------------------
-
-    def line_profile_from_point(self, a: TcPoint) -> DistanceProfile:
-        if a.value is None:
-            raise CoverError("line profile requires a line-piece point")
-        return DistanceProfile(self.grid.copy(), np.abs(self.grid - a.value))

@@ -53,7 +53,7 @@ class RunConfig:
             raise ValueError("tol must be > 0")
 
     def epsilon(self) -> float:
-        return 4.0 * tr.PROFILE_H + 10.0 * self.tol
+        return 10.0 * self.tol
 
     def to_dict(self) -> dict:
         return {

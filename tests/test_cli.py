@@ -5,6 +5,7 @@ import os
 import pytest
 
 from ogm import cover, examples
+from ogm import geodesics as geo
 from ogm.cli import main
 
 
@@ -117,6 +118,20 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
     res = json.loads(capsys.readouterr().out)
     assert res["distance"] > 0
     assert "truncated" in res
+
+
+def test_convergence_error_exits_1(spec_file, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise geo.ConvergenceError("no convergence after 200 sweeps")
+
+    monkeypatch.setattr(geo, "distance", no_convergence)
+    cx = cover.explore(examples.load("flip_n3"), 1, 2, wall_comp_depth=0)
+    a = cx.format_point(cx.sample_point(cover.make_stream(1, 0)))
+    b = cx.format_point(cx.sample_point(cover.make_stream(1, 1)))
+    argv = ["geodesic", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
+            "--wall-comp-depth", "0", "--from", a, "--to", b]
+    assert main(argv) == 1
+    assert "error: no convergence after 200 sweeps" in capsys.readouterr().err
 
 
 def test_phi_and_tree_dist(spec_file, tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_product_on_embedded_samples():
         sum_d += tc_d[lab]
     prod = cvg.product_covering(factors)
     assert prod.colors == 2 ** len(factors)
-    chk = cvg.check_covering(prod, sum_d, slack=8 * tr.PROFILE_H)
+    chk = cvg.check_covering(prod, sum_d)
     assert chk.ok
 
 

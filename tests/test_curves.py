@@ -109,7 +109,7 @@ def test_witness_dominates_distance(cx, ts):
 
 def test_length_bound(cx, ts):
     g = hx.hexagon_constants()
-    eps = 4 * ts.h + 10 * 1e-6
+    eps = 10 * 1e-6
     for x, y, path in usable_pairs(cx, ts, 600, 60):
         L = cv.curve_length(cx, path)
         e = ts.product_distance(ts.phi(x), ts.phi(y))
