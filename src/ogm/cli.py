@@ -47,6 +47,9 @@ def _complex_from_args(spec: GraphManifoldSpec, args) -> CoverComplex:
             doc = json.load(fh)
         if doc.get("spec_digest") != spec.digest():
             raise CoverError("complex dump was built from a different spec")
+        for key in ("t0_depth", "hex_depth", "fiber_range"):
+            if key not in doc:
+                raise CoverError(f"complex dump has no {key} field")
         return explore(
             spec,
             int(doc["t0_depth"]),

@@ -253,6 +253,8 @@ class CoverComplex:
 
     def parse_point(self, text: str) -> CoverPoint:
         fields = dict(part.split("=", 1) for part in text.strip().split(";"))
+        if "pos" not in fields:
+            raise CoverError(f"point {text!r} has no pos field")
         bid: BlockId = ()
         if fields.get("block"):
             for seg in fields["block"].split(","):

@@ -77,13 +77,7 @@ def tree_path_nodes(a: hx.TbinPoint, b: hx.TbinPoint) -> list[hx.TbinPoint]:
             return [a, mid, b]
         return [a, b]
 
-    best = None
-    for va, da in hx.tbin_anchors(a):
-        for vb, db in hx.tbin_anchors(b):
-            tot = da + hx.EDGE * hx.hex_tree_edges(va, vb) + db
-            if best is None or tot < best[0]:
-                best = (tot, va, vb)
-    _, va, vb = best
+    _, va, vb = hx.nearest_anchors(a, b)
     nodes: list[hx.TbinPoint] = [a]
     if a.child is not None:
         # leave a's edge through va, crossing the midpoint if a sits on the
@@ -154,7 +148,7 @@ def _build(
     # distance profiles of phi_c(x) and phi_c(y) on the exit line; the T_c
     # geodesic splits at the smallest minimiser z* of their sum
     g_y, _, _ = ts.line_profile(label, ts.phi_c(label, y), v, comp_exit)
-    g_x, _ = gate_on_line(comp_exit, a_tree, ts.positions)
+    g_x, _ = gate_on_line(comp_exit, a_tree)
     t_star = min(g_x, g_y)
     lo, hi = cplx.model.arclength_window(comp_exit)
     if not (lo <= t_star <= hi):

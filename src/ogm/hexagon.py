@@ -308,16 +308,24 @@ def tbin_anchors(p: TbinPoint) -> list[tuple[Address, float]]:
     return [(p.parent, p.offset), (p.child, EDGE - p.offset)]
 
 
+def nearest_anchors(x: TbinPoint, y: TbinPoint) -> tuple[float, Address, Address]:
+    """(length, va, vb) of the shortest route from x out through anchor va
+    and into y through anchor vb; the first minimal pair wins ties."""
+    best = None
+    for va, da in tbin_anchors(x):
+        for vb, db in tbin_anchors(y):
+            tot = da + EDGE * hex_tree_edges(va, vb) + db
+            if best is None or tot < best[0]:
+                best = (tot, va, vb)
+    return best
+
+
 def tbin_distance(x: TbinPoint, y: TbinPoint) -> float:
     """Tree metric with edge length 2*rho."""
     if x.child is not None and y.child is not None and x.parent == y.parent \
             and x.child == y.child:
         return abs(x.offset - y.offset)
-    best = math.inf
-    for va, da in tbin_anchors(x):
-        for vb, db in tbin_anchors(y):
-            best = min(best, da + EDGE * hex_tree_edges(va, vb) + db)
-    return best
+    return nearest_anchors(x, y)[0]
 
 
 def tbin_path_vertices(a: Address, b: Address) -> list[Address]:
@@ -432,30 +440,42 @@ def component_of(address: Address, side: int) -> ComponentId:
 def chain_address(comp: ComponentId, k: int) -> Address:
     """Hexagon at chain position k (position 0 = the minimal hexagon; the
     grid segment [k, k+1] lies on it).  Purely combinatorial: T_bin itself
-    is not truncated."""
+    is not truncated.  min_addr never ends in a chain letter, so the chain
+    is min_addr followed by the alternating letters (b, a, ...) for k > 0
+    and (a, b, ...) for k < 0."""
     a, b = LETTERS[comp.side]
-    addr = comp.min_addr
-    if k > 0:
-        for i in range(k):
-            addr = extend(addr, b if i % 2 == 0 else a)
-    elif k < 0:
-        for i in range(-k):
-            addr = extend(addr, a if i % 2 == 0 else b)
-    return addr
+    pair = (b, a) if k > 0 else (a, b)
+    return comp.min_addr + (pair * abs(k))[: abs(k)]
+
+
+def line_gate(comp: ComponentId, address: Address) -> tuple[int, int]:
+    """(chain position k, edge count) of the gate of a T_bin vertex on the
+    chain line: the nearest chain hexagon and the distance to it.
+
+    The line lies below min_addr, so a hexagon not below it gates at k = 0.
+    Below it the gate is the longest alternating prefix of the suffix, whose
+    length signed by its first letter is k; the rest of the suffix leaves
+    the line.
+    """
+    m = len(comp.min_addr)
+    if address[:m] != comp.min_addr:
+        return 0, hex_tree_edges(address, comp.min_addr)
+    letters = LETTERS[comp.side]
+    n = m
+    while n < len(address) and address[n] in letters:
+        n += 1
+    k = n - m
+    if k and address[m] == letters[0]:
+        k = -k
+    return k, len(address) - n
 
 
 def chain_position(comp: ComponentId, address: Address) -> int:
     """Position of a chain hexagon; inverse of chain_address."""
-    n = len(address) - len(comp.min_addr)
-    if n <= 0:
-        if address != comp.min_addr:
-            raise ValueError("address not on this chain")
-        return 0
-    _, b = LETTERS[comp.side]
-    sign = 1 if address[len(comp.min_addr)] == b else -1
-    if chain_address(comp, sign * n) != address:
+    k, off = line_gate(comp, address)
+    if off:
         raise ValueError("address not on this chain")
-    return sign * n
+    return k
 
 
 def _corners(side: int) -> tuple[Vec, Vec]:
@@ -551,16 +571,6 @@ def line_lambda_of_point(comp: ComponentId, p: TbinPoint) -> float:
         raise ValueError("edge point not on this chain line")
     lp = line_lambda_of_vertex(kp)
     return lp + p.offset * (1.0 if kc > kp else -1.0)
-
-
-def boundary_retraction_profile(comp: ComponentId):
-    """Monotone map g: arclength -> TbinPoint on the chain line (speed 2*rho,
-    no flat intervals: the f-clamp vanishes only at half-integer t)."""
-
-    def g(t: float) -> TbinPoint:
-        return line_point_at_lambda(comp, EDGE * t)
-
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ to the exit chain line by the tree-gate projection: lines in a metric tree
 either share a segment or are joined by a unique bridge, and both keep the
 V-shape (a bridge is crossed from one gate, and on a shared segment the
 clipped gate only adds the constant |g - clip(g)|).  All profile parameters
-are in grid units, where the line gluings are the identity.
+are in grid units, where the line gluings are the identity.  Gates and line
+relations come from exact arithmetic on hexagon addresses (a chain line is
+its minimal hexagon followed by alternating letters, see hexagon.line_gate),
+so no window of chain vertices is searched and the tree is not truncated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,68 +88,50 @@ class LineRelation:
     bridge: float = 0.0
 
 
-def _vertex_coord(k: int) -> float:
-    # chain vertex at position k, grid units (line_lambda_of_vertex / EDGE)
-    return k + 0.5
+# Grid coordinates: the chain vertex at position k sits at k + 1/2.
 
 
-def line_relation(
-    comp_in: hx.ComponentId, comp_out: hx.ComponentId, positions: int
-) -> LineRelation:
-    ks = range(-positions, positions + 1)
-    in_addr = {hx.chain_address(comp_in, k): k for k in ks}
-    shared: list[tuple[int, int]] = []
-    for m in ks:
-        addr = hx.chain_address(comp_out, m)
-        k = in_addr.get(addr)
-        if k is not None:
-            shared.append((k, m))
-    if shared:
-        shared.sort()
-        (k1, m1), (k2, m2) = shared[0], shared[-1]
-        orient = 1
-        if len(shared) > 1:
-            orient = 1 if shared[1][1] > shared[0][1] else -1
+def line_relation(comp_in: hx.ComponentId, comp_out: hx.ComponentId) -> LineRelation:
+    """Relation of two distinct chain lines.  comp_out lies below its
+    min_addr, so every path from it to comp_in passes the gate p1 of min_addr:
+    if p1 is on comp_out the lines meet, in at most one edge (an edge lies on
+    exactly two chain lines), else the bridge runs from p1 to its gate on
+    comp_out."""
+    k1, _ = hx.line_gate(comp_in, comp_out.min_addr)
+    m1, bridge = hx.line_gate(comp_out, hx.chain_address(comp_in, k1))
+    if bridge:
         return LineRelation(
-            "overlap",
-            lam_lo=_vertex_coord(k1),
-            lam_hi=_vertex_coord(k2),
-            mu_lo=_vertex_coord(m1),
-            mu_hi=_vertex_coord(m2),
-            orient=orient,
+            "bridge", lam_gate=k1 + 0.5, mu_gate=m1 + 0.5, bridge=float(bridge)
         )
-    best: Optional[tuple[int, int, int]] = None
-    for k in ks:
-        a = hx.chain_address(comp_in, k)
-        for m in ks:
-            b = hx.chain_address(comp_out, m)
-            d = hx.hex_tree_edges(a, b)
-            if best is None or d < best[0]:
-                best = (d, k, m)
-    assert best is not None
+    shared = [(k1, m1)]
+    for k in (k1 - 1, k1 + 1):
+        m, off = hx.line_gate(comp_out, hx.chain_address(comp_in, k))
+        if not off:
+            shared.append((k, m))
+    shared.sort()
+    (k1, m1), (k2, m2) = shared[0], shared[-1]
     return LineRelation(
-        "bridge",
-        lam_gate=_vertex_coord(best[1]),
-        mu_gate=_vertex_coord(best[2]),
-        bridge=float(best[0]),
+        "overlap",
+        lam_lo=k1 + 0.5,
+        lam_hi=k2 + 0.5,
+        mu_lo=m1 + 0.5,
+        mu_hi=m2 + 0.5,
+        orient=1 if m2 >= m1 else -1,
     )
 
 
-def gate_on_line(
-    comp: hx.ComponentId, point: hx.TbinPoint, positions: int
-) -> tuple[float, float]:
-    """(grid coordinate of the gate on the line, piece distance to it)."""
-    try:
+def gate_on_line(comp: hx.ComponentId, point: hx.TbinPoint) -> tuple[float, float]:
+    """(grid coordinate of the gate on the line, piece distance to it).  An
+    edge point off the line leaves its edge through the nearer end, and both
+    ends share the gate."""
+    k, d = hx.line_gate(comp, point.parent)
+    if point.child is None:
+        return k + 0.5, float(d)
+    _, dc = hx.line_gate(comp, point.child)
+    if d == dc == 0:
         return hx.line_lambda_of_point(comp, point) / hx.EDGE, 0.0
-    except ValueError:
-        pass
-    best_lam, best_d = 0.0, math.inf
-    for k in range(-positions, positions + 1):
-        v = hx.tbin_vertex(hx.chain_address(comp, k))
-        d = tree_piece_distance(point, v)
-        if d < best_d:
-            best_d, best_lam = d, _vertex_coord(k)
-    return best_lam, best_d
+    o = point.offset / hx.EDGE
+    return k + 0.5, min(o + d, 1.0 - o + dc)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +139,8 @@ def gate_on_line(
 
 
 class TreeSystem:
-    positions = 26  # chain-vertex window searched for gates and shared segments
-
     def __init__(self, cplx: CoverComplex):
         self.cplx = cplx
-        self._rel_cache: dict[tuple, LineRelation] = {}
         # composed permutation and class label per explored block
         self.sigma: dict[BlockId, Permutation] = {}
         self.labels: dict[BlockId, int] = {}
@@ -207,14 +188,6 @@ class TreeSystem:
 
     # -- T_c distance ---------------------------------------------------------
 
-    def _relation(self, comp_in, comp_out) -> LineRelation:
-        key = (comp_in, comp_out)
-        rel = self._rel_cache.get(key)
-        if rel is None:
-            rel = line_relation(comp_in, comp_out, self.positions)
-            self._rel_cache[key] = rel
-        return rel
-
     def _wall_side_comp(self, wall: Wall, bid: BlockId) -> hx.ComponentId:
         return self.cplx.wall_component(wall, child_side=(bid == wall.child))
 
@@ -223,7 +196,7 @@ class TreeSystem:
     ) -> tuple[float, float]:
         """Push the profile |t - g| + c on the entry line through the tree
         piece onto the exit line; the result is again a V-profile."""
-        rel = self._relation(comp_in, comp_out)
+        rel = line_relation(comp_in, comp_out)
         if rel.kind == "bridge":
             return rel.mu_gate, c + abs(rel.lam_gate - g) + rel.bridge
         clipped = min(max(g, rel.lam_lo), rel.lam_hi)
@@ -242,11 +215,11 @@ class TreeSystem:
         through which the T0 geodesic from src enters dst; over a dst outside
         c it is the fiber line, and line is None."""
         if src.owner == dst:
-            return (*gate_on_line(comp, src.tree, self.positions), comp)
+            return (*gate_on_line(comp, src.tree), comp)
         chain = self.cplx.wall_chain(src.owner, dst)
         if src.tree is not None:
             comp_exit = self._wall_side_comp(chain[0][0], src.owner)
-            g, c = gate_on_line(comp_exit, src.tree, self.positions)
+            g, c = gate_on_line(comp_exit, src.tree)
         else:
             g, c = src.value, 0.0
         line = None
@@ -276,7 +249,7 @@ class TreeSystem:
         g, c, line = self.line_profile(label, a, b.owner)
         if line is None:
             return abs(b.value - g) + c
-        lam, d = gate_on_line(line, b.tree, self.positions)
+        lam, d = gate_on_line(line, b.tree)
         return abs(lam - g) + c + d
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:

@@ -251,8 +251,6 @@ def test_criterion_08_tree_system_metrics():
     w2 = cx3.walls[((3, 7), 9)]
     comp_u = cx3.wall_component(w1, child_side=False)
     comp_v = cx3.wall_component(w2, child_side=True)
-    gu = hx.boundary_retraction_profile(comp_u)
-    gv = hx.boundary_retraction_profile(comp_v)
     import random as _r
 
     rng2 = _r.Random(4)
@@ -261,8 +259,10 @@ def test_criterion_08_tree_system_metrics():
     for _ in range(100):
         t1 = rng2.uniform(max(lo, -1.0), min(hi, 1.9))
         t2 = rng2.uniform(max(lo, -1.0), min(hi, 1.9))
-        du = hx.tbin_distance(gu(t1), gu(t2))
-        dv = hx.tbin_distance(gv(t1), gv(t2))
+        pu1, pu2 = (hx.line_point_at_lambda(comp_u, hx.EDGE * t) for t in (t1, t2))
+        pv1, pv2 = (hx.line_point_at_lambda(comp_v, hx.EDGE * t) for t in (t1, t2))
+        du = hx.tbin_distance(pu1, pu2)
+        dv = hx.tbin_distance(pv1, pv2)
         worst_tr = max(worst_tr, abs(du - dv))
     assert worst_tr < 1e-6
     report(

@@ -277,3 +277,20 @@ def test_shipped_spec_files_match_module():
     for name, doc in examples.SHIPPED.items():
         with open(os.path.join("specs", f"{name}.json")) as fh:
             assert json.load(fh) == doc
+
+
+def test_point_without_pos_exits_1(spec_file, capsys):
+    argv = ["geodesic", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
+            "--wall-comp-depth", "0", "--from", "hex=0;fiber=1", "--to", "hex=;fiber=0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pos" in err
+
+
+def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys):
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps({"spec_digest": examples.load("flip_n3").digest()}))
+    argv = ["phi", "--spec", spec_file, "--complex", str(dump), "--point", "hex=;pos=0,0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t0_depth" in err

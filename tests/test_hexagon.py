@@ -255,7 +255,10 @@ def test_boundary_param_rejects_interior():
 
 def test_boundary_profile():
     comp = hx.component_of((), 1)
-    g = hx.boundary_retraction_profile(comp)
+
+    def g(t):
+        return hx.line_point_at_lambda(comp, hx.EDGE * t)
+
     # grid corner -> midpoint of the shared marked side's edge
     assert g(0.0) == hx.tbin_edge_point((), (0,), hx.RHO)
     # equidistant point -> the hexagon's tree vertex
@@ -270,13 +273,12 @@ def test_boundary_profile():
 
 def test_boundary_profile_monotone():
     comp = hx.component_of((), 1)
-    g = hx.boundary_retraction_profile(comp)
     rng = random.Random(9)
     for _ in range(10_000):
         t1 = rng.uniform(-3.9, 4.8)
         t2 = t1 + rng.random() * 0.5
-        lam1 = hx.line_lambda_of_point(comp, g(t1))
-        lam2 = hx.line_lambda_of_point(comp, g(t2))
+        lam1 = hx.line_lambda_of_point(comp, hx.line_point_at_lambda(comp, hx.EDGE * t1))
+        lam2 = hx.line_lambda_of_point(comp, hx.line_point_at_lambda(comp, hx.EDGE * t2))
         assert lam2 >= lam1
         assert abs((lam2 - lam1) - hx.EDGE * (t2 - t1)) < 1e-9
 

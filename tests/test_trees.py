@@ -79,9 +79,8 @@ def test_phi_c_well_defined_on_walls(cx, ts):
 
 def test_wall_push_back_exact(cx):
     comp = cx.model.components[0]
-    g = hx.boundary_retraction_profile(comp)
     for t in (-1.3, 0.0, 0.61, 2.5):
-        x = g(t)
+        x = hx.line_point_at_lambda(comp, hx.EDGE * t)
         lam = hx.line_lambda_of_point(comp, x)
         assert hx.tbin_distance(hx.line_point_at_lambda(comp, lam), x) < 1e-12
         assert abs(lam - hx.EDGE * t) < 1e-12
@@ -112,7 +111,6 @@ def test_tc_one_wall_vs_brute(cx, ts):
     lab = 1
     w = cx.walls[((), 3)]
     comp_in = cx.wall_component(w, child_side=True)
-    g = hx.boundary_retraction_profile(comp_in)
     rng = random.Random(5)
     step = 1 / 256
     for _ in range(12):
@@ -123,7 +121,9 @@ def test_tc_one_wall_vs_brute(cx, ts):
         val = ts.tc_distance(lab, a, b)
         tgrid = np.arange(-6, 6, step)
         brute = min(
-            abs(t - v0) + hx.tbin_distance(g(t), btree) / hx.EDGE for t in tgrid
+            abs(t - v0)
+            + hx.tbin_distance(hx.line_point_at_lambda(comp_in, hx.EDGE * t), btree) / hx.EDGE
+            for t in tgrid
         )
         assert abs(val - brute) <= step
 
@@ -179,15 +179,15 @@ def test_grid_transport_equality():
     w2 = cx3.walls[((3, 7), 9)]
     comp_u = cx3.wall_component(w1, child_side=False)
     comp_v = cx3.wall_component(w2, child_side=True)
-    gu = hx.boundary_retraction_profile(comp_u)
-    gv = hx.boundary_retraction_profile(comp_v)
     rng = random.Random(0)
     lo_u, hi_u = cx3.model.arclength_window(comp_u)
     for _ in range(100):
         t1 = rng.uniform(max(lo_u, -1.0), min(hi_u, 1.9))
         t2 = rng.uniform(max(lo_u, -1.0), min(hi_u, 1.9))
-        du = hx.tbin_distance(gu(t1), gu(t2))
-        dv = hx.tbin_distance(gv(t1), gv(t2))
+        pu1, pu2 = (hx.line_point_at_lambda(comp_u, hx.EDGE * t) for t in (t1, t2))
+        pv1, pv2 = (hx.line_point_at_lambda(comp_v, hx.EDGE * t) for t in (t1, t2))
+        du = hx.tbin_distance(pu1, pu2)
+        dv = hx.tbin_distance(pv1, pv2)
         assert abs(du - dv) < 1e-6
 
 
@@ -247,7 +247,7 @@ def test_line_profile_matches_tc_distance(cx, ts):
     ]
     # every dst is entered through components[0]; the far line is bridged to it
     far = hx.ComponentId((0, 2), 1)
-    assert tr.line_relation(cx.model.components[0], far, ts.positions).kind == "bridge"
+    assert tr.line_relation(cx.model.components[0], far).kind == "bridge"
     for lab, src, dst in cases:
         assert len(cx.wall_chain(src.owner, dst)) >= 2
         assert ts.labels[dst] == lab
@@ -257,3 +257,83 @@ def test_line_profile_matches_tc_distance(cx, ts):
             for t in (-2.5, -0.75, 0.0, 0.4, 1.3, 3.0):
                 dst_pt = tr.TcPoint(owner=dst, tree=hx.line_point_at_lambda(comp, hx.EDGE * t))
                 assert abs(abs(t - g) + c - ts.tc_distance(lab, src, dst_pt)) <= 1e-9
+
+
+# -- brute-force references for the address-arithmetic gates -----------------
+
+GATE_SPAN = 60  # chain positions searched by the brute-force gate
+RELATION_SPAN = 12  # depth-4 lines meet or bridge within |position| <= 8
+
+
+def brute_gate(comp, point):
+    """Point's own coordinate when it lies on the chain line, else the
+    nearest chain vertex over +-GATE_SPAN positions."""
+    ks = {hx.chain_address(comp, k): k for k in range(-GATE_SPAN, GATE_SPAN + 1)}
+    kp = ks.get(point.parent)
+    kc = ks.get(point.child) if point.child is not None else None
+    if kp is not None and (point.child is None or kc is not None):
+        sign = 0.0 if point.child is None else (1.0 if kc > kp else -1.0)
+        return kp + 0.5 + sign * point.offset / hx.EDGE, 0.0
+    best = None
+    for addr, k in ks.items():
+        d = tr.tree_piece_distance(point, hx.tbin_vertex(addr))
+        if best is None or d < best[1]:
+            best = (k + 0.5, d)
+    return best
+
+
+def brute_relation(comp_in, comp_out):
+    """Shared chain vertices, or else the closest pair of chain vertices."""
+    span = range(-RELATION_SPAN, RELATION_SPAN + 1)
+    in_k = {hx.chain_address(comp_in, k): k for k in span}
+    out = [(m, hx.chain_address(comp_out, m)) for m in span]
+    shared = sorted((in_k[a], m) for m, a in out if a in in_k)
+    if shared:
+        (k1, m1), (k2, m2) = shared[0], shared[-1]
+        orient = -1 if len(shared) > 1 and shared[1][1] < m1 else 1
+        return tr.LineRelation("overlap", k1 + 0.5, k2 + 0.5, m1 + 0.5, m2 + 0.5, orient)
+    d, k, m = min(
+        (hx.hex_tree_edges(a, b), k, m) for a, k in in_k.items() for m, b in out
+    )
+    return tr.LineRelation("bridge", lam_gate=k + 0.5, mu_gate=m + 0.5, bridge=float(d))
+
+
+def test_line_relation_matches_brute_force():
+    comps = hx.HexModel(4).components
+    kinds = set()
+    for comp_in in comps:
+        for comp_out in comps:
+            if comp_in != comp_out:
+                rel = tr.line_relation(comp_in, comp_out)
+                assert rel == brute_relation(comp_in, comp_out)
+                kinds.add(rel.kind)
+    assert kinds == {"overlap", "bridge"}
+
+
+def test_gate_on_line_matches_brute_force():
+    comps = hx.HexModel(4).components
+    hexes = hx.hexagons_to_depth(6)
+    rng = random.Random(3)
+    on_line = 0
+    for comp in comps:
+        pts = [hx.tbin_vertex(rng.choice(hexes)) for _ in range(20)]
+        for _ in range(20):
+            child = rng.choice(hexes[1:])
+            pts.append(hx.tbin_edge_point(child[:-1], child, rng.uniform(0.0, hx.EDGE)))
+        # points on the line itself
+        pts.extend(hx.line_point_at_lambda(comp, hx.EDGE * rng.uniform(-5, 5)) for _ in range(5))
+        for p in pts:
+            lam, d = tr.gate_on_line(comp, p)
+            lam_b, d_b = brute_gate(comp, p)
+            assert abs(lam - lam_b) <= 1e-12 and abs(d - d_b) <= 1e-12
+            on_line += d == 0.0
+    assert on_line >= 5 * len(comps)
+
+
+def test_gate_beyond_former_window():
+    # a vertex one edge off chain position 40 gates there, however far out
+    comp = hx.ComponentId((), 1)
+    a, b = hx.LETTERS[comp.side]
+    addr = hx.chain_address(comp, 40) + (3 - a - b,)
+    assert tr.gate_on_line(comp, hx.tbin_vertex(addr)) == (40.5, 1.0)
+    assert brute_gate(comp, hx.tbin_vertex(addr)) == (40.5, 1.0)

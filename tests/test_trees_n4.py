@@ -70,7 +70,6 @@ def test_tc_one_wall_vs_brute_n4(cx4, ts4):
     child = w.child
     lab = ts4.labels[child]
     comp_in = cx4.wall_component(w, child_side=True)
-    g = hx.boundary_retraction_profile(comp_in)
     step = 1 / 256
     for i in range(6):
         r = cover.make_stream(29, i)
@@ -81,6 +80,8 @@ def test_tc_one_wall_vs_brute_n4(cx4, ts4):
         val = ts4.tc_distance(lab, a, b)
         tgrid = np.arange(-4, 4, step)
         brute = min(
-            abs(t - v0) + hx.tbin_distance(g(t), btree) / hx.EDGE for t in tgrid
+            abs(t - v0)
+            + hx.tbin_distance(hx.line_point_at_lambda(comp_in, hx.EDGE * t), btree) / hx.EDGE
+            for t in tgrid
         )
         assert abs(val - brute) <= step
