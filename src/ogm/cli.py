@@ -12,16 +12,14 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import coverings as cvg
 from . import curves as cv
 from . import geodesics as geo
 from . import hexagon as hx
 from . import trees as tr
 from . import verify as vf
-from .cover import CoverComplex, CoverError, explore, make_stream
+from .cover import CoverComplex, CoverError, explore
 from .manifold import GraphManifoldSpec, check_irreducible, validate
+from .verify import covering_report
 
 
 def _log(msg: str) -> None:
@@ -219,80 +217,6 @@ def cmd_verify_lipschitz(args) -> int:
     _write_or_print(rep.to_dict(), args.out)
     _log(f"verify-lipschitz: {rep.verdict}")
     return 0 if rep.verdict == "PASS" else 1
-
-
-def covering_report(
-    spec: GraphManifoldSpec, cfg: vf.RunConfig, scale: float, binding_pairs: int = 60
-) -> dict:
-    """Tree coverings on the embedded factors, their product, and the
-    pullback check with QI-transferred constants."""
-    cplx, ts = vf._prepare(spec, cfg)
-    pts = [cplx.sample_point(make_stream(cfg.seed, i)) for i in range(cfg.samples)]
-    phis = [ts.phi(p) for p in pts]
-    n = len(pts)
-    t0_d = np.zeros((n, n))
-    tc_d = {lab: np.zeros((n, n)) for lab in ts.class_labels}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t0_d[i, j] = t0_d[j, i] = ts.t0_distance(phis[i].t0, phis[j].t0)
-            for lab in ts.class_labels:
-                v = ts.tc_distance(lab, phis[i].coord(lab), phis[j].coord(lab))
-                tc_d[lab][i, j] = tc_d[lab][j, i] = v
-    sum_d = t0_d.copy()
-    factors = [cvg.tree_covering(t0_d, t0_d[0], scale)]
-    factor_checks = [cvg.check_covering(factors[0], t0_d)]
-    for lab in ts.class_labels:
-        cov = cvg.tree_covering(tc_d[lab], tc_d[lab][0], scale)
-        factors.append(cov)
-        factor_checks.append(cvg.check_covering(cov, tc_d[lab]))
-        sum_d += tc_d[lab]
-    prod = cvg.product_covering(factors)
-    prod_check = cvg.check_covering(prod, sum_d)
-    consts = vf.base_constants(spec.n)
-
-    solver_cache: dict[tuple[int, int], float] = {}
-
-    def cover_distance(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in solver_cache:
-            solver_cache[key] = geo.distance(cplx, pts[key[0]], pts[key[1]], tol=cfg.tol).distance
-        return solver_cache[key]
-
-    pull = cvg.pullback_check(
-        prod,
-        sum_d,
-        cover_distance,
-        consts["C"],
-        slack=1.0,
-        binding_pairs=binding_pairs,
-    )
-    ok = all(c.ok for c in factor_checks) and prod_check.ok and pull.ok
-
-    def chk_doc(c: cvg.CoveringCheck) -> dict:
-        return {
-            "ok": c.ok,
-            "min_same_color_separation": None
-            if c.min_same_color_separation == float("inf")
-            else c.min_same_color_separation,
-            "max_piece_diameter": c.max_piece_diameter,
-            "required_separation": c.required_separation,
-            "allowed_diameter": c.allowed_diameter,
-            "checked_pairs": c.checked_pairs,
-        }
-
-    return {
-        "verdict": "PASS" if ok else "FAIL",
-        "spec_digest": spec.digest(),
-        "scale": scale,
-        "samples": n,
-        "config": cfg.to_dict(),
-        "factors": [
-            {"colors": f.colors, "pieces": len(f.piece_color), "check": chk_doc(c)}
-            for f, c in zip(factors, factor_checks)
-        ],
-        "product": {"colors": prod.colors, "pieces": len(prod.piece_color), "check": chk_doc(prod_check)},
-        "pullback": chk_doc(pull),
-    }
 
 
 def cmd_covering(args) -> int:

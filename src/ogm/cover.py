@@ -14,7 +14,6 @@ component 0 is its gluing component and carries the reverse edge label.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -45,10 +44,6 @@ class Wall:
     parent_comp: int  # index into the shared component table
     child: BlockId
     edge_id: str  # oriented parent -> child
-
-    @property
-    def child_comp(self) -> int:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -160,9 +155,6 @@ class CoverComplex:
             chain.append((self.walls[(v[:i], v[i])], False))
         return chain
 
-    def t0_distance(self, u: BlockId, v: BlockId) -> int:
-        return len(self.wall_chain(u, v))
-
     def wall_component(self, w: Wall, child_side: bool) -> hx.ComponentId:
         if child_side:
             return self.model.components[0]
@@ -252,21 +244,36 @@ class CoverComplex:
         return f"block={','.join(segs)};hex={hexes};pos={pos};fiber={fib}"
 
     def parse_point(self, text: str) -> CoverPoint:
-        fields = dict(part.split("=", 1) for part in text.strip().split(";"))
+        fields: dict[str, str] = {}
+        for part in text.strip().split(";"):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise CoverError(f"point part {part!r} has no '='")
+            fields[key] = value
         if "pos" not in fields:
             raise CoverError(f"point {text!r} has no pos field")
+
+        def numbers(key: str, conv, items) -> tuple:
+            try:
+                return tuple(conv(v) for v in items)
+            except ValueError:
+                raise CoverError(f"malformed {key} field {fields[key]!r}") from None
+
         bid: BlockId = ()
         if fields.get("block"):
             for seg in fields["block"].split(","):
                 lab, _, ci = seg.partition("#")
-                bid = bid + (int(ci),)
-                wall = self.walls.get((bid[:-1], bid[-1]))
+                wall = self.walls.get((bid, int(ci))) if ci.isdecimal() else None
                 if wall is None or wall.edge_id != lab:
                     raise CoverError(f"unknown block segment {seg!r}")
-        addr = tuple(int(c) for c in fields.get("hex", ""))
-        x1, x2 = (float(v) for v in fields["pos"].split(","))
+                bid = wall.child
+        addr = numbers("hex", int, fields.get("hex", ""))
+        pos = numbers("pos", float, fields["pos"].split(","))
+        if len(pos) != 2:
+            raise CoverError(f"malformed pos field {fields['pos']!r}")
+        x1, x2 = pos
         local = (math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2)
-        fiber = tuple(float(v) for v in fields["fiber"].split(",")) if fields.get("fiber") else ()
+        fiber = numbers("fiber", float, fields["fiber"].split(",")) if fields.get("fiber") else ()
         p = CoverPoint(bid, hx.H0Point(addr, local), fiber)
         if not self.contains(p, tol=1e-6):
             raise CoverError(f"point outside complex: {text!r}")
@@ -310,9 +317,6 @@ class CoverComplex:
             "blocks": blocks,
             "walls": walls,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=1)
 
 
 def explore(

@@ -26,12 +26,6 @@ class ColoredCovering:
     piece_color: list[int]
     bound: float  # claimed diameter bound
 
-    def pieces(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, pid in enumerate(self.assignment):
-            out.setdefault(pid, []).append(i)
-        return out
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -49,9 +43,22 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def meet_level(f: np.ndarray, dmat: np.ndarray, i: int, j: int) -> float:
-    """Rootward meet height via the Gromov product."""
-    return 0.5 * (f[i] + f[j] - dmat[i, j])
+def meet_level(fi, fj, dij):
+    """Rootward meet height of two points at root distances fi, fj and
+    distance dij, via the Gromov product (elementwise on arrays)."""
+    return 0.5 * (fi + fj - dij)
+
+
+def _pair_masks(cov: ColoredCovering) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle masks of the pairs (i < j) in one piece, and of the
+    pairs in different pieces of the same color."""
+    n = len(cov.assignment)
+    piece = np.asarray(cov.assignment)
+    color = np.asarray(cov.piece_color)[piece]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    same_piece = upper & (piece[:, None] == piece[None, :])
+    same_color = upper & ~same_piece & (color[:, None] == color[None, :])
+    return same_piece, same_color
 
 
 def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> ColoredCovering:
@@ -60,14 +67,13 @@ def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> Colo
         raise ValueError("scale must be positive")
     n = len(root_dist)
     annulus = np.floor(root_dist / scale).astype(int)
+    meet = meet_level(root_dist[:, None], root_dist[None, :], dmat)
+    merge = (annulus[:, None] == annulus[None, :]) & (
+        meet >= (annulus * scale - scale / 2.0)[:, None]
+    )
     uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if annulus[i] != annulus[j]:
-                continue
-            k = annulus[i]
-            if meet_level(root_dist, dmat, i, j) >= k * scale - scale / 2.0:
-                uf.union(i, j)
+    for i, j in zip(*np.nonzero(np.triu(merge, 1))):
+        uf.union(int(i), int(j))
     roots: dict[tuple[int, int], int] = {}
     assignment = [0] * n
     piece_color: list[int] = []
@@ -139,17 +145,10 @@ def check_covering(
     n = len(cov.assignment)
     req = cov.scale if required_separation is None else required_separation
     allow = cov.bound if allowed_diameter is None else allowed_diameter
-    min_sep = math.inf
-    max_diam = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = cov.assignment[i], cov.assignment[j]
-            pairs += 1
-            if pi == pj:
-                max_diam = max(max_diam, float(dmat[i, j]))
-            elif cov.piece_color[pi] == cov.piece_color[pj]:
-                min_sep = min(min_sep, float(dmat[i, j]))
+    same_piece, same_color = _pair_masks(cov)
+    max_diam = float(np.max(dmat, where=same_piece, initial=0.0))
+    min_sep = float(np.min(dmat, where=same_color, initial=math.inf))
+    pairs = n * (n - 1) // 2
     ok = (min_sep >= req - slack) and (max_diam <= allow + slack)
     return CoveringCheck(
         covered=True,  # assignment is total by construction
@@ -177,29 +176,25 @@ def pullback_check(
     on the binding pairs only: same-color cross-piece pairs with the
     smallest embedded distance and within-piece pairs with the largest.
     """
-    n = len(cov.assignment)
+    if binding_pairs < 1:
+        raise ValueError("binding_pairs must be >= 1")
     req = (cov.scale - 1.0) / qi_constant - 1.0
     allow = qi_constant * (cov.bound + 1.0) + slack
-    same_piece: list[tuple[float, int, int]] = []
-    cross_color: list[tuple[float, int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = cov.assignment[i], cov.assignment[j]
-            if pi == pj:
-                same_piece.append((float(embedded_dmat[i, j]), i, j))
-            elif cov.piece_color[pi] == cov.piece_color[pj]:
-                cross_color.append((float(embedded_dmat[i, j]), i, j))
-    same_piece.sort(reverse=True)
-    cross_color.sort()
-    min_sep = math.inf
-    max_diam = 0.0
-    checked = 0
-    for _, i, j in cross_color[:binding_pairs]:
-        min_sep = min(min_sep, cover_distance(i, j))
-        checked += 1
-    for _, i, j in same_piece[:binding_pairs]:
-        max_diam = max(max_diam, cover_distance(i, j))
-        checked += 1
+    same_piece, same_color = _pair_masks(cov)
+
+    def binding(mask: np.ndarray, descending: bool) -> list[tuple[int, int]]:
+        # order of the (d, i, j) tuples, fully reversed when descending
+        i, j = np.nonzero(mask)
+        order = np.lexsort((j, i, embedded_dmat[i, j]))
+        if descending:
+            order = order[::-1]
+        return [(int(i[k]), int(j[k])) for k in order[:binding_pairs]]
+
+    seps = [cover_distance(i, j) for i, j in binding(same_color, False)]
+    diams = [cover_distance(i, j) for i, j in binding(same_piece, True)]
+    min_sep = min(seps, default=math.inf)
+    max_diam = max(diams, default=0.0)
+    checked = len(seps) + len(diams)
     ok = (min_sep >= req - 1e-9) and (max_diam <= allow + 1e-9)
     return CoveringCheck(
         covered=True,

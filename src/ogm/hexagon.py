@@ -166,10 +166,6 @@ def extend(address: Address, letter: int) -> Address:
     return address + (letter,)
 
 
-def is_reduced(address: Address) -> bool:
-    return all(address[i] != address[i + 1] for i in range(len(address) - 1))
-
-
 def hexagons_to_depth(depth: int) -> list[Address]:
     """All hexagon addresses of length <= depth, BFS order."""
     out: list[Address] = [()]
@@ -207,17 +203,6 @@ def develop_matrix(address: Address) -> Mat:
             m = mat_mul(m, REFLECTIONS[address[i]])
             _develop_cache[address[: i + 1]] = m
         return m
-
-
-def develop(frm: Address, to: Address) -> Mat:
-    """Chart isometry mapping `to`-local coordinates into the `frm` chart."""
-    k = _lcp_len(frm, to)
-    frm, to = frm[k:], to[k:]  # the shared prefix cancels algebraically
-    if not frm:
-        return develop_matrix(to)
-    # inverse of a reflection word is the reversed word
-    inv = develop_matrix(tuple(reversed(frm)))
-    return mat_mul(inv, develop_matrix(to))
 
 
 # ---------------------------------------------------------------------------

@@ -180,55 +180,11 @@ def path_permutation(spec: GraphManifoldSpec, path: Iterable[str]) -> Permutatio
     return acc
 
 
-# ---------------------------------------------------------------------------
-# the Bass-Serre tree, combinatorially
-
-
-@dataclass(frozen=True)
-class T0Vertex:
-    """Vertex of the (explored) tree dual to the block decomposition."""
-
-    path: tuple[str, ...]  # oriented edge ids from the root block
-    g_vertex: str
-
-    @property
-    def rank(self) -> int:
-        return len(self.path)
-
-
-def class_label(spec: GraphManifoldSpec, vertex: T0Vertex) -> int:
-    """Index k with s_{v->root}(0) = k; two explored vertices are equivalent
-    iff their labels agree (the composed permutation then fixes 0)."""
-    sigma = path_permutation(spec, vertex.path)
+def class_label(sigma: Permutation) -> int:
+    """Class of a T0 vertex whose composed gluing permutation from the root
+    is sigma: the wall coordinate sigma sends to the base.  Two vertices are
+    equivalent iff their labels agree (the relative permutation fixes 0)."""
     return sigma.inverse()(0)
-
-
-def vertex_classes(
-    spec: GraphManifoldSpec, explored: Iterable[T0Vertex]
-) -> dict[tuple[str, ...], int]:
-    """Partition explored tree vertices by the fixes-the-base relation."""
-    return {v.path: class_label(spec, v) for v in explored}
-
-
-def explore_t0_labels(
-    spec: GraphManifoldSpec, depth: int, root: Optional[str] = None
-) -> list[T0Vertex]:
-    """Label-tree exploration: one child per oriented edge of the block's
-    boundary (the cover realizes each label along many walls; for class
-    analysis the label tree carries the same permutation data)."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    root_v = spec.root_vertex() if root is None else root
-    out = [T0Vertex((), root_v)]
-    frontier = [out[0]]
-    for _ in range(depth):
-        nxt = []
-        for node in frontier:
-            for e in spec.boundary(node.g_vertex):
-                nxt.append(T0Vertex(node.path + (e.id,), e.to))
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 @dataclass(frozen=True)
@@ -268,7 +224,7 @@ def check_irreducible(
                     continue
                 seen.add(key)
                 p2 = path + (e.id,)
-                label = sig2.inverse()(0)
+                label = class_label(sig2)
                 if label not in witnesses:
                     witnesses[label] = p2
                 nxt.append((e.to, sig2, p2))

@@ -37,7 +37,7 @@ from typing import Optional
 
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint, Wall
-from .manifold import Permutation
+from .manifold import Permutation, class_label, path_permutation
 
 BlockId = tuple[int, ...]
 
@@ -144,15 +144,9 @@ class TreeSystem:
         # composed permutation and class label per explored block
         self.sigma: dict[BlockId, Permutation] = {}
         self.labels: dict[BlockId, int] = {}
-        ident = Permutation.identity(cplx.spec.n - 1)
         for bid in cplx.block_list:
-            if not bid:
-                self.sigma[bid] = ident
-            else:
-                blk = cplx.blocks[bid]
-                edge = cplx.spec.edges[blk.labels[-1]]
-                self.sigma[bid] = edge.perm.after(self.sigma[bid[:-1]])
-            self.labels[bid] = self.sigma[bid].inverse()(0)
+            self.sigma[bid] = path_permutation(cplx.spec, cplx.blocks[bid].labels)
+            self.labels[bid] = class_label(self.sigma[bid])
         self.class_labels: tuple[int, ...] = tuple(sorted(set(self.labels.values())))
         self.representatives: dict[int, BlockId] = {}
         for bid in cplx.block_list:
@@ -164,7 +158,10 @@ class TreeSystem:
         return self.cplx.normalize(x).block
 
     def t0_distance(self, u: BlockId, v: BlockId) -> float:
-        return float(len(self.cplx.wall_chain(u, v)))
+        """Block ids are prefix addresses of T0, as hexagon addresses are of
+        T_bin, so the T0 distance is the same prefix arithmetic."""
+        self.cplx.block(u), self.cplx.block(v)
+        return float(hx.hex_tree_edges(u, v))
 
     def coordinate_index(self, label: int, bid: BlockId) -> int:
         """Block coordinate read by phi_c over a block outside c."""

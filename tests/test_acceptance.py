@@ -16,8 +16,8 @@ from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
 from ogm import verify as vf
-from ogm.cli import covering_report
-from ogm.manifold import check_irreducible, explore_t0_labels, vertex_classes
+from ogm.manifold import check_irreducible
+from ogm.verify import covering_report
 
 EPS = 10.0 * 1e-6
 SPECS = ("flip_n3", "cycle_n4", "two_vertex_n5")
@@ -141,9 +141,8 @@ def test_criterion_03_retraction_constant():
 def test_criterion_04_class_structure():
     for name in SPECS:
         spec = examples.load(name)
-        explored = explore_t0_labels(spec, 3)
-        classes = vertex_classes(spec, explored)
-        assert len(set(classes.values())) == spec.n - 1, name
+        ts = tr.TreeSystem(cover.explore(spec, 3, 2, wall_comp_depth=0))
+        assert len(set(ts.labels.values())) == spec.n - 1, name
     red = examples.load("reducible_n4")
     rep = check_irreducible(red, 10)
     assert not rep.irreducible

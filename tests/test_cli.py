@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from ogm import cover, examples
+from ogm import cli, cover, examples
 from ogm import geodesics as geo
+from ogm import verify as vf
 from ogm.cli import main
 
 
@@ -214,6 +215,8 @@ def test_verify_lipschitz_cli(spec_file, tmp_path):
 
 
 def test_covering_cli(spec_file, tmp_path):
+    # the command runs the library report under the cli name
+    assert cli.covering_report is vf.covering_report
     out = tmp_path / "cov.json"
     code = main(
         [
@@ -231,6 +234,14 @@ def test_covering_cli(spec_file, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["verdict"] == "PASS"
     assert doc["product"]["colors"] == 8
+
+
+@pytest.mark.parametrize("binding_pairs", ["0", "-1"])
+def test_covering_binding_pairs_below_one_exits_1(spec_file, capsys, binding_pairs):
+    argv = ["covering", "--spec", spec_file, *run_args(), "--binding-pairs", binding_pairs]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "binding_pairs" in err
 
 
 def test_reducible_rejected_cli(tmp_path):
@@ -294,3 +305,21 @@ def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "t0_depth" in err
+
+
+@pytest.mark.parametrize(
+    "point, field",
+    [
+        ("hex=0;pos=0.1", "pos"),
+        ("hex=0;pos", "pos"),
+        ("hex=0x;pos=0,0", "hex"),
+        ("block=w1#a;hex=;pos=0,0", "block"),
+        ("hex=;pos=0,0;fiber=x", "fiber"),
+    ],
+)
+def test_malformed_point_names_field(spec_file, capsys, point, field):
+    argv = ["geodesic", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
+            "--wall-comp-depth", "0", "--from", point, "--to", "hex=;pos=0,0;fiber=0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err

@@ -84,9 +84,9 @@ def test_meet_relation_transitive_on_samples():
         if not (annulus[i] == annulus[j] == annulus[k]):
             continue
         level = annulus[i] * scale - scale / 2
-        rij = cvg.meet_level(root, dmat, i, j) >= level
-        rjk = cvg.meet_level(root, dmat, j, k) >= level
-        rik = cvg.meet_level(root, dmat, i, k) >= level
+        rij = cvg.meet_level(root[i], root[j], dmat[i, j]) >= level
+        rjk = cvg.meet_level(root[j], root[k], dmat[j, k]) >= level
+        rik = cvg.meet_level(root[i], root[k], dmat[i, k]) >= level
         if rij and rjk:
             assert rik
 
@@ -173,3 +173,133 @@ def test_invalid_scale():
     dmat, root = tbin_sample(10, seed=15)
     with pytest.raises(ValueError):
         cvg.tree_covering(dmat, root, 0.0)
+
+
+# -- masked pair code against the pairwise loops it replaced ------------------
+
+
+def reference_tree_covering(dmat, root_dist, scale):
+    n = len(root_dist)
+    annulus = np.floor(root_dist / scale).astype(int)
+    uf = cvg._UnionFind(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if annulus[i] != annulus[j]:
+                continue
+            k = annulus[i]
+            if 0.5 * (root_dist[i] + root_dist[j] - dmat[i, j]) >= k * scale - scale / 2.0:
+                uf.union(i, j)
+    roots = {}
+    assignment = [0] * n
+    piece_color = []
+    for i in range(n):
+        key = (annulus[i], uf.find(i))
+        pid = roots.get(key)
+        if pid is None:
+            pid = len(piece_color)
+            roots[key] = pid
+            piece_color.append(int(annulus[i]) % 2)
+        assignment[i] = pid
+    return assignment, piece_color
+
+
+def reference_pairs(cov, dmat):
+    """(d, i, j) of the same-piece pairs and of the same-color cross pairs."""
+    n = len(cov.assignment)
+    same_piece, cross_color = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pi, pj = cov.assignment[i], cov.assignment[j]
+            if pi == pj:
+                same_piece.append((float(dmat[i, j]), i, j))
+            elif cov.piece_color[pi] == cov.piece_color[pj]:
+                cross_color.append((float(dmat[i, j]), i, j))
+    return same_piece, cross_color
+
+
+def reference_check_covering(cov, dmat, slack=1e-9):
+    same_piece, cross_color = reference_pairs(cov, dmat)
+    min_sep = min([math.inf] + [d for d, _, _ in cross_color])
+    max_diam = max([0.0] + [d for d, _, _ in same_piece])
+    n = len(cov.assignment)
+    return cvg.CoveringCheck(
+        covered=True,
+        min_same_color_separation=min_sep,
+        max_piece_diameter=max_diam,
+        required_separation=cov.scale,
+        allowed_diameter=cov.bound,
+        ok=(min_sep >= cov.scale - slack) and (max_diam <= cov.bound + slack),
+        checked_pairs=n * (n - 1) // 2,
+    )
+
+
+def reference_binding_order(cov, dmat, binding_pairs):
+    same_piece, cross_color = reference_pairs(cov, dmat)
+    same_piece.sort(reverse=True)
+    cross_color.sort()
+    return [(i, j) for _, i, j in cross_color[:binding_pairs] + same_piece[:binding_pairs]]
+
+
+def tbin_vertex_sample(count, seed, depth=5):
+    """Dual-tree vertices: integer edge counts, so distances tie often."""
+    model = hx.HexModel(depth)
+    rng = random.Random(seed)
+    addrs = [rng.choice(model.hexagons) for _ in range(count)]
+    dmat = np.array([[float(hx.hex_tree_edges(a, b)) for b in addrs] for a in addrs])
+    return dmat, np.array([float(len(a)) for a in addrs])
+
+
+def masked_cases():
+    """(covering, metric) pairs: tree coverings of tied and untied samples
+    at several scales, and a product of two tree coverings."""
+    tied_a = tbin_vertex_sample(90, seed=1)
+    tied_b = tbin_vertex_sample(90, seed=2)
+    for dmat, root in (tied_a, tbin_sample(70, seed=4)):
+        for scale in (1.0, 2.0, 3.0, 8.0):
+            yield cvg.tree_covering(dmat, root, scale), dmat
+    a = cvg.tree_covering(*tied_a, 2.0)
+    b = cvg.tree_covering(*tied_b, 2.0)
+    yield cvg.product_covering([a, b]), tied_a[0] + tied_b[0]
+
+
+def test_tree_covering_matches_pairwise_reference():
+    for dmat, root in (tbin_vertex_sample(90, seed=1), tbin_sample(70, seed=4)):
+        for scale in (1.0, 2.0, 3.0, 8.0):
+            cov = cvg.tree_covering(dmat, root, scale)
+            assert (cov.assignment, cov.piece_color) == reference_tree_covering(
+                dmat, root, scale
+            )
+
+
+def test_check_covering_matches_pairwise_reference():
+    for cov, dmat in masked_cases():
+        assert cvg.check_covering(cov, dmat) == reference_check_covering(cov, dmat)
+
+
+@pytest.mark.parametrize("binding_pairs", [1, 7, 10_000])
+def test_pullback_binding_order_matches_pairwise_reference(binding_pairs):
+    for cov, dmat in masked_cases():
+        calls = []
+
+        def stub(i, j):
+            calls.append((i, j))
+            return float(dmat[i, j])
+
+        chk = cvg.pullback_check(cov, dmat, stub, 3.0, slack=1.0, binding_pairs=binding_pairs)
+        expected = reference_binding_order(cov, dmat, binding_pairs)
+        assert calls == expected
+        assert chk.checked_pairs == len(expected)
+        same_piece, cross_color = reference_pairs(cov, dmat)
+        seps = sorted(cross_color)[:binding_pairs]
+        diams = sorted(same_piece, reverse=True)[:binding_pairs]
+        assert chk.min_same_color_separation == min([math.inf] + [d for d, _, _ in seps])
+        assert chk.max_piece_diameter == max([0.0] + [d for d, _, _ in diams])
+
+
+@pytest.mark.parametrize("binding_pairs", [0, -1])
+def test_pullback_rejects_binding_pairs_below_one(binding_pairs):
+    dmat, root = tbin_vertex_sample(20, seed=3)
+    cov = cvg.tree_covering(dmat, root, 2.0)
+    with pytest.raises(ValueError):
+        cvg.pullback_check(cov, dmat, lambda i, j: 0.0, 3.0, slack=1.0,
+                           binding_pairs=binding_pairs)

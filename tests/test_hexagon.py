@@ -76,16 +76,18 @@ def test_hexagon_closure_march():
 
 
 def test_develop_identity_and_involution():
-    assert hx.develop((0, 1), (0, 1)) == hx._IDENTITY
-    prod = hx.mat_mul(hx.develop((), (0,)), hx.develop((0,), ()))
-    err = max(
-        abs(prod[i][j] - (1.0 if i == j else 0.0)) for i in range(3) for j in range(3)
-    )
-    assert err < 1e-12
+    assert hx.develop_matrix(()) == hx._IDENTITY
+    # a reflection word's inverse is the reversed word
+    for word, back in (((0,), (0,)), ((0, 1), (1, 0)), ((1, 2), (2, 1))):
+        prod = hx.mat_mul(hx.develop_matrix(word), hx.develop_matrix(back))
+        err = max(
+            abs(prod[i][j] - (1.0 if i == j else 0.0)) for i in range(3) for j in range(3)
+        )
+        assert err < 1e-12
 
 
 def test_develop_preserves_vertex_distances():
-    m = hx.develop((), (0, 1))
+    m = hx.develop_matrix((0, 1))
     imgs = [hx.mat_vec(m, v) for v in hx.VERTICES]
     for a in range(6):
         for b in range(6):

@@ -2,18 +2,16 @@ import random
 
 import pytest
 
-from ogm import examples
+from ogm import cover, examples
+from ogm import trees as tr
 from ogm.manifold import (
     GraphManifoldSpec,
     Permutation,
     SpecError,
-    T0Vertex,
     check_irreducible,
     class_label,
-    explore_t0_labels,
     path_permutation,
     validate,
-    vertex_classes,
 )
 
 
@@ -111,61 +109,82 @@ def test_backtracking_paths_are_identity():
         assert path_permutation(spec, path + back).is_identity()
 
 
+def label_paths(spec, depth):
+    """Every edge path of length <= depth out of the root vertex."""
+    paths = [()]
+    for path in paths:
+        if len(path) < depth:
+            end = spec.edges[path[-1]].to if path else spec.root_vertex()
+            paths.extend(path + (e.id,) for e in spec.boundary(end))
+    return paths
+
+
+def explored_classes(name, depth):
+    """(block, label path from the root, class) for every explored block."""
+    cx = cover.explore(examples.load(name), depth, 2, wall_comp_depth=0)
+    ts = tr.TreeSystem(cx)
+    return [(bid, cx.blocks[bid].labels, ts.labels[bid]) for bid in cx.block_list]
+
+
 def test_classes_flip_parity():
     spec = examples.load("flip_n3")
-    explored = explore_t0_labels(spec, 4)
-    classes = vertex_classes(spec, explored)
-    for v in explored:
-        assert classes[v.path] == v.rank % 2
-    assert len(set(classes.values())) == 2
+    for path in label_paths(spec, 4):
+        assert class_label(path_permutation(spec, path)) == len(path) % 2
+    explored = explored_classes("flip_n3", 4)
+    for bid, _, lab in explored:
+        assert lab == len(bid) % 2
+    assert len({lab for _, _, lab in explored}) == 2
 
 
 def test_classes_cycle_depth_mod3():
     spec = examples.load("cycle_n4")
-    explored = explore_t0_labels(spec, 4)
-    classes = vertex_classes(spec, explored)
-    # brute force: composing the 3-cycle k times moves 0 to depth mod 3
-    for v in explored:
+
+    def brute(path):
         sigma = Permutation.identity(3)
-        for eid in v.path:
+        for eid in path:
             sigma = spec.edges[eid].perm.after(sigma)
-        assert classes[v.path] == sigma.inverse()(0)
-    labels = {classes[v.path] for v in explored}
-    assert len(labels) == 3
+        return sigma.inverse()(0)
+
+    # brute force: composing the 3-cycle k times moves 0 to depth mod 3
+    paths = label_paths(spec, 4)
+    for path in paths:
+        assert class_label(path_permutation(spec, path)) == brute(path)
+    assert len({brute(path) for path in paths}) == 3
+    explored = explored_classes("cycle_n4", 4)
+    for _, path, lab in explored:
+        assert lab == brute(path)
+    assert len({lab for _, _, lab in explored}) == 3
 
 
 def test_adjacent_vertices_differ():
     for name in examples.IRREDUCIBLE_NAMES:
         spec = examples.load(name)
-        explored = explore_t0_labels(spec, 3)
-        classes = vertex_classes(spec, explored)
-        for v in explored:
-            if v.path:
-                assert classes[v.path] != classes[v.path[:-1]]
+        for path in label_paths(spec, 3)[1:]:
+            lab = class_label(path_permutation(spec, path))
+            assert lab != class_label(path_permutation(spec, path[:-1]))
+        classes = {bid: lab for bid, _, lab in explored_classes(name, 3)}
+        for bid, lab in classes.items():
+            if bid:
+                assert lab != classes[bid[:-1]]
 
 
 def test_class_count_bounded():
     for name in sorted(examples.SHIPPED):
         spec = examples.load(name)
-        classes = vertex_classes(spec, explore_t0_labels(spec, 4))
-        assert len(set(classes.values())) <= spec.n - 1
+        labels = {class_label(path_permutation(spec, p)) for p in label_paths(spec, 4)}
+        assert len(labels) <= spec.n - 1
+        assert {lab for _, _, lab in explored_classes(name, 4)} <= labels
 
 
 def test_reroot_invariance():
     spec = examples.load("two_vertex_n5")
-    explored = explore_t0_labels(spec, 3)
-    classes = vertex_classes(spec, explored)
     # re-root at the end of edge "wa": recompute labels relative to that
     # vertex and compare partitions up to relabeling
-    prefix = ("wa",)
     rev = ("wb",)
-    relabeled = {}
-    for v in explored:
-        path2 = rev + v.path  # path from the new root through the old one
-        relabeled[v.path] = class_label(spec, T0Vertex(path2, v.g_vertex))
     mapping = {}
-    for path, lab in classes.items():
-        lab2 = relabeled[path]
+    for path in label_paths(spec, 3):
+        lab = class_label(path_permutation(spec, path))
+        lab2 = class_label(path_permutation(spec, rev + path))
         assert mapping.setdefault(lab, lab2) == lab2
 
 
