@@ -120,6 +120,7 @@ def cmd_geodesic(args) -> int:
         "distance": res.distance,
         "truncated": res.truncated,
         "sweeps": res.sweeps,
+        "residual": res.residual,
         "chain": [
             {"parent": list(w.parent), "parent_comp": w.parent_comp, "coords": c}
             for w, c in zip(res.config.walls, res.config.coords)

@@ -37,10 +37,12 @@ class _UnionFind:
             i = self.parent[i]
         return i
 
-    def union(self, i: int, j: int) -> None:
+    def union(self, i: int, j: int) -> bool:
+        """Join the sets of i and j; True when they were apart."""
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
+        return ri != rj
 
 
 def meet_level(fi, fj, dij):
@@ -71,9 +73,13 @@ def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> Colo
     merge = (annulus[:, None] == annulus[None, :]) & (
         meet >= (annulus * scale - scale / 2.0)[:, None]
     )
+    # pieces never cross annuli: once every annulus is one piece, stop
     uf = _UnionFind(n)
+    unions_left = n - len(np.unique(annulus))
     for i, j in zip(*np.nonzero(np.triu(merge, 1))):
-        uf.union(int(i), int(j))
+        if unions_left == 0:
+            break
+        unions_left -= uf.union(int(i), int(j))
     roots: dict[tuple[int, int], int] = {}
     assignment = [0] * n
     piece_color: list[int] = []

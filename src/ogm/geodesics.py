@@ -2,35 +2,32 @@
 
 A geodesic between blocks crosses exactly the walls along the T0 geodesic;
 the distance is the minimum over one crossing point per wall of the sum of
-in-block product distances.  Each summand is convex (blocks are nonpositively
-curved, walls are flats), so cyclic per-wall descent converges to the global
-minimum.
+in-block product distances.  Crossing points are canonical wall coordinates
+(arclength on the parent component, parent fibers), so every segment end is
+a fixed point or a point o*cosh(S*t) + w*sinh(S*t) of a boundary line
+(`HexModel.line_frame`) with fibers linear in the coordinates.  A segment
+between ends A and B has the closed-form length
 
-Per-wall structure: in canonical wall coordinates (arclength on the parent
-component, parent fibers) exactly two coordinates enter a hyperbolic factor:
-index 0 (the parent-side arclength) and index perm^-1(0) (the fiber that
-becomes the child-side arclength).  Those two are minimized by nested
-golden-section searches with warm-started brackets; every other fiber enters
-both neighbor terms as a Euclidean coordinate, and the whole free subvector
-has the closed-form "unfolded straight line" optimum
+    sqrt(g(c) + |dfiber|^2),   c = -<A, B>,   g(c) = (acosh(c) / S)^2,
 
-    min_v sqrt(aa^2 + |v-P|^2) + sqrt(bb^2 + |v-Q|^2)
-        = sqrt((aa+bb)^2 + |P-Q|^2)   at   v = P + (Q-P) aa/(aa+bb).
+with closed-form gradient and Hessian; g is smooth through c = 1.  The
+chain length is convex (blocks are nonpositively curved, walls are flats),
+so one projected damped-Newton solve over every coordinate of the chain at
+once, with an Armijo backtracking search projected onto the arclength
+windows, finds the global minimum.  It stops on the Newton decrement and
+returns the projected-gradient norm as its optimality certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint, Wall
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class ConvergenceError(RuntimeError):
     pass
@@ -43,29 +40,6 @@ def block_distance(cplx: CoverComplex, p: CoverPoint, q: CoverPoint) -> float:
     h = hx.h0_distance(p.base, q.base)
     e = sum((a - b) ** 2 for a, b in zip(p.fiber, q.fiber))
     return math.sqrt(h * h + e)
-
-
-def golden_min(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float
-) -> tuple[float, float]:
-    """Golden-section minimum of a convex function on [lo, hi]."""
-    if hi - lo <= xtol:
-        x = 0.5 * (lo + hi)
-        return x, f(x)
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
 
 
 @dataclass
@@ -81,10 +55,14 @@ class ChainConfiguration:
 
 @dataclass
 class GeodesicResult:
+    """`sweeps` counts Newton iterations; `residual` is the infinity norm of
+    the projected gradient of the chain length at the returned crossings."""
+
     distance: float
     config: ChainConfiguration
     truncated: bool
     sweeps: int
+    residual: float
 
 
 class _WallVars:
@@ -107,19 +85,9 @@ class _WallVars:
         self.comp_to = cplx.wall_component(wall, child_side=not upward)
         self.win_f = cplx.model.arclength_window(self.comp_from)
         self.win_t = cplx.model.arclength_window(self.comp_to)
-        self.coords = [0.0] * n1
-        self.coords[self.jf] = 0.5 * (self.win_f[0] + self.win_f[1])
-        self.coords[self.jt] = 0.5 * (self.win_t[0] + self.win_t[1])
-        self.bracket_f = self.win_f[1] - self.win_f[0]
-        self.bracket_t = self.win_t[1] - self.win_t[0]
-
-    def side_values(self, to_side: bool) -> tuple[float, tuple[float, ...]]:
-        """(arclength, fibers) of the crossing point on the given side."""
-        pos = self.to_pos if to_side else self.from_pos
-        vals = [0.0] * len(self.coords)
-        for j, p in enumerate(pos):
-            vals[p] = self.coords[j]
-        return vals[0], tuple(vals[1:])
+        self.bounds = [(-math.inf, math.inf)] * n1
+        self.bounds[self.jf], self.bounds[self.jt] = self.win_f, self.win_t
+        self.coords = [0.5 * (lo + hi) if lo > -math.inf else 0.0 for lo, hi in self.bounds]
 
 
 def _chain_vars(
@@ -130,10 +98,166 @@ def _chain_vars(
 
 def _targets(point_fibers: tuple[float, ...], pos: list[int]) -> list[Optional[float]]:
     """Canonical-indexed fiber targets; None marks the arclength slot."""
-    out: list[Optional[float]] = []
-    for p in pos:
-        out.append(None if p == 0 else point_fibers[p - 1])
-    return out
+    return [None if p == 0 else point_fibers[p - 1] for p in pos]
+
+
+def _segments(model: hx.HexModel, chain: list[_WallVars], x: CoverPoint, y: CoverPoint):
+    """Chain segments over the flat coordinates z (z[i*(n-1) + j] is
+    canonical coordinate j of wall i): (m, va, vb, fibers) with
+    c = -<A, B> = sum m[2p + q] e_p(va) e_q(vb), where e(v) = (cosh, sinh)
+    of S*z[v] on a line and (1, 0) at a fixed end (v = -1), and fiber
+    differences (ia, ka, ib, kb) of z[i], or of the constant k when i < 0."""
+
+    def fixed(p: CoverPoint):
+        return p.base.root_chart(), (0.0, 0.0, 0.0), -1, [(-1, f) for f in p.fiber]
+
+    def on_line(i: int, wv: _WallVars, to_side: bool):
+        o, w = model.line_frame(wv.comp_to if to_side else wv.comp_from)
+        var = [0] * len(wv.coords)
+        for j, p in enumerate(wv.to_pos if to_side else wv.from_pos):
+            var[p] = i * len(wv.coords) + j
+        return o, w, var[0], [(v, 0.0) for v in var[1:]]
+
+    ends = [fixed(x)]
+    for i, wv in enumerate(chain):
+        ends += [on_line(i, wv, False), on_line(i, wv, True)]
+    ends.append(fixed(y))
+    return [
+        ((-hx.mdot(oa, ob), -hx.mdot(oa, wb), -hx.mdot(wa, ob), -hx.mdot(wa, wb)), va, vb,
+         [(ia, ka, ib, kb) for (ia, ka), (ib, kb) in zip(fa, fb)])
+        for (oa, wa, va, fa), (ob, wb, vb, fb) in zip(ends[::2], ends[1::2])
+    ]
+
+
+def _chain_objective(segs, z: list[float], derivs: bool):
+    """(length, gradient, Hessian) of the chain at z, the last two dense
+    lists, or None unless `derivs`.  A segment has length
+    L = sqrt(g(c) + F), g(c) = (acosh(c) / S)^2, F = |fiber difference|^2;
+    one of length 0 adds no derivative terms."""
+    s, kappa = hx.S, hx.KAPPA
+    total, grad, hess = 0.0, None, None
+    if derivs:
+        grad, hess = [0.0] * len(z), [[0.0] * len(z) for _ in z]
+    for m, va, vb, fibers in segs:
+
+        def bil(p, q):
+            return p[0] * (m[0] * q[0] + m[1] * q[1]) + p[1] * (m[2] * q[0] + m[3] * q[1])
+
+        ea = (math.cosh(s * z[va]), math.sinh(s * z[va])) if va >= 0 else (1.0, 0.0)
+        eb = (math.cosh(s * z[vb]), math.sinh(s * z[vb])) if vb >= 0 else (1.0, 0.0)
+        c = bil(ea, eb)
+        deltas = [(z[ia] if ia >= 0 else ka) - (z[ib] if ib >= 0 else kb)
+                  for ia, ka, ib, kb in fibers]
+        u = math.acosh(c) if c > 1.0 else 0.0
+        length = math.sqrt(u * u / kappa + sum(d * d for d in deltas))
+        total += length
+        if not derivs or length == 0.0:
+            continue
+        if u < 1e-4:  # series: g' -> 2/S^2, g'' -> -2/(3 S^2) at c = 1
+            g1 = 2.0 / kappa * (1.0 - u * u / 6.0)
+            g2 = 2.0 / kappa * (-1.0 / 3.0 + 2.0 * u * u / 15.0)
+        else:
+            sh = math.sinh(u)
+            g1 = 2.0 * u / (kappa * sh)
+            g2 = 2.0 * (sh - u * c) / (kappa * sh ** 3)
+        # Hessian (g'' dc dc' + g' d2c + d2F) / 2L - r r' / L, r = grad L
+        inv = 0.5 / length
+        fa, fb = ea[::-1], eb[::-1]
+        dc = [(v, s * bil(p, q)) for v, p, q in ((va, fa, eb), (vb, ea, fb)) if v >= 0]
+        for v, dv in dc:
+            for w, dw in dc:
+                d2c = kappa * (c if v == w else bil(fa, fb))
+                hess[v][w] += (g2 * (dv * dw) + g1 * d2c) * inv
+        r = [(v, g1 * dv * inv) for v, dv in dc]
+        for (ia, _, ib, _), d in zip(fibers, deltas):
+            ends = [(v, sign) for v, sign in ((ia, 1.0), (ib, -1.0)) if v >= 0]
+            for v, sv in ends:
+                r.append((v, 2.0 * sv * d * inv))
+                for w, sw in ends:
+                    hess[v][w] += 2.0 * sv * sw * inv
+        for v, rv in r:
+            grad[v] += rv
+            for w, rw in r:
+                hess[v][w] -= rv * rw / length
+    return total, grad, hess
+
+
+def _cholesky(a: list[list[float]], floor: float) -> Optional[list[list[float]]]:
+    """Lower Cholesky factor, or None when a pivot is not above `floor`."""
+    n = len(a)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if i > j:
+                low[i][j] = v / low[j][j]
+            elif v > floor:
+                low[i][i] = math.sqrt(v)
+            else:
+                return None
+    return low
+
+
+def _newton_step(hess, grad: list[float], free: list[int]) -> list[float]:
+    """Solve H_ff d = -g_f on the free coordinates by dense Cholesky, with a
+    Levenberg shift of the diagonal while the factorisation fails."""
+    n = len(free)
+    scale = max([1.0] + [hess[v][v] for v in free])
+    shift = 0.0
+    for _ in range(40):
+        low = _cholesky(
+            [[hess[a][b] + (shift if a == b else 0.0) for b in free] for a in free],
+            1e-13 * scale,
+        )
+        if low is not None:
+            break
+        shift = max(10.0 * shift, 1e-10 * scale)
+    else:
+        raise ConvergenceError("no Levenberg shift makes the Hessian positive definite")
+    y: list[float] = []
+    for i in range(n):
+        y.append((-grad[free[i]] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i])
+    step = [0.0] * len(grad)
+    for i in reversed(range(n)):
+        tail = sum(low[k][i] * step[free[k]] for k in range(i + 1, n))
+        step[free[i]] = (y[i] - tail) / low[i][i]
+    return step
+
+
+def _projected_newton(segs, z, bounds, tol: float, max_sweeps: int):
+    """Minimize the chain length over the box `bounds`; returns
+    (z, value, iterations, projected-gradient infinity norm)."""
+    f, grad, hess = _chain_objective(segs, z, True)
+    for sweeps in range(1, max_sweeps + 1):
+        # active: at a window edge with the gradient pointing out
+        free = [v for v, (lo, hi) in enumerate(bounds)
+                if not ((z[v] <= lo and grad[v] > 0.0) or (z[v] >= hi and grad[v] < 0.0))]
+        step = _newton_step(hess, grad, free)
+        decrement = -sum(g * d for g, d in zip(grad, step))
+        if decrement <= 1e-10 * max(1.0, f):
+            break
+        alpha = 1.0
+        for _ in range(60):
+            trial = [min(max(zv + alpha * dv, lo), hi)
+                     for zv, dv, (lo, hi) in zip(z, step, bounds)]
+            ft = _chain_objective(segs, trial, False)[0]
+            slope = sum(g * (t - zv) for g, t, zv in zip(grad, trial, z))
+            if ft <= f + 1e-4 * min(slope, 0.0):
+                break
+            alpha *= 0.5
+        else:
+            if decrement <= tol * max(1.0, f):
+                break
+            raise ConvergenceError(f"line search stalled at Newton decrement {decrement}")
+        z = trial
+        f, grad, hess = _chain_objective(segs, z, True)
+    else:
+        raise ConvergenceError(
+            f"no convergence in {max_sweeps} Newton iterations (last value {f})"
+        )
+    residual = max(abs(min(g, 0.0) if zv <= lo else max(g, 0.0) if zv >= hi else g)
+                   for g, zv, (lo, hi) in zip(grad, z, bounds))
+    return z, f, sweeps, residual
 
 
 def distance(
@@ -146,135 +270,32 @@ def distance(
 ) -> GeodesicResult:
     """Distance d(x, y) with the optimal chain configuration.
 
-    Flags TRUNCATED when any optimal crossing comes within `margin` of the
+    `max_sweeps` caps the Newton iterations; a stalled line search is
+    accepted when the Newton decrement is at most tol * max(1, d).  Flags
+    TRUNCATED when any optimal crossing comes within `margin` of the
     hexagon-truncation edge of its wall window.
     """
     for p in (x, y):
         if not cplx.contains(p):
             raise CoverError("point outside the explored complex")
-    x = cplx.normalize(x)
-    y = cplx.normalize(y)
+    x, y = cplx.normalize(x), cplx.normalize(y)
     chain = _chain_vars(cplx, x, y)
     cfg = ChainConfiguration(
         [wv.wall for wv in chain], [wv.upward for wv in chain], [], x, y
     )
     if not chain:
-        return GeodesicResult(block_distance(cplx, x, y), cfg, False, 0)
+        return GeodesicResult(block_distance(cplx, x, y), cfg, False, 0, 0.0)
 
-    model = cplx.model
-
-    def prev_anchor(i: int) -> tuple[hx.H0Point, list[Optional[float]]]:
-        if i == 0:
-            return x.base, _targets(x.fiber, chain[0].from_pos)
-        wv = chain[i - 1]
-        arc, fibers = wv.side_values(to_side=True)
-        base = model.boundary_point(wv.comp_to, arc)
-        return base, _targets(fibers, chain[i].from_pos)
-
-    def next_anchor(i: int) -> tuple[hx.H0Point, list[Optional[float]]]:
-        if i == len(chain) - 1:
-            return y.base, _targets(y.fiber, chain[i].to_pos)
-        wv = chain[i + 1]
-        arc, fibers = wv.side_values(to_side=False)
-        base = model.boundary_point(wv.comp_from, arc)
-        return base, _targets(fibers, chain[i].to_pos)
-
-    def optimize_wall(i: int) -> None:
-        wv = chain[i]
-        base_p, tf = prev_anchor(i)
-        base_n, tt = next_anchor(i)
-        jf, jt = wv.jf, wv.jt
-        free = [j for j in range(len(wv.coords)) if j != jf and j != jt]
-        d2 = sum((tf[j] - tt[j]) ** 2 for j in free)
-        tf_jt = tf[jt]
-        tt_jf = tt[jf]
-        xtol = max(tol * 1e-2, 1e-12)
-
-        def a_dist(a: float) -> float:
-            return hx.h0_distance(base_p, model.boundary_point(wv.comp_from, a))
-
-        def b_dist(b: float) -> float:
-            return hx.h0_distance(base_n, model.boundary_point(wv.comp_to, b))
-
-        def reduced(a: float, b: float, av: float, bv: float) -> float:
-            alpha = math.hypot(av, b - tf_jt)
-            beta = math.hypot(bv, a - tt_jf)
-            s = alpha + beta
-            return math.sqrt(s * s + d2)
-
-        def inner(a: float, av: float) -> tuple[float, float]:
-            lo = max(wv.win_t[0], wv.coords[jt] - wv.bracket_t)
-            hi = min(wv.win_t[1], wv.coords[jt] + wv.bracket_t)
-            return golden_min(lambda b: reduced(a, b, av, b_dist(b)), lo, hi, xtol)
-
-        def outer(a: float) -> float:
-            return inner(a, a_dist(a))[1]
-
-        lo = max(wv.win_f[0], wv.coords[jf] - wv.bracket_f)
-        hi = min(wv.win_f[1], wv.coords[jf] + wv.bracket_f)
-        a_star, _ = golden_min(outer, lo, hi, xtol)
-        av = a_dist(a_star)
-        b_star, _ = inner(a_star, av)
-        bv = b_dist(b_star)
-        move_f = abs(a_star - wv.coords[jf])
-        move_t = abs(b_star - wv.coords[jt])
-        wv.coords[jf], wv.coords[jt] = a_star, b_star
-        # free fibers: exact unfolded optimum given (a, b)
-        alpha = math.hypot(av, b_star - tf_jt)
-        beta = math.hypot(bv, a_star - tt_jf)
-        s = alpha + beta
-        for j in free:
-            wv.coords[j] = tf[j] + (tt[j] - tf[j]) * (alpha / s if s > 0 else 0.5)
-        # warm bracket for the next sweep; reopen if we ran into its edge
-        wf = wv.win_f[1] - wv.win_f[0]
-        wt = wv.win_t[1] - wv.win_t[0]
-        wv.bracket_f = min(wf, max(8.0 * move_f, 64.0 * xtol))
-        wv.bracket_t = min(wt, max(8.0 * move_t, 64.0 * xtol))
-
-    def total() -> float:
-        return _chain_total(model, chain, x, y)
-
-    prev = math.inf
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        for i in range(len(chain)):
-            optimize_wall(i)
-        cur = total()
-        if prev - cur <= tol * max(1.0, cur) and sweeps >= 2:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_sweeps} sweeps (last value {prev})"
-        )
-
-    truncated = False
-    for wv in chain:
-        af, at = wv.coords[wv.jf], wv.coords[wv.jt]
-        if af - wv.win_f[0] < margin or wv.win_f[1] - af < margin:
-            truncated = True
-        if at - wv.win_t[0] < margin or wv.win_t[1] - at < margin:
-            truncated = True
-    cfg.coords = [list(wv.coords) for wv in chain]
-    return GeodesicResult(prev, cfg, truncated, sweeps)
-
-
-def _chain_total(model, chain: list[_WallVars], x: CoverPoint, y: CoverPoint) -> float:
-    out = 0.0
-    base_prev, fib_prev = x.base, x.fiber
-    for wv in chain:
-        arc_f, fibers_f = wv.side_values(to_side=False)
-        base_f = model.boundary_point(wv.comp_from, arc_f)
-        h = hx.h0_distance(base_prev, base_f)
-        e = sum((a - b) ** 2 for a, b in zip(fib_prev, fibers_f))
-        out += math.sqrt(h * h + e)
-        arc_t, fibers_t = wv.side_values(to_side=True)
-        base_prev = model.boundary_point(wv.comp_to, arc_t)
-        fib_prev = fibers_t
-    h = hx.h0_distance(base_prev, y.base)
-    e = sum((a - b) ** 2 for a, b in zip(fib_prev, y.fiber))
-    return out + math.sqrt(h * h + e)
+    bounds = [b for wv in chain for b in wv.bounds]
+    z, value, sweeps, residual = _projected_newton(
+        _segments(cplx.model, chain, x, y),
+        [c for wv in chain for c in wv.coords],
+        bounds, tol, max_sweeps,
+    )
+    truncated = any(v - lo < margin or hi - v < margin for v, (lo, hi) in zip(z, bounds))
+    n1 = cplx.spec.n - 1
+    cfg.coords = [z[i : i + n1] for i in range(0, len(z), n1)]
+    return GeodesicResult(value, cfg, truncated, sweeps, residual)
 
 
 def evaluate_chain(
@@ -282,14 +303,12 @@ def evaluate_chain(
 ) -> float:
     """Chain length L(z_1, ..., z_k) at an explicit crossing configuration
     (canonical wall coordinates); the function the solver minimizes."""
-    x = cplx.normalize(x)
-    y = cplx.normalize(y)
+    x, y = cplx.normalize(x), cplx.normalize(y)
     chain = _chain_vars(cplx, x, y)
     if len(coords) != len(chain):
         raise CoverError("coordinate list does not match the wall chain")
-    for wv, c in zip(chain, coords):
-        wv.coords = list(c)
-    return _chain_total(cplx.model, chain, x, y)
+    z = [float(v) for c in coords for v in c]
+    return _chain_objective(_segments(cplx.model, chain, x, y), z, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +329,7 @@ def brute_force_distance(
     minimum until the step is below grid_step; values are monotone
     non-increasing under grid refinement on a fixed window.
     """
-    x = cplx.normalize(x)
-    y = cplx.normalize(y)
+    x, y = cplx.normalize(x), cplx.normalize(y)
     chain = _chain_vars(cplx, x, y)
     if len(chain) > 2:
         raise CoverError("brute-force oracle only handles chains of <= 2 walls")
@@ -319,15 +337,8 @@ def brute_force_distance(
         return block_distance(cplx, x, y)
     model = cplx.model
 
-    def a_profile(wv: _WallVars, base: hx.H0Point, grid: np.ndarray) -> np.ndarray:
-        return np.array(
-            [hx.h0_distance(base, model.boundary_point(wv.comp_from, t)) for t in grid]
-        )
-
-    def b_profile(wv: _WallVars, base: hx.H0Point, grid: np.ndarray) -> np.ndarray:
-        return np.array(
-            [hx.h0_distance(base, model.boundary_point(wv.comp_to, t)) for t in grid]
-        )
+    def profile(comp: hx.ComponentId, base: hx.H0Point, grid: np.ndarray) -> np.ndarray:
+        return np.array([hx.h0_distance(base, model.boundary_point(comp, t)) for t in grid])
 
     if len(chain) == 1:
         wv = chain[0]
@@ -337,8 +348,8 @@ def brute_force_distance(
         d2 = sum((tf[j] - tt[j]) ** 2 for j in free)
 
         def value_grid(agrid: np.ndarray, bgrid: np.ndarray) -> np.ndarray:
-            av = a_profile(wv, x.base, agrid)[:, None]
-            bv = b_profile(wv, y.base, bgrid)[None, :]
+            av = profile(wv.comp_from, x.base, agrid)[:, None]
+            bv = profile(wv.comp_to, y.base, bgrid)[None, :]
             alpha = np.hypot(av, bgrid[None, :] - tf[wv.jt])
             beta = np.hypot(bv, agrid[:, None] - tt[wv.jf])
             return np.sqrt((alpha + beta) ** 2 + d2)
@@ -368,19 +379,10 @@ def brute_force_distance(
         raise CoverError("unexpected wall coordinate pairing")
 
     def value_grid4(a1g, b1g, a2g, b2g):
-        av = a_profile(wv1, x.base, a1g)
-        bv = b_profile(wv2, y.base, b2g)
+        av = profile(wv1.comp_from, x.base, a1g)
+        bv = profile(wv2.comp_to, y.base, b2g)
         mid = np.array(
-            [
-                [
-                    hx.h0_distance(
-                        model.boundary_point(wv1.comp_to, t1),
-                        model.boundary_point(wv2.comp_from, t2),
-                    )
-                    for t2 in a2g
-                ]
-                for t1 in b1g
-            ]
+            [profile(wv2.comp_from, model.boundary_point(wv1.comp_to, t1), a2g) for t1 in b1g]
         )
         A = np.hypot(av[:, None], b1g[None, :] - tf[wv1.jt])  # (a1, b1)
         B = np.hypot(bv[None, :], a2g[:, None] - tt[wv2.jf])  # (a2, b2)

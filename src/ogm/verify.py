@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -190,6 +189,8 @@ def _collect_records(
     indices = range(cfg.samples)
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             records = pool.map(_pair_record, indices, chunksize=16)

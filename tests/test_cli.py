@@ -119,6 +119,8 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
     res = json.loads(capsys.readouterr().out)
     assert res["distance"] > 0
     assert "truncated" in res
+    assert res["sweeps"] >= 1
+    assert 0.0 <= res["residual"] < 1e-3
 
 
 def test_convergence_error_exits_1(spec_file, monkeypatch, capsys):

@@ -271,6 +271,25 @@ def test_tree_covering_matches_pairwise_reference():
             )
 
 
+def test_tree_covering_stops_merging_when_annuli_are_whole(monkeypatch):
+    # every point in annulus 0: n - 1 successful unions make it one piece,
+    # and no merging pair is visited after that
+    dmat, root = tbin_sample(60, seed=4)
+    scale = float(root.max()) + 1.0
+    calls = []
+    union = cvg._UnionFind.union
+
+    def counted(uf, i, j):
+        calls.append((i, j))
+        return union(uf, i, j)
+
+    monkeypatch.setattr(cvg._UnionFind, "union", counted)
+    cov = cvg.tree_covering(dmat, root, scale)
+    assert len(calls) <= len(root) - 1
+    assert set(cov.assignment) == {0}
+    assert (cov.assignment, cov.piece_color) == reference_tree_covering(dmat, root, scale)
+
+
 def test_check_covering_matches_pairwise_reference():
     for cov, dmat in masked_cases():
         assert cvg.check_covering(cov, dmat) == reference_check_covering(cov, dmat)

@@ -104,7 +104,7 @@ def test_witness_dominates_distance(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 500, 30):
         L = cv.curve_length(cx, path)
         res = geo.distance(cx, x, y, tol=1e-6)
-        assert res.distance <= L + 1e-4
+        assert res.distance <= L + 1e-9
 
 
 def test_length_bound(cx, ts):

@@ -250,6 +250,29 @@ def test_boundary_arclength_isometric_along_line():
         assert abs(hx.h0_distance(p1, p2) - abs(t1 - t2)) < 1e-9
 
 
+def test_line_frame_closed_form():
+    # the distance from a point to a boundary line in closed form from the
+    # line frame, against h0_distance of the boundary point
+    rng = random.Random(6)
+    for depth, roots_only in ((4, False), (6, True)):
+        model = hx.HexModel(depth)
+        comps = [c for c in model.components if not roots_only or c.min_addr == ()]
+        for comp in comps:
+            o, w = model.line_frame(comp)
+            lo, hi = model.arclength_window(comp)
+            for _ in range(3):
+                p = hx.H0Point(rng.choice(model.hexagons), model.sample_local(rng))
+                big_p = p.root_chart()
+                for i in range(9):
+                    t = lo + (hi - lo) * i / 8
+                    c = -hx.mdot(big_p, o) * math.cosh(hx.S * t) \
+                        - hx.mdot(big_p, w) * math.sinh(hx.S * t)
+                    d = math.acosh(max(c, 1.0)) / hx.S
+                    assert abs(d - hx.h0_distance(p, model.boundary_point(comp, t))) < 1e-9
+    with pytest.raises(hx.TruncationError):
+        hx.HexModel(2).line_frame(hx.component_of((0, 1, 2), 1))
+
+
 def test_boundary_param_rejects_interior():
     with pytest.raises(hx.NotOnBoundaryError):
         hx.boundary_param(hx.H0Point((), hx.CENTER))
