@@ -46,6 +46,9 @@ class Wall:
     edge_id: str  # oriented parent -> child
 
 
+WallChain = tuple[tuple[Wall, bool], ...]
+
+
 @dataclass(frozen=True)
 class CoverPoint:
     block: BlockId
@@ -91,6 +94,7 @@ class CoverComplex:
         self.model = hx.HexModel(hex_depth)
         self.blocks: dict[BlockId, Block] = {}
         self.walls: dict[tuple[BlockId, int], Wall] = {}
+        self._chains: dict[tuple[BlockId, BlockId], WallChain] = {}
         self._frozen = False
         self._build()
         self._frozen = True
@@ -141,19 +145,23 @@ class CoverComplex:
             raise CoverError("root block has no parent wall")
         return self.walls[(bid[:-1], bid[-1])]
 
-    def wall_chain(self, u: BlockId, v: BlockId) -> list[tuple[Wall, bool]]:
+    def wall_chain(self, u: BlockId, v: BlockId) -> WallChain:
         """Walls along the T0 geodesic from u to v, in order, with a flag:
-        True when the step crosses from the wall's child into its parent."""
+        True when the step crosses from the wall's child into its parent.
+        Built once per block pair: the complex is frozen."""
+        chain = self._chains.get((u, v))
+        if chain is None:
+            chain = self._chains[(u, v)] = self._build_wall_chain(u, v)
+        return chain
+
+    def _build_wall_chain(self, u: BlockId, v: BlockId) -> WallChain:
         self.block(u), self.block(v)
         k = 0
         while k < len(u) and k < len(v) and u[k] == v[k]:
             k += 1
-        chain: list[tuple[Wall, bool]] = []
-        for i in range(len(u), k, -1):
-            chain.append((self.walls[(u[: i - 1], u[i - 1])], True))
-        for i in range(k, len(v)):
-            chain.append((self.walls[(v[:i], v[i])], False))
-        return chain
+        up = tuple((self.walls[(u[: i - 1], u[i - 1])], True) for i in range(len(u), k, -1))
+        down = tuple((self.walls[(v[:i], v[i])], False) for i in range(k, len(v)))
+        return up + down
 
     def wall_component(self, w: Wall, child_side: bool) -> hx.ComponentId:
         if child_side:

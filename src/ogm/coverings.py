@@ -65,8 +65,8 @@ def _pair_masks(cov: ColoredCovering) -> tuple[np.ndarray, np.ndarray]:
 
 def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> ColoredCovering:
     """Two-colored R-disjoint 3R-bounded covering of a sampled metric tree."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and > 0")
     n = len(root_dist)
     annulus = np.floor(root_dist / scale).astype(int)
     meet = meet_level(root_dist[:, None], root_dist[None, :], dmat)

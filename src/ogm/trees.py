@@ -32,8 +32,11 @@ so no window of chain vertices is searched and the tree is not truncated.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint, Wall
@@ -248,6 +251,48 @@ class TreeSystem:
             return abs(b.value - g) + c
         lam, d = gate_on_line(line, b.tree)
         return abs(lam - g) + c + d
+
+    def tc_matrix(self, label: int, points: Sequence[TcPoint]) -> np.ndarray:
+        """Symmetric matrix of tc_distance(label, points[i], points[j]),
+        computed for i < j and mirrored, entry for entry equal to it.  It
+        uses tc(a, b) = |lam_b - g| + c + d_b: one line_profile per point
+        and later destination block gives (g, c, line), one gate per line
+        and point gives (lam_b, d_b), and numpy fills the block's columns
+        in tc_distance's order of operations."""
+        for p in points:
+            if p.owner not in self.cplx.blocks:
+                raise CoverError(f"owner {p.owner} not explored")
+        n = len(points)
+        out = np.zeros((n, n))
+        cols: dict[BlockId, list[int]] = {}
+        for j, p in enumerate(points):
+            cols.setdefault(p.owner, []).append(j)
+        arrays = {o: np.array(js) for o, js in cols.items()}
+        values = np.array([np.nan if p.value is None else p.value for p in points])
+        gates: dict[tuple[hx.ComponentId, BlockId], np.ndarray] = {}
+        for i, a in enumerate(points):
+            for o, js in arrays.items():
+                k = bisect.bisect_right(cols[o], i)  # columns j > i
+                if k == len(js):
+                    continue
+                js = js[k:]
+                if o == a.owner and a.tree is not None:
+                    row = [tree_piece_distance(a.tree, points[j].tree) for j in js]
+                elif o == a.owner:
+                    row = np.abs(a.value - values[js])
+                else:
+                    g, c, line = self.line_profile(label, a, o)
+                    if line is None:
+                        row = np.abs(values[js] - g) + c
+                    else:
+                        if (line, o) not in gates:
+                            gates[(line, o)] = np.array(
+                                [gate_on_line(line, points[j].tree) for j in cols[o]]
+                            ).T
+                        lam, d = gates[(line, o)][:, k:]
+                        row = np.abs(lam - g) + c + d
+                out[i, js] = out[js, i] = row
+        return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:
         total = self.t0_distance(p.t0, q.t0)

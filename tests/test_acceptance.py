@@ -130,12 +130,17 @@ def test_criterion_03_retraction_constant():
     lip = vf.measure_retraction_lipschitz(model, pairs=100_000, seed=5)
     g = hx.hexagon_constants()
     assert lip <= 2 * g.delta
+    assert lip <= hx.EDGE + 1e-9  # the exact constant 2*rho
     if hx.HALF_EDGE_EMBEDDED <= g.rho:
         half_edge_note = f"half-edge {hx.HALF_EDGE_EMBEDDED:.4f} <= rho {g.rho:.4f}"
     else:  # pragma: no cover - geometry says this cannot happen
         half_edge_note = f"WARN half-edge ratio {hx.HALF_EDGE_EMBEDDED / g.rho:.4f}"
         print(f"ACCEPTANCE 3 WARNING: {half_edge_note}")
-    report(3, "retraction constant", f"sampled {lip:.6f} <= 2*delta {2 * g.delta:.6f}; {half_edge_note}")
+    report(
+        3,
+        "retraction constant",
+        f"sampled {lip:.12f} <= 2*rho {hx.EDGE:.12f} <= 2*delta {2 * g.delta:.6f}; {half_edge_note}",
+    )
 
 
 def test_criterion_04_class_structure():

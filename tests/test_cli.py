@@ -6,6 +6,7 @@ import pytest
 
 from ogm import cli, cover, examples
 from ogm import geodesics as geo
+from ogm import hexagon as hx
 from ogm import verify as vf
 from ogm.cli import main
 
@@ -214,6 +215,8 @@ def test_verify_lipschitz_cli(spec_file, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "PASS"
     assert rep["retraction_lipschitz"] is not None
+    assert rep["retraction_lipschitz_exact"] == hx.EDGE
+    assert rep["inequalities"]["retraction_2rho"]["violations"] == 0
 
 
 def test_covering_cli(spec_file, tmp_path):
@@ -244,6 +247,32 @@ def test_covering_binding_pairs_below_one_exits_1(spec_file, capsys, binding_pai
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "binding_pairs" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, field",
+    [
+        ("--tol", "nan", "tol"),
+        ("--tol", "inf", "tol"),
+        ("--fiber-range", "-1", "fiber_range"),
+        ("--fiber-range", "inf", "fiber_range"),
+        ("--workers", "-2", "workers"),
+    ],
+)
+def test_verify_qi_rejects_bad_run_config(spec_file, capsys, option, value, field):
+    # a NaN or infinite tol made every margin NaN or -inf, and the report PASSed
+    argv = ["verify-qi", "--spec", spec_file, *run_args("--samples", "4"), option, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_covering_non_finite_scale_exits_1(spec_file, capsys, scale):
+    argv = ["covering", "--spec", spec_file, *run_args(), "--scale", scale]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scale" in err
 
 
 def test_reducible_rejected_cli(tmp_path):

@@ -64,7 +64,7 @@ def test_explore_deterministic():
 
 def test_wall_chain(flip_cx):
     root = ()
-    assert flip_cx.wall_chain(root, root) == []
+    assert flip_cx.wall_chain(root, root) == ()
     child = (3,)
     chain = flip_cx.wall_chain(root, child)
     assert len(chain) == 1 and chain[0][0].child == child and not chain[0][1]

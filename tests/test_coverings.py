@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -128,6 +129,20 @@ def test_product_scale_mismatch():
         cvg.product_covering([a, b])
 
 
+def pairwise_matrices(ts, phis):
+    """T0 and T_c distance matrices of embedded samples, one pair at a time."""
+    n = len(phis)
+    t0_d = np.zeros((n, n))
+    tc_d = {lab: np.zeros((n, n)) for lab in ts.class_labels}
+    for i in range(n):
+        for j in range(i + 1, n):
+            t0_d[i, j] = t0_d[j, i] = ts.t0_distance(phis[i].t0, phis[j].t0)
+            for lab in ts.class_labels:
+                v = ts.tc_distance(lab, phis[i].coord(lab), phis[j].coord(lab))
+                tc_d[lab][i, j] = tc_d[lab][j, i] = v
+    return t0_d, tc_d
+
+
 def test_product_on_embedded_samples():
     # T0 x T_c covering on phi images of sampled cover points
     spec = examples.load("flip_n3")
@@ -137,14 +152,7 @@ def test_product_on_embedded_samples():
     phis = [ts.phi(p) for p in pts]
     n = len(phis)
     scale = 8.0
-    t0_d = np.zeros((n, n))
-    tc_d = {lab: np.zeros((n, n)) for lab in ts.class_labels}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t0_d[i, j] = t0_d[j, i] = ts.t0_distance(phis[i].t0, phis[j].t0)
-            for lab in ts.class_labels:
-                v = ts.tc_distance(lab, phis[i].coord(lab), phis[j].coord(lab))
-                tc_d[lab][i, j] = tc_d[lab][j, i] = v
+    t0_d, tc_d = pairwise_matrices(ts, phis)
     root_idx = 0
     factors = []
     sum_d = np.zeros((n, n))
@@ -171,8 +179,10 @@ def test_pullback_trivial_large_scale():
 
 def test_invalid_scale():
     dmat, root = tbin_sample(10, seed=15)
-    with pytest.raises(ValueError):
-        cvg.tree_covering(dmat, root, 0.0)
+    # a NaN or infinite scale built a meaningless covering with a RuntimeWarning
+    for scale in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale"):
+            cvg.tree_covering(dmat, root, scale)
 
 
 # -- masked pair code against the pairwise loops it replaced ------------------
@@ -322,3 +332,63 @@ def test_pullback_rejects_binding_pairs_below_one(binding_pairs):
     with pytest.raises(ValueError):
         cvg.pullback_check(cov, dmat, lambda i, j: 0.0, 3.0, slack=1.0,
                            binding_pairs=binding_pairs)
+
+
+@pytest.mark.parametrize(
+    "name, samples, scale, binding_pairs, seed",
+    [("two_vertex_n5", 120, 8.0, 1, 5), ("flip_n3", 200, 16.0, 10, 4)],
+)
+def test_covering_report_matches_pairwise_reference(
+    monkeypatch, name, samples, scale, binding_pairs, seed
+):
+    spec = examples.load(name)
+    cfg = vf.RunConfig(
+        t0_depth=2, hex_depth=4, samples=samples, seed=seed, fiber_range=3.0,
+        wall_comp_depth=0, workers=1,
+    )
+    cx, ts = vf._prepare(spec, cfg)
+    phis = [ts.phi(cx.sample_point(cover.make_stream(seed, i))) for i in range(samples)]
+    t0_d, tc_d = pairwise_matrices(ts, phis)
+    # the report's factor matrices, in order: T0, then the classes
+    seen = []
+    tree_covering = cvg.tree_covering
+
+    def recording(dmat, root_dist, s):
+        seen.append(dmat.copy())
+        return tree_covering(dmat, root_dist, s)
+
+    monkeypatch.setattr(cvg, "tree_covering", recording)
+    doc = json.dumps(vf.covering_report(spec, cfg, scale, binding_pairs), sort_keys=True)
+    assert len(seen) == 1 + len(ts.class_labels)
+    assert np.array_equal(seen[0], t0_d)
+    for got, lab in zip(seen[1:], ts.class_labels):
+        assert np.array_equal(got, tc_d[lab]), lab
+    # the report built on the pairwise T_c matrices is byte-identical
+    monkeypatch.setattr(tr.TreeSystem, "tc_matrix", lambda self, lab, points: tc_d[lab].copy())
+    ref = json.dumps(vf.covering_report(spec, cfg, scale, binding_pairs), sort_keys=True)
+    assert doc == ref
+
+
+def test_covering_report_builds_each_wall_chain_once(monkeypatch):
+    spec = examples.load("two_vertex_n5")
+    cfg = vf.RunConfig(
+        t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,
+        wall_comp_depth=0, workers=1,
+    )
+    built = []
+    build = cover.CoverComplex._build_wall_chain
+
+    def counting(self, u, v):
+        built.append((u, v))
+        return build(self, u, v)
+
+    monkeypatch.setattr(cover.CoverComplex, "_build_wall_chain", counting)
+    vf.covering_report(spec, cfg, 8.0, 1)
+    cx = cover.explore(spec, 2, 4, fiber_range=3.0, wall_comp_depth=0)
+    blocks = {
+        cx.normalize(cx.sample_point(cover.make_stream(cfg.seed, i))).block
+        for i in range(cfg.samples)
+    }
+    assert len(built) == len(set(built))
+    assert set(built) <= {(u, v) for u in blocks for v in blocks}
+    assert 0 < len(built) <= len(blocks) ** 2

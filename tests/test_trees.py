@@ -235,6 +235,57 @@ def test_phi_c_lipschitz_sampled(cx, ts):
 def test_unexplored_owner_rejected(ts):
     with pytest.raises(cover.CoverError):
         ts.tc_distance(1, tr.TcPoint(owner=(0, 1, 2), value=0.0), tr.TcPoint(owner=(), value=0.0))
+    with pytest.raises(cover.CoverError):
+        ts.tc_matrix(1, [tr.TcPoint(owner=(), value=0.0), tr.TcPoint(owner=(0, 1, 2), value=0.0)])
+
+
+def mixed_tc_points(cx, ts, lab, seed):
+    """Sampled phi_c images (vertex, edge and fiber points) over six blocks,
+    explicit vertex, edge and fiber points on each of them, and repeats."""
+    rng = random.Random(seed)
+    blocks = rng.sample(cx.block_list, 6)
+    pts = []
+    for i in range(36):
+        x = cx.sample_point(cover.make_stream(seed, i))
+        pts.append(ts.phi_c(lab, CoverPoint(rng.choice(blocks), x.base, x.fiber)))
+    for bid in blocks:
+        if ts.labels[bid] == lab:
+            pts.append(tr.TcPoint(bid, tree=hx.tbin_vertex((0, 1))))
+            pts.append(tr.TcPoint(bid, tree=hx.tbin_edge_point((2,), (2, 0), 0.3)))
+        else:
+            pts.append(tr.TcPoint(bid, value=1.25))
+    pts += [pts[3], pts[10], pts[-1]]
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "name, wall_comp_depth",
+    [("flip_n3", None), ("flip_n3", 0), ("cycle_n4", 0), ("two_vertex_n5", 0)],
+)
+def test_tc_matrix_equals_pairwise_tc_distance(name, wall_comp_depth):
+    cx = cover.explore(
+        examples.load(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
+        wall_comp_depth=wall_comp_depth,
+    )
+    ts = tr.TreeSystem(cx)
+    kinds = set()
+    for lab in ts.class_labels:
+        pts = mixed_tc_points(cx, ts, lab, seed=31 + lab)
+        kinds |= {
+            "fiber" if p.tree is None else "vertex" if p.tree.child is None else "edge"
+            for p in pts
+        }
+        assert len(set(pts)) < len(pts)  # repeated points
+        assert len({p.owner for p in pts}) < len(set(pts))  # same-owner pairs
+        mat = ts.tc_matrix(lab, pts)
+        assert mat.shape == (len(pts), len(pts))
+        assert (mat == mat.T).all()
+        assert (np.diag(mat) == 0.0).all()
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                assert mat[i, j] == ts.tc_distance(lab, pts[i], pts[j]), (lab, i, j)
+    assert kinds == {"fiber", "vertex", "edge"}
 
 
 def test_line_profile_matches_tc_distance(cx, ts):

@@ -38,6 +38,31 @@ def test_run_config_validation():
         vf.RunConfig(samples=0)
     with pytest.raises(ValueError):
         vf.RunConfig(tol=0.0)
+    # a NaN or infinite tol made every margin NaN or -inf, and reports PASSed
+    for field, value in [
+        ("tol", math.nan),
+        ("tol", math.inf),
+        ("fiber_range", -1.0),
+        ("fiber_range", math.nan),
+        ("fiber_range", math.inf),
+        ("workers", -1),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            vf.RunConfig(**{field: value})
+    cfg = vf.RunConfig(fiber_range=0.0, workers=0)
+    assert cfg.fiber_range == 0.0 and cfg.workers == 0
+
+
+def test_inequality_stat_counts_nan_margin_as_violation():
+    stat = vf.InequalityStat()
+    stat.update(-1.0, {"index": 0})
+    stat.update(math.nan, {"index": 1})
+    stat.update(-0.5, {"index": 2})
+    stat.update(math.nan, {"index": 3})
+    assert stat.checked == 4
+    assert stat.violations == 2
+    assert math.isnan(stat.worst_margin)
+    assert stat.witness == {"index": 1}
 
 
 def test_qi_report_passes_flip():
@@ -76,6 +101,12 @@ def test_lipschitz_report():
     assert rep.retraction_lipschitz is not None
     g = hx.hexagon_constants()
     assert rep.retraction_lipschitz <= 2 * g.delta
+    # the exact constant 2*rho bounds the sample, which comes close to it
+    assert rep.retraction_lipschitz_exact == hx.EDGE == 2 * g.rho
+    assert rep.retraction_lipschitz <= hx.EDGE + 1e-9
+    assert rep.retraction_lipschitz >= hx.EDGE - 1e-4
+    assert rep.inequalities["retraction_2rho"].violations == 0
+    assert rep.inequalities["retraction_2delta"].violations == 0
     assert "phi0_plus_one" in rep.inequalities
     assert rep.notes == []  # no embedded half-edge warning
 
