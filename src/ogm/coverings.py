@@ -75,7 +75,7 @@ def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> Colo
     )
     # pieces never cross annuli: once every annulus is one piece, stop
     uf = _UnionFind(n)
-    unions_left = n - len(np.unique(annulus))
+    unions_left = n - len(set(annulus.tolist()))  # np.unique would import numpy.ma
     for i, j in zip(*np.nonzero(np.triu(merge, 1))):
         if unions_left == 0:
             break

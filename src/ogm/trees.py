@@ -32,7 +32,6 @@ so no window of chain vertices is searched and the tree is not truncated.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -90,6 +89,29 @@ class LineRelation:
     mu_gate: float = 0.0
     bridge: float = 0.0
 
+    def cross(self, g, c):
+        """Push the V-profile |s - g| + c on the entry line through the tree
+        piece onto the exit line; g and c are floats or numpy arrays."""
+        if self.kind == "bridge":
+            return self.mu_gate, c + abs(self.lam_gate - g) + self.bridge
+        clipped = np.minimum(np.maximum(g, self.lam_lo), self.lam_hi)
+        return self.mu_lo + self.orient * (clipped - self.lam_lo), c + abs(g - clipped)
+
+
+@dataclass(frozen=True)
+class Route:
+    """The point-free part of a profile walk: the source piece's exit line,
+    the relations crossed in order, and the end line (None over a fiber)."""
+
+    exit: Optional[hx.ComponentId]
+    relations: tuple[LineRelation, ...]
+    line: Optional[hx.ComponentId]
+
+    def push(self, g, c):
+        for rel in self.relations:
+            g, c = rel.cross(g, c)
+        return g, c
+
 
 # Grid coordinates: the chain vertex at position k sits at k + 1/2.
 
@@ -137,6 +159,11 @@ def gate_on_line(comp: hx.ComponentId, point: hx.TbinPoint) -> tuple[float, floa
     return k + 0.5, min(o + d, 1.0 - o + dc)
 
 
+def line_coords(line: Optional[hx.ComponentId], p: TcPoint) -> tuple[float, float]:
+    """(gate, distance) of p on a chain line, or (value, 0) on a fiber (None)."""
+    return (p.value, 0.0) if line is None else gate_on_line(line, p.tree)
+
+
 # ---------------------------------------------------------------------------
 # the tree system over a frozen complex
 
@@ -154,6 +181,7 @@ class TreeSystem:
         self.representatives: dict[int, BlockId] = {}
         for bid in cplx.block_list:
             self.representatives.setdefault(self.labels[bid], bid)
+        self._relations: dict[tuple[hx.ComponentId, hx.ComponentId], LineRelation] = {}
 
     # -- maps ---------------------------------------------------------------
 
@@ -191,16 +219,28 @@ class TreeSystem:
     def _wall_side_comp(self, wall: Wall, bid: BlockId) -> hx.ComponentId:
         return self.cplx.wall_component(wall, child_side=(bid == wall.child))
 
-    def _propagate_tree(
-        self, g: float, c: float, comp_in: hx.ComponentId, comp_out: hx.ComponentId
-    ) -> tuple[float, float]:
-        """Push the profile |t - g| + c on the entry line through the tree
-        piece onto the exit line; the result is again a V-profile."""
-        rel = line_relation(comp_in, comp_out)
-        if rel.kind == "bridge":
-            return rel.mu_gate, c + abs(rel.lam_gate - g) + rel.bridge
-        clipped = min(max(g, rel.lam_lo), rel.lam_hi)
-        return rel.mu_lo + rel.orient * (clipped - rel.lam_lo), c + abs(g - clipped)
+    def route(
+        self, label: int, src: BlockId, dst: BlockId, comp: Optional[hx.ComponentId] = None
+    ) -> Route:
+        """The profile walk from block src to block dst along the T0
+        geodesic; comp as in line_profile."""
+        chain = self.cplx.wall_chain(src, dst)
+        exit_ = self._wall_side_comp(chain[0][0], src) if self.labels[src] == label else None
+        relations, line = [], None
+        for (w, up), nxt in zip(chain, [*chain[1:], None]):
+            bid = w.parent if up else w.child
+            if self.labels[bid] != label:
+                line = None
+                continue
+            line = self._wall_side_comp(w, bid)
+            comp_out = self._wall_side_comp(nxt[0], bid) if nxt else (comp or line)
+            if comp_out != line:
+                rel = self._relations.get((line, comp_out))
+                if rel is None:
+                    rel = self._relations[(line, comp_out)] = line_relation(line, comp_out)
+                relations.append(rel)
+                line = comp_out
+        return Route(exit_, tuple(relations), line)
 
     def line_profile(
         self,
@@ -216,27 +256,9 @@ class TreeSystem:
         c it is the fiber line, and line is None."""
         if src.owner == dst:
             return (*gate_on_line(comp, src.tree), comp)
-        chain = self.cplx.wall_chain(src.owner, dst)
-        if src.tree is not None:
-            comp_exit = self._wall_side_comp(chain[0][0], src.owner)
-            g, c = gate_on_line(comp_exit, src.tree)
-        else:
-            g, c = src.value, 0.0
-        line = None
-        for i, (w, up) in enumerate(chain):
-            bid = w.parent if up else w.child
-            if self.labels[bid] != label:
-                line = None
-                continue
-            line = self._wall_side_comp(w, bid)
-            if i + 1 < len(chain):
-                comp_out = self._wall_side_comp(chain[i + 1][0], bid)
-            else:
-                comp_out = line if comp is None else comp
-            if comp_out != line:
-                g, c = self._propagate_tree(g, c, line, comp_out)
-                line = comp_out
-        return g, c, line
+        route = self.route(label, src.owner, dst, comp)
+        g, c = route.push(*line_coords(route.exit, src))
+        return float(g), float(c), route.line
 
     def tc_distance(self, label: int, a: TcPoint, b: TcPoint) -> float:
         for p in (a, b):
@@ -247,51 +269,49 @@ class TreeSystem:
                 return tree_piece_distance(a.tree, b.tree)
             return abs(a.value - b.value)
         g, c, line = self.line_profile(label, a, b.owner)
-        if line is None:
-            return abs(b.value - g) + c
-        lam, d = gate_on_line(line, b.tree)
+        lam, d = line_coords(line, b)
         return abs(lam - g) + c + d
 
     def tc_matrix(self, label: int, points: Sequence[TcPoint]) -> np.ndarray:
         """Symmetric matrix of tc_distance(label, points[i], points[j]),
-        computed for i < j and mirrored, entry for entry equal to it.  It
-        uses tc(a, b) = |lam_b - g| + c + d_b: one line_profile per point
-        and later destination block gives (g, c, line), one gate per line
-        and point gives (lam_b, d_b), and numpy fills the block's columns
-        in tc_distance's order of operations."""
+        entry for entry equal to it.  One route per (class, source block,
+        destination block) carries the source points' (g, c) as arrays, and
+        numpy fills the block pair as |lam - g| + c + d; entry (i, j) with
+        i > j comes from the transposed block of the reverse route."""
         for p in points:
             if p.owner not in self.cplx.blocks:
                 raise CoverError(f"owner {p.owner} not explored")
-        n = len(points)
-        out = np.zeros((n, n))
-        cols: dict[BlockId, list[int]] = {}
-        for j, p in enumerate(points):
-            cols.setdefault(p.owner, []).append(j)
-        arrays = {o: np.array(js) for o, js in cols.items()}
-        values = np.array([np.nan if p.value is None else p.value for p in points])
-        gates: dict[tuple[hx.ComponentId, BlockId], np.ndarray] = {}
-        for i, a in enumerate(points):
-            for o, js in arrays.items():
-                k = bisect.bisect_right(cols[o], i)  # columns j > i
-                if k == len(js):
-                    continue
-                js = js[k:]
-                if o == a.owner and a.tree is not None:
-                    row = [tree_piece_distance(a.tree, points[j].tree) for j in js]
-                elif o == a.owner:
-                    row = np.abs(a.value - values[js])
-                else:
-                    g, c, line = self.line_profile(label, a, o)
-                    if line is None:
-                        row = np.abs(values[js] - g) + c
-                    else:
-                        if (line, o) not in gates:
-                            gates[(line, o)] = np.array(
-                                [gate_on_line(line, points[j].tree) for j in cols[o]]
-                            ).T
-                        lam, d = gates[(line, o)][:, k:]
-                        row = np.abs(lam - g) + c + d
-                out[i, js] = out[js, i] = row
+        out = np.zeros((len(points), len(points)))
+        members: dict[BlockId, list[int]] = {}
+        for i, p in enumerate(points):
+            members.setdefault(p.owner, []).append(i)
+        coords: dict[tuple[Optional[hx.ComponentId], BlockId], np.ndarray] = {}
+
+        def block_coords(line: Optional[hx.ComponentId], o: BlockId) -> np.ndarray:
+            if (line, o) not in coords:
+                coords[(line, o)] = np.array([line_coords(line, points[j]) for j in members[o]]).T
+            return coords[(line, o)]
+
+        def block(a: BlockId, o: BlockId) -> np.ndarray:
+            route = self.route(label, a, o)
+            g, c = route.push(*block_coords(route.exit, a))
+            lam, d = block_coords(route.line, o)
+            # after a bridge g is one scalar for all of a's points
+            return np.abs(lam - np.reshape(g, (-1, 1))) + c[:, None] + d
+
+        groups = [(o, np.array(ix)) for o, ix in members.items()]
+        for x, (a, ia) in enumerate(groups):
+            if self.labels[a] == label:
+                for y, i in enumerate(ia):
+                    for j in ia[y + 1:]:
+                        out[i, j] = out[j, i] = tree_piece_distance(points[i].tree, points[j].tree)
+            else:
+                v = block_coords(None, a)[0]
+                out[np.ix_(ia, ia)] = np.abs(v[:, None] - v)
+            for o, io in groups[x + 1:]:
+                fill = np.where(ia[:, None] < io, block(a, o), block(o, a).T)
+                out[np.ix_(ia, io)] = fill
+                out[np.ix_(io, ia)] = fill.T
         return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:

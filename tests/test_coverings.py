@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -392,3 +395,44 @@ def test_covering_report_builds_each_wall_chain_once(monkeypatch):
     assert len(built) == len(set(built))
     assert set(built) <= {(u, v) for u in blocks for v in blocks}
     assert 0 < len(built) <= len(blocks) ** 2
+
+
+def test_covering_report_computes_each_line_relation_once(monkeypatch):
+    spec = examples.load("two_vertex_n5")
+    cfg = vf.RunConfig(
+        t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,
+        wall_comp_depth=0, workers=1,
+    )
+    computed = []
+    relation = tr.line_relation
+
+    def counting(comp_in, comp_out):
+        computed.append((comp_in, comp_out))
+        return relation(comp_in, comp_out)
+
+    monkeypatch.setattr(tr, "line_relation", counting)
+    vf.covering_report(spec, cfg, 8.0, 1)
+    assert computed
+    assert len(computed) == len(set(computed))
+
+
+def test_covering_report_does_not_import_numpy_ma():
+    # numpy.ma costs over a megabyte of resident memory once imported
+    def fresh(code):
+        src = os.path.dirname(os.path.dirname(vf.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return out.stdout.strip()
+
+    probe = "import sys; print('numpy.ma' in sys.modules)"
+    if fresh("import numpy; " + probe) == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    report = (
+        "from ogm import examples, verify as vf; "
+        "cfg = vf.RunConfig(t0_depth=2, hex_depth=4, samples=30, seed=1, fiber_range=3.0, "
+        "wall_comp_depth=0, workers=1); "
+        "vf.covering_report(examples.load('two_vertex_n5'), cfg, 8.0, 1); "
+    )
+    assert fresh(report + probe) == "False"

@@ -288,6 +288,51 @@ def test_tc_matrix_equals_pairwise_tc_distance(name, wall_comp_depth):
     assert kinds == {"fiber", "vertex", "edge"}
 
 
+def interleaved_tc_points(cx, ts, lab, blocks, rounds, seed):
+    """One sampled phi_c image per block in each round, so that every pair
+    of blocks holds points in both index orders."""
+    pts = []
+    for r in range(rounds):
+        for k, bid in enumerate(blocks):
+            x = cx.sample_point(cover.make_stream(seed, r * len(blocks) + k))
+            pts.append(ts.phi_c(lab, CoverPoint(bid, x.base, x.fiber)))
+    return pts
+
+
+def test_tc_matrix_interleaved_block_pairs():
+    relation_kinds, fiber_only = set(), 0
+    for name, wall_comp_depth in (("flip_n3", None), ("cycle_n4", 0), ("two_vertex_n5", 0)):
+        cx = cover.explore(
+            examples.load(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
+            wall_comp_depth=wall_comp_depth,
+        )
+        ts = tr.TreeSystem(cx)
+        blocks = random.Random(name).sample(cx.block_list, 8)
+        for lab in ts.class_labels:
+            pts = interleaved_tc_points(cx, ts, lab, blocks, rounds=8, seed=17 + lab)
+            owners = [p.owner for p in pts]
+            assert len(pts) >= 60 and len(set(owners)) >= 6
+            for a in set(owners):
+                for o in set(owners) - {a}:
+                    ia = [i for i, q in enumerate(owners) if q == a]
+                    io = [j for j, q in enumerate(owners) if q == o]
+                    assert min(ia) < max(io) and max(ia) > min(io)  # both orders
+                    route = ts.route(lab, a, o)
+                    relation_kinds |= {rel.kind for rel in route.relations}
+                    fiber_only += route.exit is None and route.line is None and not route.relations
+            mat = ts.tc_matrix(lab, pts)
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    d = ts.tc_distance(lab, pts[i], pts[j])
+                    assert type(d) is float and mat[i, j] == mat[j, i] == d, (name, lab, i, j)
+            # permuting the input permutes the matrix
+            perm = np.random.default_rng(lab).permutation(len(pts))
+            permuted = ts.tc_matrix(lab, [pts[k] for k in perm])
+            assert np.abs(permuted - mat[np.ix_(perm, perm)]).max() <= 1e-12
+    assert relation_kinds == {"bridge", "overlap"}
+    assert fiber_only > 0
+
+
 def test_line_profile_matches_tc_distance(cx, ts):
     # dst blocks two or three walls from src, entered from above and from
     # below; the profile is exact on any chain line of the dst piece
@@ -304,7 +349,7 @@ def test_line_profile_matches_tc_distance(cx, ts):
         assert ts.labels[dst] == lab
         for comp in cx.model.components[:4] + [far]:
             g, c, line = ts.line_profile(lab, src, dst, comp)
-            assert line == comp
+            assert line == comp and type(g) is float and type(c) is float
             for t in (-2.5, -0.75, 0.0, 0.4, 1.3, 3.0):
                 dst_pt = tr.TcPoint(owner=dst, tree=hx.line_point_at_lambda(comp, hx.EDGE * t))
                 assert abs(abs(t - g) + c - ts.tc_distance(lab, src, dst_pt)) <= 1e-9
