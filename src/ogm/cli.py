@@ -40,27 +40,36 @@ def _write_or_print(doc: dict, out: Optional[str]) -> None:
 
 
 def _complex_from_args(spec: GraphManifoldSpec, args) -> CoverComplex:
-    if getattr(args, "complex", None):
-        with open(args.complex, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("spec_digest") != spec.digest():
-            raise CoverError("complex dump was built from a different spec")
-        for key in ("t0_depth", "hex_depth", "fiber_range"):
-            if key not in doc:
-                raise CoverError(f"complex dump has no {key} field")
+    if not getattr(args, "complex", None):
         return explore(
             spec,
-            int(doc["t0_depth"]),
-            int(doc["hex_depth"]),
-            fiber_range=float(doc["fiber_range"]),
-            wall_comp_depth=doc.get("wall_comp_depth"),
+            args.t0_depth,
+            args.hex_depth,
+            fiber_range=args.fiber_range,
+            wall_comp_depth=args.wall_comp_depth,
         )
+    with open(args.complex, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CoverError("complex dump is not a JSON object")
+    if doc.get("spec_digest") != spec.digest():
+        raise CoverError("complex dump was built from a different spec")
+
+    def field(key: str, conv):
+        if key not in doc:
+            raise CoverError(f"complex dump has no {key} field")
+        try:
+            return conv(doc[key])
+        except (TypeError, ValueError):
+            raise CoverError(f"complex dump has a malformed {key} field") from None
+
+    wall_comp_depth = doc.get("wall_comp_depth")  # absent or null: every component
     return explore(
         spec,
-        args.t0_depth,
-        args.hex_depth,
-        fiber_range=args.fiber_range,
-        wall_comp_depth=args.wall_comp_depth,
+        field("t0_depth", int),
+        field("hex_depth", int),
+        fiber_range=field("fiber_range", float),
+        wall_comp_depth=None if wall_comp_depth is None else field("wall_comp_depth", int),
     )
 
 
@@ -97,14 +106,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    spec = _load_spec(args.spec)
-    cplx = explore(
-        spec,
-        args.t0_depth,
-        args.hex_depth,
-        fiber_range=args.fiber_range,
-        wall_comp_depth=args.wall_comp_depth,
-    )
+    cplx = _complex_from_args(_load_spec(args.spec), args)
     _write_or_print(cplx.summary(), args.out)
     _log(f"explored {len(cplx.blocks)} blocks, {len(cplx.walls)} walls")
     return 0

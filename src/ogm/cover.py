@@ -83,6 +83,8 @@ class CoverComplex:
             raise ValueError("t0_depth must be >= 0")
         if hex_depth < 1:
             raise ValueError("hex_depth must be >= 1")
+        if wall_comp_depth is not None and wall_comp_depth < 0:
+            raise ValueError("wall_comp_depth must be >= 0 or None")
         bad = validate(spec)
         if bad:
             raise CoverError("invalid spec: " + "; ".join(bad))
@@ -234,6 +236,8 @@ class CoverComplex:
 
     def contains(self, p: CoverPoint, tol: float = 1e-9) -> bool:
         if p.block not in self.blocks or len(p.fiber) != self.spec.n - 2:
+            return False
+        if not all(math.isfinite(f) for f in p.fiber):
             return False
         try:
             self.model.check_point(p.base, tol)

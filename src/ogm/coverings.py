@@ -12,8 +12,8 @@ through the verified quasi-isometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,38 +130,28 @@ def product_covering(factors: Sequence[ColoredCovering]) -> ColoredCovering:
 
 @dataclass
 class CoveringCheck:
-    covered: bool
     min_same_color_separation: float
     max_piece_diameter: float
     required_separation: float
     allowed_diameter: float
     ok: bool
     checked_pairs: int = 0
-    notes: list[str] = field(default_factory=list)
 
 
-def check_covering(
-    cov: ColoredCovering,
-    dmat: np.ndarray,
-    required_separation: Optional[float] = None,
-    allowed_diameter: Optional[float] = None,
-    slack: float = 1e-9,
-) -> CoveringCheck:
-    """Exhaustive pairwise verification of the covering properties."""
+def check_covering(cov: ColoredCovering, dmat: np.ndarray) -> CoveringCheck:
+    """Exhaustive pairwise verification of the covering properties: pieces
+    of one color cov.scale apart, each of diameter at most cov.bound."""
     n = len(cov.assignment)
-    req = cov.scale if required_separation is None else required_separation
-    allow = cov.bound if allowed_diameter is None else allowed_diameter
     same_piece, same_color = _pair_masks(cov)
     max_diam = float(np.max(dmat, where=same_piece, initial=0.0))
     min_sep = float(np.min(dmat, where=same_color, initial=math.inf))
     pairs = n * (n - 1) // 2
-    ok = (min_sep >= req - slack) and (max_diam <= allow + slack)
+    ok = (min_sep >= cov.scale - 1e-9) and (max_diam <= cov.bound + 1e-9)
     return CoveringCheck(
-        covered=True,  # assignment is total by construction
         min_same_color_separation=min_sep,
         max_piece_diameter=max_diam,
-        required_separation=req,
-        allowed_diameter=allow,
+        required_separation=cov.scale,
+        allowed_diameter=cov.bound,
         ok=ok,
         checked_pairs=pairs,
     )
@@ -172,7 +162,6 @@ def pullback_check(
     embedded_dmat: np.ndarray,
     cover_distance: Callable[[int, int], float],
     qi_constant: float,
-    slack: float,
     binding_pairs: int = 120,
 ) -> CoveringCheck:
     """Verify the QI-transferred covering constants on sampled cover points.
@@ -185,7 +174,7 @@ def pullback_check(
     if binding_pairs < 1:
         raise ValueError("binding_pairs must be >= 1")
     req = (cov.scale - 1.0) / qi_constant - 1.0
-    allow = qi_constant * (cov.bound + 1.0) + slack
+    allow = qi_constant * (cov.bound + 1.0) + 1.0
     same_piece, same_color = _pair_masks(cov)
 
     def binding(mask: np.ndarray, descending: bool) -> list[tuple[int, int]]:
@@ -203,7 +192,6 @@ def pullback_check(
     checked = len(seps) + len(diams)
     ok = (min_sep >= req - 1e-9) and (max_diam <= allow + 1e-9)
     return CoveringCheck(
-        covered=True,
         min_same_color_separation=min_sep,
         max_piece_diameter=max_diam,
         required_separation=req,

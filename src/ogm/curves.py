@@ -34,12 +34,6 @@ class PathSegment:
 class BlockPath:
     segments: tuple[PathSegment, ...]
 
-    def start(self) -> CoverPoint:
-        return self.segments[0].points[0]
-
-    def end(self) -> CoverPoint:
-        return self.segments[-1].points[-1]
-
     def reversed(self) -> "BlockPath":
         segs = tuple(
             PathSegment(s.kind, s.block, tuple(reversed(s.points)), s.role)

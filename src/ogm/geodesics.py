@@ -265,14 +265,13 @@ def distance(
     x: CoverPoint,
     y: CoverPoint,
     tol: float = 1e-6,
-    margin: float = 1.0,
     max_sweeps: int = 10_000,
 ) -> GeodesicResult:
     """Distance d(x, y) with the optimal chain configuration.
 
     `max_sweeps` caps the Newton iterations; a stalled line search is
     accepted when the Newton decrement is at most tol * max(1, d).  Flags
-    TRUNCATED when any optimal crossing comes within `margin` of the
+    TRUNCATED when any optimal crossing comes within 1 of the
     hexagon-truncation edge of its wall window.
     """
     for p in (x, y):
@@ -292,23 +291,10 @@ def distance(
         [c for wv in chain for c in wv.coords],
         bounds, tol, max_sweeps,
     )
-    truncated = any(v - lo < margin or hi - v < margin for v, (lo, hi) in zip(z, bounds))
+    truncated = any(v - lo < 1.0 or hi - v < 1.0 for v, (lo, hi) in zip(z, bounds))
     n1 = cplx.spec.n - 1
     cfg.coords = [z[i : i + n1] for i in range(0, len(z), n1)]
     return GeodesicResult(value, cfg, truncated, sweeps, residual)
-
-
-def evaluate_chain(
-    cplx: CoverComplex, x: CoverPoint, y: CoverPoint, coords: list[list[float]]
-) -> float:
-    """Chain length L(z_1, ..., z_k) at an explicit crossing configuration
-    (canonical wall coordinates); the function the solver minimizes."""
-    x, y = cplx.normalize(x), cplx.normalize(y)
-    chain = _chain_vars(cplx, x, y)
-    if len(coords) != len(chain):
-        raise CoverError("coordinate list does not match the wall chain")
-    z = [float(v) for c in coords for v in c]
-    return _chain_objective(_segments(cplx.model, chain, x, y), z, False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,6 @@ class TreeSystem:
             self.sigma[bid] = path_permutation(cplx.spec, cplx.blocks[bid].labels)
             self.labels[bid] = class_label(self.sigma[bid])
         self.class_labels: tuple[int, ...] = tuple(sorted(set(self.labels.values())))
-        self.representatives: dict[int, BlockId] = {}
-        for bid in cplx.block_list:
-            self.representatives.setdefault(self.labels[bid], bid)
         self._relations: dict[tuple[hx.ComponentId, hx.ComponentId], LineRelation] = {}
 
     # -- maps ---------------------------------------------------------------
@@ -194,18 +191,14 @@ class TreeSystem:
         self.cplx.block(u), self.cplx.block(v)
         return float(hx.hex_tree_edges(u, v))
 
-    def coordinate_index(self, label: int, bid: BlockId) -> int:
-        """Block coordinate read by phi_c over a block outside c."""
-        return self.sigma[bid](label)
-
     def phi_c(self, label: int, x: CoverPoint) -> TcPoint:
-        if label not in self.representatives:
+        if label not in self.class_labels:
             raise CoverError(f"class {label} not present in the explored complex")
         xn = self.cplx.normalize(x)
         if self.labels[xn.block] == label:
             return TcPoint(owner=xn.block, tree=hx.retract(xn.base))
-        k = self.coordinate_index(label, xn.block)
-        return TcPoint(owner=xn.block, value=xn.fiber[k - 1])
+        # over a block outside c, phi_c reads block coordinate sigma(label)
+        return TcPoint(owner=xn.block, value=xn.fiber[self.sigma[xn.block](label) - 1])
 
     def phi(self, x: CoverPoint) -> ProductPoint:
         xn = self.cplx.normalize(x)

@@ -11,7 +11,6 @@ back through the quasi-isometry.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -141,9 +140,6 @@ class VerificationReport:
             "notes": self.notes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
-
 
 # -- per-pair evaluation ------------------------------------------------------
 
@@ -271,77 +267,76 @@ def base_constants(n: int) -> dict:
     }
 
 
+def _untruncated(rec: dict) -> bool:
+    return not rec["truncated"]
+
+
+def _report(kind, spec, cfg, records, names, counts, checks) -> VerificationReport:
+    """The skeleton of every verify_* report: one InequalityStat per name,
+    records that fail `counts` counted as TRUNCATED, and every
+    (name, margin, witness) that `checks(rec)` yields folded into its stat
+    (a name outside `names` raises KeyError).  Records are collected when
+    none are given."""
+    if records is None:
+        records = collect_records(spec, cfg)
+    rep = VerificationReport(kind, spec.digest(), spec.n, cfg, base_constants(spec.n))
+    rep.inequalities = {name: InequalityStat() for name in names}
+    for rec in records:
+        if not counts(rec):
+            rep.truncated += 1
+            continue
+        rep.usable += 1
+        for name, margin, witness in checks(rec):
+            rep.inequalities[name].update(margin, witness)
+    return rep
+
+
 def verify_qi(
     spec: GraphManifoldSpec, cfg: RunConfig, records: Optional[list[dict]] = None
 ) -> VerificationReport:
     """The sandwich d/C - 1 - eps <= e <= C d + 1 + eps plus the explicit
     upper Lipschitz sub-check, over non-truncated sampled pairs."""
-    cplx, ts = _prepare(spec, cfg)
-    if records is None:
-        records = _collect_records(cplx, ts, cfg)
-    consts = base_constants(spec.n)
-    delta, big_c = consts["delta"], consts["C"]
-    eps = cfg.epsilon()
-    rep = VerificationReport(
-        "qi", spec.digest(), spec.n, cfg, consts
-    )
-    up = InequalityStat()
-    lo = InequalityStat()
-    sub = InequalityStat()
-    for rec in records:
-        if rec["truncated"]:
-            rep.truncated += 1
-            continue
-        rep.usable += 1
+    big_c, eps = constant_c(spec.n, hx.DELTA), cfg.epsilon()
+    sub_c = 2.0 * hx.DELTA * (spec.n - 1) + 1.0
+
+    def checks(rec):
         d, e = rec["d"], rec["e"]
         wit = {"index": rec["index"], "d": d, "e": e, "x": rec["x"], "y": rec["y"]}
-        up.update(e - (big_c * d + 1.0 + eps), wit)
-        lo.update((d / big_c - 1.0 - eps) - e, wit)
-        sub.update(e - ((2.0 * delta * (spec.n - 1) + 1.0) * d + 1.0 + eps), wit)
-    rep.inequalities = {
-        "upper_sandwich": up,
-        "lower_sandwich": lo,
-        "upper_lipschitz_sub": sub,
-    }
-    return rep
+        yield "upper_sandwich", e - (big_c * d + 1.0 + eps), wit
+        yield "lower_sandwich", (d / big_c - 1.0 - eps) - e, wit
+        yield "upper_lipschitz_sub", e - (sub_c * d + 1.0 + eps), wit
+
+    names = ("upper_sandwich", "lower_sandwich", "upper_lipschitz_sub")
+    return _report("qi", spec, cfg, records, names, _untruncated, checks)
 
 
 def verify_lipschitz(
     spec: GraphManifoldSpec, cfg: RunConfig, records: Optional[list[dict]] = None
 ) -> VerificationReport:
-    """Per-class 2*delta bounds, the phi0 +1 bound, and the measured
-    retraction constant, which must stay below 2*delta and below its exact
-    value 2*rho: retract is rho*max(0, 1 - 2d) of the distance d to the
-    nearest marked side, d has unit gradient, and on a geodesic space the
-    global constant is the supremum of the local ones."""
-    cplx, ts = _prepare(spec, cfg)
-    if records is None:
-        records = _collect_records(cplx, ts, cfg)
-    consts = base_constants(spec.n)
-    delta = consts["delta"]
+    """Per-class 2*delta bounds, the phi0 +1 bound, and the retraction
+    constant sampled on hx.HexModel(cfg.hex_depth), which must stay below
+    2*delta and below its exact value 2*rho: retract is rho*max(0, 1 - 2d)
+    of the distance d to the nearest marked side, d has unit gradient, and
+    on a geodesic space the global constant is the supremum of the local
+    ones.  The classes are range(n - 1): a class label is a coordinate
+    below n - 1, and _prepare rejects any other class count."""
     eps = cfg.epsilon()
-    rep = VerificationReport("lipschitz", spec.digest(), spec.n, cfg, consts)
-    cls = {lab: InequalityStat() for lab in ts.class_labels}
-    phi0 = InequalityStat()
-    for rec in records:
-        if rec["truncated"]:
-            rep.truncated += 1
-            continue
-        rep.usable += 1
+
+    def checks(rec):
         d = rec["d"]
         wit = {"index": rec["index"], "d": d, "x": rec["x"], "y": rec["y"]}
         for lab, dtc in rec["tc"].items():
-            cls[lab].update(dtc - (2.0 * delta * d + eps), {**wit, "tc": dtc})
-        phi0.update(rec["t0"] - (d + 1.0 + 1e-9), {**wit, "t0": rec["t0"]})
-    rep.inequalities = {f"class_{lab}_2delta": s for lab, s in cls.items()}
-    rep.inequalities["phi0_plus_one"] = phi0
-    lip = measure_retraction_lipschitz(cplx.model, pairs=20_000, seed=cfg.seed + 1)
+            yield f"class_{lab}_2delta", dtc - (2.0 * hx.DELTA * d + eps), {**wit, "tc": dtc}
+        yield "phi0_plus_one", rec["t0"] - (d + 1.0 + 1e-9), {**wit, "t0": rec["t0"]}
+
+    names = (*(f"class_{lab}_2delta" for lab in range(spec.n - 1)),
+             "phi0_plus_one", "retraction_2delta", "retraction_2rho")
+    rep = _report("lipschitz", spec, cfg, records, names, _untruncated, checks)
+    lip = measure_retraction_lipschitz(hx.HexModel(cfg.hex_depth), pairs=20_000, seed=cfg.seed + 1)
     rep.retraction_lipschitz = lip
     rep.retraction_lipschitz_exact = hx.EDGE
-    for name, bound in (("retraction_2delta", 2.0 * delta), ("retraction_2rho", hx.EDGE + 1e-9)):
-        stat = InequalityStat()
-        stat.update(lip - bound, {"measured": lip})
-        rep.inequalities[name] = stat
+    rep.inequalities["retraction_2delta"].update(lip - 2.0 * hx.DELTA, {"measured": lip})
+    rep.inequalities["retraction_2rho"].update(lip - (hx.EDGE + 1e-9), {"measured": lip})
     if hx.HALF_EDGE_EMBEDDED > hx.RHO:
         rep.notes.append(
             f"WARN embedded half-edge {hx.HALF_EDGE_EMBEDDED} exceeds rho {hx.RHO}"
@@ -354,32 +349,18 @@ def verify_curves(
 ) -> VerificationReport:
     """Witness-curve bound: length within [d - tol, (2*delta+1) e + 2*delta + eps]
     and every inductive hop within delta."""
-    cplx, ts = _prepare(spec, cfg)
-    if records is None:
-        records = _collect_records(cplx, ts, cfg)
-    consts = base_constants(spec.n)
-    delta = consts["delta"]
-    eps = cfg.epsilon()
-    rep = VerificationReport("curves", spec.digest(), spec.n, cfg, consts)
-    upper = InequalityStat()
-    witness = InequalityStat()
-    hops = InequalityStat()
-    for rec in records:
-        if rec["truncated"] or rec.get("curve_length") is None:
-            rep.truncated += 1
-            continue
-        rep.usable += 1
+    delta, eps = hx.DELTA, cfg.epsilon()
+
+    def checks(rec):
         d, e, length = rec["d"], rec["e"], rec["curve_length"]
         wit = {"index": rec["index"], "d": d, "e": e, "length": length}
-        upper.update(length - ((2.0 * delta + 1.0) * e + 2.0 * delta + eps), wit)
-        witness.update(d - (length + 10.0 * cfg.tol), wit)
-        hops.update(rec["curve_hop_max"] - (delta + 1e-9), wit)
-    rep.inequalities = {
-        "curve_upper": upper,
-        "curve_dominates_distance": witness,
-        "curve_hops_delta": hops,
-    }
-    return rep
+        yield "curve_upper", length - ((2.0 * delta + 1.0) * e + 2.0 * delta + eps), wit
+        yield "curve_dominates_distance", d - (length + 10.0 * cfg.tol), wit
+        yield "curve_hops_delta", rec["curve_hop_max"] - (delta + 1e-9), wit
+
+    names = ("curve_upper", "curve_dominates_distance", "curve_hops_delta")
+    return _report("curves", spec, cfg, records, names,
+                   lambda rec: not rec["truncated"] and rec["curve_length"] is not None, checks)
 
 
 def covering_report(
@@ -423,7 +404,6 @@ def covering_report(
         sum_d,
         cover_distance,
         consts["C"],
-        slack=1.0,
         binding_pairs=binding_pairs,
     )
     ok = all(c.ok for c in factor_checks) and prod_check.ok and pull.ok

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from ogm import cover, coverings as cvg, examples
+from conftest import shipped
+from ogm import cover, coverings as cvg
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -40,7 +41,7 @@ def acceptance_cfg(samples=1100):
 def records_by_spec():
     out = {}
     for name in SPECS:
-        spec = examples.load(name)
+        spec = shipped(name)
         cfg = acceptance_cfg()
         t0 = time.time()
         out[name] = (spec, cfg, vf.collect_records(spec, cfg), time.time() - t0)
@@ -94,7 +95,7 @@ def test_criterion_01_hexagon_algebra():
 def test_criterion_02_solver_vs_oracle():
     t0 = time.time()
     cx = cover.explore(
-        examples.load("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0
+        shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0
     )
 
     def sample_in(bid, i):
@@ -145,10 +146,10 @@ def test_criterion_03_retraction_constant():
 
 def test_criterion_04_class_structure():
     for name in SPECS:
-        spec = examples.load(name)
+        spec = shipped(name)
         ts = tr.TreeSystem(cover.explore(spec, 3, 2, wall_comp_depth=0))
         assert len(set(ts.labels.values())) == spec.n - 1, name
-    red = examples.load("reducible_n4")
+    red = shipped("reducible_n4")
     rep = check_irreducible(red, 10)
     assert not rep.irreducible
     assert "not reached" in rep.reason
@@ -218,7 +219,7 @@ def test_criterion_07_special_curves(records_by_spec):
 
 def test_criterion_08_tree_system_metrics():
     cx = cover.explore(
-        examples.load("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0
+        shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0
     )
     ts = tr.TreeSystem(cx)
     pts = []
@@ -250,7 +251,7 @@ def test_criterion_08_tree_system_metrics():
         worst = max(worst, lhs - rhs)
         assert lhs <= rhs + 1e-9
     # grid-matched identification preserves distances between c pieces
-    cx3 = cover.explore(examples.load("flip_n3"), t0_depth=3, hex_depth=2)
+    cx3 = cover.explore(shipped("flip_n3"), t0_depth=3, hex_depth=2)
     w1 = cx3.walls[((3,), 7)]
     w2 = cx3.walls[((3, 7), 9)]
     comp_u = cx3.wall_component(w1, child_side=False)
@@ -303,7 +304,7 @@ def test_criterion_09_coverings():
         assert chk.ok, scale
         assert chk.max_piece_diameter <= 3 * scale
     pull_doc = covering_report(
-        examples.load("flip_n3"), acceptance_cfg(samples=160), scale=16.0, binding_pairs=60
+        shipped("flip_n3"), acceptance_cfg(samples=160), scale=16.0, binding_pairs=60
     )
     assert pull_doc["verdict"] == "PASS"
     assert pull_doc["product"]["check"]["ok"]
@@ -314,7 +315,7 @@ def test_criterion_09_coverings():
 
 
 def test_criterion_10_determinism():
-    spec = examples.load("flip_n3")
+    spec = shipped("flip_n3")
     cfg1 = vf.RunConfig(
         t0_depth=2, hex_depth=3, samples=24, seed=13, tol=1e-6,
         fiber_range=2.0, wall_comp_depth=0, workers=1,
@@ -323,9 +324,8 @@ def test_criterion_10_determinism():
         t0_depth=2, hex_depth=3, samples=24, seed=13, tol=1e-6,
         fiber_range=2.0, wall_comp_depth=0, workers=2,
     )
-    a = vf.verify_qi(spec, cfg1).to_json()
-    b = vf.verify_qi(spec, cfg1).to_json()
-    c = vf.verify_qi(spec, cfg2).to_json()
+    a, b, c = (json.dumps(vf.verify_qi(spec, cfg).to_dict(), sort_keys=True)
+               for cfg in (cfg1, cfg1, cfg2))
     assert a == b == c
     doc = json.loads(a)
     assert doc["config"]["seed"] == 13

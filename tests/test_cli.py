@@ -1,10 +1,10 @@
 import json
 import math
-import os
 
 import pytest
 
-from ogm import cli, cover, examples
+from conftest import shipped, shipped_doc
+from ogm import cli, cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import verify as vf
@@ -14,13 +14,13 @@ from ogm.cli import main
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("specs") / "flip.json"
-    path.write_text(json.dumps(examples.flip_n3()))
+    path.write_text(json.dumps(shipped_doc("flip_n3")))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def bad_spec_file(tmp_path_factory):
-    doc = examples.flip_n3()
+    doc = shipped_doc("flip_n3")
     doc["edges"][0]["perm"] = [0, 1]
     doc["edges"][1]["perm"] = [0, 1]
     path = tmp_path_factory.mktemp("specs") / "bad.json"
@@ -98,7 +98,7 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
     assert len(doc["blocks"]) == 4  # root + 3 shallow components
     capsys.readouterr()
 
-    cx = cover.explore(examples.load("flip_n3"), 1, 2, wall_comp_depth=0)
+    cx = cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=0)
     a = cx.format_point(cx.sample_point(cover.make_stream(1, 0)))
     b = cx.format_point(cx.sample_point(cover.make_stream(1, 1)))
     assert (
@@ -129,7 +129,7 @@ def test_convergence_error_exits_1(spec_file, monkeypatch, capsys):
         raise geo.ConvergenceError("no convergence after 200 sweeps")
 
     monkeypatch.setattr(geo, "distance", no_convergence)
-    cx = cover.explore(examples.load("flip_n3"), 1, 2, wall_comp_depth=0)
+    cx = cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=0)
     a = cx.format_point(cx.sample_point(cover.make_stream(1, 0)))
     b = cx.format_point(cx.sample_point(cover.make_stream(1, 1)))
     argv = ["geodesic", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
@@ -139,7 +139,7 @@ def test_convergence_error_exits_1(spec_file, monkeypatch, capsys):
 
 
 def test_phi_and_tree_dist(spec_file, tmp_path, capsys):
-    cx = cover.explore(examples.load("flip_n3"), 1, 2, wall_comp_depth=0)
+    cx = cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=0)
     p = cx.format_point(cx.sample_point(cover.make_stream(2, 0)))
     q = cx.format_point(cx.sample_point(cover.make_stream(2, 1)))
     common = [
@@ -162,7 +162,7 @@ def test_phi_and_tree_dist(spec_file, tmp_path, capsys):
 
 def test_curve_cli(spec_file, capsys):
     cx = cover.explore(
-        examples.load("flip_n3"), 2, 3, fiber_range=2.0, wall_comp_depth=0
+        shipped("flip_n3"), 2, 3, fiber_range=2.0, wall_comp_depth=0
     )
     p = cx.format_point(cx.sample_point(cover.make_stream(3, 0)))
     q = cx.format_point(cx.sample_point(cover.make_stream(3, 1)))
@@ -257,6 +257,8 @@ def test_covering_binding_pairs_below_one_exits_1(spec_file, capsys, binding_pai
         ("--fiber-range", "-1", "fiber_range"),
         ("--fiber-range", "inf", "fiber_range"),
         ("--workers", "-2", "workers"),
+        # said "explored complex has 1 classes, expected 2"
+        ("--wall-comp-depth", "-1", "wall_comp_depth"),
     ],
 )
 def test_verify_qi_rejects_bad_run_config(spec_file, capsys, option, value, field):
@@ -277,7 +279,7 @@ def test_covering_non_finite_scale_exits_1(spec_file, capsys, scale):
 
 def test_reducible_rejected_cli(tmp_path):
     path = tmp_path / "red.json"
-    path.write_text(json.dumps(examples.reducible_n4()))
+    path.write_text(json.dumps(shipped_doc("reducible_n4")))
     assert main(["verify-qi", "--spec", str(path), *run_args()]) == 1
 
 
@@ -315,12 +317,6 @@ def test_report_pipeline(spec_file, tmp_path):
     assert set(doc) >= {"lipschitz", "qi", "curves", "covering", "constants"}
 
 
-def test_shipped_spec_files_match_module():
-    for name, doc in examples.SHIPPED.items():
-        with open(os.path.join("specs", f"{name}.json")) as fh:
-            assert json.load(fh) == doc
-
-
 def test_point_without_pos_exits_1(spec_file, capsys):
     argv = ["geodesic", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
             "--wall-comp-depth", "0", "--from", "hex=0;fiber=1", "--to", "hex=;fiber=0"]
@@ -329,13 +325,44 @@ def test_point_without_pos_exits_1(spec_file, capsys):
     assert err.startswith("error:") and "pos" in err
 
 
-def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "fields, word",
+    [
+        ({}, "t0_depth"),
+        (None, "object"),  # a JSON list, not a dump
+        ({"t0_depth": [1]}, "t0_depth"),
+        ({"wall_comp_depth": "x"}, "wall_comp_depth"),
+    ],
+    ids=["no-depth", "list", "t0-depth-list", "wall-comp-depth-str"],
+)
+def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys, fields, word):
     dump = tmp_path / "dump.json"
-    dump.write_text(json.dumps({"spec_digest": examples.load("flip_n3").digest()}))
-    argv = ["phi", "--spec", spec_file, "--complex", str(dump), "--point", "hex=;pos=0,0"]
+    doc = {"spec_digest": shipped("flip_n3").digest()}
+    if fields:
+        doc.update({"t0_depth": 1, "hex_depth": 2, "fiber_range": 8.0, "wall_comp_depth": 0})
+        doc.update(fields)
+    dump.write_text(json.dumps([doc] if fields is None else doc))
+    argv = ["phi", "--spec", spec_file, "--complex", str(dump), "--point", "hex=;pos=0,0;fiber=0"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "t0_depth" in err
+    assert err.startswith("error:") and word in err
+
+
+def test_report_explores_twice(spec_file, tmp_path, monkeypatch):
+    # once for the records, which the three verify reports share, and once
+    # for the covering report
+    calls = []
+    explore = vf.explore
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(vf, "explore", counted)
+    argv = ["report", "--spec", spec_file, *run_args("--samples", "6"),
+            "--binding-pairs", "2", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -346,6 +373,9 @@ def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys):
         ("hex=0x;pos=0,0", "hex"),
         ("block=w1#a;hex=;pos=0,0", "block"),
         ("hex=;pos=0,0;fiber=x", "fiber"),
+        # a NaN fiber printed "distance": NaN, which is not JSON, and exited 0
+        ("hex=;pos=0.2,0.1;fiber=nan", "fiber"),
+        ("hex=;pos=0.2,0.1;fiber=inf", "fiber"),
     ],
 )
 def test_malformed_point_names_field(spec_file, capsys, point, field):

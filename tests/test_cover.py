@@ -1,19 +1,22 @@
 import json
+import math
 
 import pytest
 
-from ogm import cover, examples
+from conftest import shipped, shipped_doc
+from ogm import cover
+from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm.manifold import GraphManifoldSpec
 
 
 @pytest.fixture(scope="module")
 def flip_cx():
-    return cover.explore(examples.load("flip_n3"), t0_depth=1, hex_depth=2)
+    return cover.explore(shipped("flip_n3"), t0_depth=1, hex_depth=2)
 
 
 def test_depth_zero_single_block():
-    cx = cover.explore(examples.load("flip_n3"), t0_depth=0, hex_depth=2)
+    cx = cover.explore(shipped("flip_n3"), t0_depth=0, hex_depth=2)
     assert len(cx.blocks) == 1
     assert len(cx.walls) == 0
 
@@ -29,7 +32,7 @@ def test_flip_depth1_counts(flip_cx):
 
 
 def test_tree_property():
-    cx = cover.explore(examples.load("cycle_n4"), t0_depth=2, hex_depth=1)
+    cx = cover.explore(shipped("cycle_n4"), t0_depth=2, hex_depth=1)
     assert len(cx.blocks) == len(cx.walls) + 1
 
 
@@ -41,7 +44,7 @@ def test_wall_perms_inverse(flip_cx):
 
 
 def test_round_robin_labels():
-    cx = cover.explore(examples.load("two_vertex_n5"), t0_depth=1, hex_depth=1)
+    cx = cover.explore(shipped("two_vertex_n5"), t0_depth=1, hex_depth=1)
     ncomp = len(cx.model.components)
     for bid in cx.block_list:
         blk = cx.blocks[bid]
@@ -57,8 +60,8 @@ def test_round_robin_labels():
 
 
 def test_explore_deterministic():
-    a = json.dumps(cover.explore(examples.load("cycle_n4"), 2, 2).summary(), sort_keys=True)
-    b = json.dumps(cover.explore(examples.load("cycle_n4"), 2, 2).summary(), sort_keys=True)
+    a = json.dumps(cover.explore(shipped("cycle_n4"), 2, 2).summary(), sort_keys=True)
+    b = json.dumps(cover.explore(shipped("cycle_n4"), 2, 2).summary(), sort_keys=True)
     assert a == b
 
 
@@ -76,7 +79,7 @@ def test_wall_chain(flip_cx):
 
 
 def test_wall_chain_depth3():
-    cx = cover.explore(examples.load("flip_n3"), t0_depth=3, hex_depth=1)
+    cx = cover.explore(shipped("flip_n3"), t0_depth=3, hex_depth=1)
     u, v = (0, 1, 2), (0, 3)
     chain = cx.wall_chain(u, v)
     assert len(chain) == 3
@@ -147,7 +150,7 @@ def test_sample_membership_and_coverage(flip_cx):
 
 def test_sample_coverage_depth2():
     # coupon collector at desk scale: 145 blocks, 10^4 draws
-    cx = cover.explore(examples.load("flip_n3"), t0_depth=2, hex_depth=2)
+    cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=2)
     hit = set()
     for i in range(10_000):
         hit.add(cx.sample_point(cover.make_stream(7, i)).block)
@@ -167,7 +170,7 @@ def test_point_address_roundtrip(flip_cx):
 
 
 def test_invalid_spec_rejected():
-    doc = examples.flip_n3()
+    doc = shipped_doc("flip_n3")
     doc["edges"][0]["perm"] = [0, 1]
     doc["edges"][1]["perm"] = [0, 1]
     with pytest.raises(cover.CoverError):
@@ -176,6 +179,19 @@ def test_invalid_spec_rejected():
 
 def test_depth_validation():
     with pytest.raises(ValueError):
-        cover.explore(examples.load("flip_n3"), -1, 2)
+        cover.explore(shipped("flip_n3"), -1, 2)
     with pytest.raises(ValueError):
-        cover.explore(examples.load("flip_n3"), 1, 0)
+        cover.explore(shipped("flip_n3"), 1, 0)
+    with pytest.raises(ValueError, match="wall_comp_depth"):
+        cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_fiber_outside_complex(flip_cx, value):
+    p = flip_cx.sample_point(cover.make_stream(5, 0))
+    bad = cover.CoverPoint(p.block, p.base, (value,))
+    assert flip_cx.contains(p) and not flip_cx.contains(bad)
+    with pytest.raises(cover.CoverError, match="outside"):
+        geo.distance(flip_cx, p, bad)
+    with pytest.raises(cover.CoverError, match="outside"):
+        flip_cx.parse_point(flip_cx.format_point(bad))

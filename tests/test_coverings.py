@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from ogm import cover, coverings as cvg, examples
+from conftest import SPECS, shipped
+from ogm import cover, coverings as cvg
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -148,7 +149,7 @@ def pairwise_matrices(ts, phis):
 
 def test_product_on_embedded_samples():
     # T0 x T_c covering on phi images of sampled cover points
-    spec = examples.load("flip_n3")
+    spec = shipped("flip_n3")
     cx = cover.explore(spec, 2, 4, fiber_range=3.0, wall_comp_depth=0)
     ts = tr.TreeSystem(cx)
     pts = [cx.sample_point(cover.make_stream(21, i)) for i in range(60)]
@@ -236,7 +237,6 @@ def reference_check_covering(cov, dmat, slack=1e-9):
     max_diam = max([0.0] + [d for d, _, _ in same_piece])
     n = len(cov.assignment)
     return cvg.CoveringCheck(
-        covered=True,
         min_same_color_separation=min_sep,
         max_piece_diameter=max_diam,
         required_separation=cov.scale,
@@ -317,7 +317,7 @@ def test_pullback_binding_order_matches_pairwise_reference(binding_pairs):
             calls.append((i, j))
             return float(dmat[i, j])
 
-        chk = cvg.pullback_check(cov, dmat, stub, 3.0, slack=1.0, binding_pairs=binding_pairs)
+        chk = cvg.pullback_check(cov, dmat, stub, 3.0, binding_pairs=binding_pairs)
         expected = reference_binding_order(cov, dmat, binding_pairs)
         assert calls == expected
         assert chk.checked_pairs == len(expected)
@@ -333,8 +333,7 @@ def test_pullback_rejects_binding_pairs_below_one(binding_pairs):
     dmat, root = tbin_vertex_sample(20, seed=3)
     cov = cvg.tree_covering(dmat, root, 2.0)
     with pytest.raises(ValueError):
-        cvg.pullback_check(cov, dmat, lambda i, j: 0.0, 3.0, slack=1.0,
-                           binding_pairs=binding_pairs)
+        cvg.pullback_check(cov, dmat, lambda i, j: 0.0, 3.0, binding_pairs=binding_pairs)
 
 
 @pytest.mark.parametrize(
@@ -344,7 +343,7 @@ def test_pullback_rejects_binding_pairs_below_one(binding_pairs):
 def test_covering_report_matches_pairwise_reference(
     monkeypatch, name, samples, scale, binding_pairs, seed
 ):
-    spec = examples.load(name)
+    spec = shipped(name)
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=samples, seed=seed, fiber_range=3.0,
         wall_comp_depth=0, workers=1,
@@ -373,7 +372,7 @@ def test_covering_report_matches_pairwise_reference(
 
 
 def test_covering_report_builds_each_wall_chain_once(monkeypatch):
-    spec = examples.load("two_vertex_n5")
+    spec = shipped("two_vertex_n5")
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,
         wall_comp_depth=0, workers=1,
@@ -398,7 +397,7 @@ def test_covering_report_builds_each_wall_chain_once(monkeypatch):
 
 
 def test_covering_report_computes_each_line_relation_once(monkeypatch):
-    spec = examples.load("two_vertex_n5")
+    spec = shipped("two_vertex_n5")
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,
         wall_comp_depth=0, workers=1,
@@ -430,9 +429,10 @@ def test_covering_report_does_not_import_numpy_ma():
     if fresh("import numpy; " + probe) == "True":
         pytest.skip("import numpy alone loads numpy.ma")
     report = (
-        "from ogm import examples, verify as vf; "
+        "from ogm import verify as vf; from ogm.manifold import GraphManifoldSpec; "
+        f"spec = GraphManifoldSpec.from_json_file({str(SPECS / 'two_vertex_n5.json')!r}); "
         "cfg = vf.RunConfig(t0_depth=2, hex_depth=4, samples=30, seed=1, fiber_range=3.0, "
         "wall_comp_depth=0, workers=1); "
-        "vf.covering_report(examples.load('two_vertex_n5'), cfg, 8.0, 1); "
+        "vf.covering_report(spec, cfg, 8.0, 1); "
     )
     assert fresh(report + probe) == "False"

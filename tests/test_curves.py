@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from ogm import cover, curves as cv, examples
+from conftest import shipped
+from ogm import cover, curves as cv
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -12,7 +13,7 @@ from ogm.cover import CoverPoint
 @pytest.fixture(scope="module")
 def cx():
     return cover.explore(
-        examples.load("flip_n3"),
+        shipped("flip_n3"),
         t0_depth=2,
         hex_depth=4,
         fiber_range=3.0,
@@ -57,8 +58,8 @@ def test_same_block_single_geodesic(cx, ts):
 def test_endpoints_exact(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 100, 20):
         xn, yn = cx.normalize(x), cx.normalize(y)
-        assert path.start() == xn
-        pe = path.end()
+        assert path.segments[0].points[0] == xn
+        pe = path.segments[-1].points[-1]
         assert pe.block == yn.block
         assert hx.h0_distance(pe.base, yn.base) < 1e-9
         assert all(abs(a - b) < 1e-9 for a, b in zip(pe.fiber, yn.fiber))

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ogm import cover, examples
+from conftest import shipped
+from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm.cover import CoverPoint
@@ -11,12 +12,12 @@ from ogm.cover import CoverPoint
 
 @pytest.fixture(scope="module")
 def cx():
-    return cover.explore(examples.load("flip_n3"), t0_depth=2, hex_depth=4)
+    return cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4)
 
 
 @pytest.fixture(scope="module")
 def cx_small():
-    return cover.explore(examples.load("flip_n3"), t0_depth=1, hex_depth=2)
+    return cover.explore(shipped("flip_n3"), t0_depth=1, hex_depth=2)
 
 
 def sample_in_block(cx, bid, i, spread=4.0):
@@ -169,15 +170,15 @@ def test_convexity_probe(cx):
     rng = _random.Random(3)
     x = sample_in_block(cx, (4,), 600)
     y = sample_in_block(cx, (9,), 601)
-    chain = cx.wall_chain(x.block, y.block)
-    k = len(chain)
+    x, y = cx.normalize(x), cx.normalize(y)
+    chain = geo._chain_vars(cx, x, y)
+    segs = geo._segments(cx.model, chain, x, y)
+    k = 2 * len(chain)  # flip_n3: (arclength, fiber) per wall
     for _ in range(40):
-        c1 = [[rng.uniform(-2, 2), rng.uniform(-2, 2)] for _ in range(k)]
-        c2 = [[rng.uniform(-2, 2), rng.uniform(-2, 2)] for _ in range(k)]
-        mid = [[(a + b) / 2 for a, b in zip(u, v)] for u, v in zip(c1, c2)]
-        f1 = geo.evaluate_chain(cx, x, y, c1)
-        f2 = geo.evaluate_chain(cx, x, y, c2)
-        fm = geo.evaluate_chain(cx, x, y, mid)
+        z1 = [rng.uniform(-2, 2) for _ in range(k)]
+        z2 = [rng.uniform(-2, 2) for _ in range(k)]
+        mid = [(a + b) / 2 for a, b in zip(z1, z2)]
+        f1, f2, fm = (geo._chain_objective(segs, z, False)[0] for z in (z1, z2, mid))
         assert fm <= 0.5 * (f1 + f2) + 1e-9
 
 
@@ -242,27 +243,25 @@ def boundary_point_chain_length(cx, x, y, coords):
 
 @pytest.mark.parametrize("spec", ["flip_n3", "two_vertex_n5"])
 def test_chain_derivatives_match_central_differences(spec):
-    cx = cover.explore(examples.load(spec), t0_depth=2, hex_depth=4)
+    cx = cover.explore(shipped(spec), t0_depth=2, hex_depth=4)
     rng = random.Random(5)
     h = 3e-4
     for x, y in chain_pairs(cx, {1, 2, 3, 4}, 31):
         x, y = cx.normalize(x), cx.normalize(y)
         chain = geo._chain_vars(cx, x, y)
-        n1 = cx.spec.n - 1
         z = [
             rng.uniform(lo + 1.0, hi - 1.0) if math.isfinite(lo) else rng.uniform(-2.0, 2.0)
             for wv in chain
             for lo, hi in wv.bounds
         ]
-        _, grad, hess = geo._chain_objective(geo._segments(cx.model, chain, x, y), z, True)
+        segs = geo._segments(cx.model, chain, x, y)
+        _, grad, hess = geo._chain_objective(segs, z, True)
 
         def f(*moves):
             zz = list(z)
             for v, dv in moves:
                 zz[v] += dv
-            return geo.evaluate_chain(
-                cx, x, y, [zz[i : i + n1] for i in range(0, len(zz), n1)]
-            )
+            return geo._chain_objective(segs, zz, False)[0]
 
         for a in range(len(z)):
             assert abs((f((a, h)) - f((a, -h))) / (2 * h) - grad[a]) < 1e-6
@@ -283,7 +282,7 @@ def test_solver_optimal_against_boundary_point_oracle(spec, t0_depth, hex_depth,
     # the chain length is convex, so no improving step of a free coordinate
     # means the returned crossings are a global minimum
     cx = cover.explore(
-        examples.load(spec), t0_depth=t0_depth, hex_depth=hex_depth, wall_comp_depth=0
+        shipped(spec), t0_depth=t0_depth, hex_depth=hex_depth, wall_comp_depth=0
     )
     for x, y in chain_pairs(cx, set(range(1, longest + 1)), 41):
         res = geo.distance(cx, x, y)

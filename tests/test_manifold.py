@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ogm import cover, examples
+from conftest import IRREDUCIBLE_NAMES, SHIPPED_NAMES, shipped, shipped_doc
+from ogm import cover
 from ogm import trees as tr
 from ogm.manifold import (
     GraphManifoldSpec,
@@ -33,17 +34,17 @@ def test_permutation_algebra():
 
 
 def test_validate_flip_ok():
-    spec = examples.load("flip_n3")
+    spec = shipped("flip_n3")
     assert validate(spec) == []
 
 
-@pytest.mark.parametrize("name", sorted(examples.SHIPPED))
+@pytest.mark.parametrize("name", SHIPPED_NAMES)
 def test_validate_shipped(name):
-    assert validate(examples.load(name)) == []
+    assert validate(shipped(name)) == []
 
 
 def test_validate_fixed_base():
-    doc = examples.flip_n3()
+    doc = shipped_doc("flip_n3")
     doc["edges"][0]["perm"] = [0, 1]
     doc["edges"][1]["perm"] = [0, 1]
     out = validate(GraphManifoldSpec.from_dict(doc))
@@ -51,14 +52,14 @@ def test_validate_fixed_base():
 
 
 def test_validate_non_involutive():
-    doc = examples.cycle_n4()
+    doc = shipped_doc("cycle_n4")
     doc["edges"][1]["perm"] = [1, 2, 0]  # same as forward, not the inverse
     out = validate(GraphManifoldSpec.from_dict(doc))
     assert any("non-involutive gluing" in v for v in out)
 
 
 def test_validate_reverse_swaps_endpoints():
-    doc = examples.two_vertex_n5()
+    doc = shipped_doc("two_vertex_n5")
     doc["edges"][3]["from"] = "a"
     doc["edges"][3]["to"] = "b"
     out = validate(GraphManifoldSpec.from_dict(doc))
@@ -66,7 +67,7 @@ def test_validate_reverse_swaps_endpoints():
 
 
 def test_validate_deterministic_order():
-    doc = examples.flip_n3()
+    doc = shipped_doc("flip_n3")
     doc["edges"][0]["perm"] = [0, 1]
     doc["edges"][1]["perm"] = [0, 1]
     spec = GraphManifoldSpec.from_dict(doc)
@@ -74,13 +75,13 @@ def test_validate_deterministic_order():
 
 
 def test_path_permutation_empty_and_backtrack():
-    spec = examples.load("flip_n3")
+    spec = shipped("flip_n3")
     assert path_permutation(spec, []).is_identity()
     assert path_permutation(spec, ["w1", "w2"]).is_identity()
 
 
 def test_path_permutation_against_brute_force():
-    spec = examples.load("cycle_n4")
+    spec = shipped("cycle_n4")
     sigma = path_permutation(spec, ["w1", "w1"])
     values = ["a", "b", "c"]
     step1 = brute_apply(spec.edges["w1"].perm, values)
@@ -89,14 +90,14 @@ def test_path_permutation_against_brute_force():
 
 
 def test_path_permutation_composability_checked():
-    spec = examples.load("two_vertex_n5")
+    spec = shipped("two_vertex_n5")
     with pytest.raises(SpecError):
         path_permutation(spec, ["wa", "wa"])  # wa ends at b, not a
 
 
 def test_backtracking_paths_are_identity():
     rng = random.Random(0)
-    spec = examples.load("two_vertex_n5")
+    spec = shipped("two_vertex_n5")
     for _ in range(1000):
         # build a random path, then unwind it in reverse
         path = []
@@ -121,13 +122,13 @@ def label_paths(spec, depth):
 
 def explored_classes(name, depth):
     """(block, label path from the root, class) for every explored block."""
-    cx = cover.explore(examples.load(name), depth, 2, wall_comp_depth=0)
+    cx = cover.explore(shipped(name), depth, 2, wall_comp_depth=0)
     ts = tr.TreeSystem(cx)
     return [(bid, cx.blocks[bid].labels, ts.labels[bid]) for bid in cx.block_list]
 
 
 def test_classes_flip_parity():
-    spec = examples.load("flip_n3")
+    spec = shipped("flip_n3")
     for path in label_paths(spec, 4):
         assert class_label(path_permutation(spec, path)) == len(path) % 2
     explored = explored_classes("flip_n3", 4)
@@ -137,7 +138,7 @@ def test_classes_flip_parity():
 
 
 def test_classes_cycle_depth_mod3():
-    spec = examples.load("cycle_n4")
+    spec = shipped("cycle_n4")
 
     def brute(path):
         sigma = Permutation.identity(3)
@@ -157,8 +158,8 @@ def test_classes_cycle_depth_mod3():
 
 
 def test_adjacent_vertices_differ():
-    for name in examples.IRREDUCIBLE_NAMES:
-        spec = examples.load(name)
+    for name in IRREDUCIBLE_NAMES:
+        spec = shipped(name)
         for path in label_paths(spec, 3)[1:]:
             lab = class_label(path_permutation(spec, path))
             assert lab != class_label(path_permutation(spec, path[:-1]))
@@ -169,15 +170,15 @@ def test_adjacent_vertices_differ():
 
 
 def test_class_count_bounded():
-    for name in sorted(examples.SHIPPED):
-        spec = examples.load(name)
+    for name in SHIPPED_NAMES:
+        spec = shipped(name)
         labels = {class_label(path_permutation(spec, p)) for p in label_paths(spec, 4)}
         assert len(labels) <= spec.n - 1
         assert {lab for _, _, lab in explored_classes(name, 4)} <= labels
 
 
 def test_reroot_invariance():
-    spec = examples.load("two_vertex_n5")
+    spec = shipped("two_vertex_n5")
     # re-root at the end of edge "wa": recompute labels relative to that
     # vertex and compare partitions up to relabeling
     rev = ("wb",)
@@ -189,18 +190,18 @@ def test_reroot_invariance():
 
 
 def test_irreducible_flip_depth1():
-    rep = check_irreducible(examples.load("flip_n3"), 1)
+    rep = check_irreducible(shipped("flip_n3"), 1)
     assert rep.irreducible
     assert rep.covered == (0, 1)
 
 
 def test_irreducible_cycle_depth2():
-    rep = check_irreducible(examples.load("cycle_n4"), 2)
+    rep = check_irreducible(shipped("cycle_n4"), 2)
     assert rep.irreducible
 
 
 def test_reducible_detected():
-    rep = check_irreducible(examples.load("reducible_n4"), 10)
+    rep = check_irreducible(shipped("reducible_n4"), 10)
     assert not rep.irreducible
     assert 2 not in rep.witnesses
     assert "2" in rep.reason
@@ -208,18 +209,18 @@ def test_reducible_detected():
 
 def test_inconclusive_is_false():
     # depth 1 reaches labels {0, 1, 3} only; must report false, never true
-    rep = check_irreducible(examples.load("two_vertex_n5"), 1)
+    rep = check_irreducible(shipped("two_vertex_n5"), 1)
     assert not rep.irreducible
     assert "inconclusive" in rep.reason
 
 
 def test_two_vertex_n5_irreducible_depth3():
-    rep = check_irreducible(examples.load("two_vertex_n5"), 3)
+    rep = check_irreducible(shipped("two_vertex_n5"), 3)
     assert rep.irreducible
     assert rep.covered == (0, 1, 2, 3)
 
 
 def test_digest_stable():
-    a = examples.load("flip_n3").digest()
-    b = GraphManifoldSpec.from_dict(examples.flip_n3()).digest()
+    a = shipped("flip_n3").digest()
+    b = GraphManifoldSpec.from_dict(shipped_doc("flip_n3")).digest()
     assert a == b and len(a) == 64

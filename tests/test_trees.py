@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from ogm import cover, examples
+from conftest import shipped
+from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -13,7 +14,7 @@ from ogm.cover import CoverPoint
 
 @pytest.fixture(scope="module")
 def cx():
-    return cover.explore(examples.load("flip_n3"), t0_depth=2, hex_depth=4)
+    return cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4)
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ def test_tc_four_point_condition(cx, ts):
 
 
 def test_grid_transport_equality():
-    cx3 = cover.explore(examples.load("flip_n3"), t0_depth=3, hex_depth=2)
+    cx3 = cover.explore(shipped("flip_n3"), t0_depth=3, hex_depth=2)
     ts3 = tr.TreeSystem(cx3)
     u, mid, v = (3,), (3, 7), (3, 7, 9)
     assert ts3.labels[u] == 1 and ts3.labels[mid] == 0 and ts3.labels[v] == 1
@@ -265,7 +266,7 @@ def mixed_tc_points(cx, ts, lab, seed):
 )
 def test_tc_matrix_equals_pairwise_tc_distance(name, wall_comp_depth):
     cx = cover.explore(
-        examples.load(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
+        shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
         wall_comp_depth=wall_comp_depth,
     )
     ts = tr.TreeSystem(cx)
@@ -303,7 +304,7 @@ def test_tc_matrix_interleaved_block_pairs():
     relation_kinds, fiber_only = set(), 0
     for name, wall_comp_depth in (("flip_n3", None), ("cycle_n4", 0), ("two_vertex_n5", 0)):
         cx = cover.explore(
-            examples.load(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
+            shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
             wall_comp_depth=wall_comp_depth,
         )
         ts = tr.TreeSystem(cx)

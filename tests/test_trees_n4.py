@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ogm import cover, examples
+from conftest import shipped
+from ogm import cover
 from ogm import hexagon as hx
 from ogm import trees as tr
 
@@ -9,7 +10,7 @@ from ogm import trees as tr
 @pytest.fixture(scope="module")
 def cx4():
     return cover.explore(
-        examples.load("cycle_n4"), t0_depth=2, hex_depth=3, fiber_range=2.0,
+        shipped("cycle_n4"), t0_depth=2, hex_depth=3, fiber_range=2.0,
         wall_comp_depth=0,
     )
 
