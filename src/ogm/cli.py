@@ -55,13 +55,14 @@ def _complex_from_args(spec: GraphManifoldSpec, args) -> CoverComplex:
     if doc.get("spec_digest") != spec.digest():
         raise CoverError("complex dump was built from a different spec")
 
-    def field(key: str, conv):
+    def field(key: str, kind: type):
+        """A JSON number: int() would read 1.9 as 1, float() "nan" as NaN."""
         if key not in doc:
             raise CoverError(f"complex dump has no {key} field")
-        try:
-            return conv(doc[key])
-        except (TypeError, ValueError):
-            raise CoverError(f"complex dump has a malformed {key} field") from None
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise CoverError(f"complex dump has a malformed {key} field")
+        return kind(value)
 
     wall_comp_depth = doc.get("wall_comp_depth")  # absent or null: every component
     return explore(

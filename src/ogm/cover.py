@@ -85,6 +85,8 @@ class CoverComplex:
             raise ValueError("hex_depth must be >= 1")
         if wall_comp_depth is not None and wall_comp_depth < 0:
             raise ValueError("wall_comp_depth must be >= 0 or None")
+        if not (math.isfinite(fiber_range) and fiber_range >= 0):
+            raise ValueError("fiber_range must be finite and >= 0")
         bad = validate(spec)
         if bad:
             raise CoverError("invalid spec: " + "; ".join(bad))
@@ -96,10 +98,7 @@ class CoverComplex:
         self.model = hx.HexModel(hex_depth)
         self.blocks: dict[BlockId, Block] = {}
         self.walls: dict[tuple[BlockId, int], Wall] = {}
-        self._chains: dict[tuple[BlockId, BlockId], WallChain] = {}
-        self._frozen = False
         self._build()
-        self._frozen = True
         self.block_list = sorted(self.blocks)  # BFS-compatible: rank then lex
 
     def _build(self) -> None:
@@ -150,13 +149,8 @@ class CoverComplex:
     def wall_chain(self, u: BlockId, v: BlockId) -> WallChain:
         """Walls along the T0 geodesic from u to v, in order, with a flag:
         True when the step crosses from the wall's child into its parent.
-        Built once per block pair: the complex is frozen."""
-        chain = self._chains.get((u, v))
-        if chain is None:
-            chain = self._chains[(u, v)] = self._build_wall_chain(u, v)
-        return chain
-
-    def _build_wall_chain(self, u: BlockId, v: BlockId) -> WallChain:
+        Built on each call from the common prefix of the two block ids; no
+        chain is kept."""
         self.block(u), self.block(v)
         k = 0
         while k < len(u) and k < len(v) and u[k] == v[k]:

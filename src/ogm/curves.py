@@ -9,7 +9,6 @@ delta), and recurse from there one wall closer to y.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import hexagon as hx
@@ -43,16 +42,12 @@ class BlockPath:
 
 
 def curve_length(cplx: CoverComplex, path: BlockPath) -> float:
+    """Sum of the block distances between consecutive points of each
+    segment (a geodesic segment is its two end points)."""
     total = 0.0
     for seg in path.segments:
-        if seg.kind == "geodesic":
-            total += block_distance(cplx, seg.points[0], seg.points[1])
-        else:
-            for p, q in zip(seg.points, seg.points[1:]):
-                total += math.sqrt(
-                    hx.h0_distance(p.base, q.base) ** 2
-                    + sum((a - b) ** 2 for a, b in zip(p.fiber, q.fiber))
-                )
+        for p, q in zip(seg.points, seg.points[1:]):
+            total += block_distance(cplx, p, q)
     return total
 
 
@@ -134,14 +129,13 @@ def _build(
         return _build(cplx, ts, y, x).reversed()
 
     v = x.block
-    wall, _ = chain[0]
     label = ts.labels[v]
-    comp_exit = cplx.wall_component(wall, child_side=True)
     a_tree = hx.retract(x.base)
 
-    # distance profiles of phi_c(x) and phi_c(y) on the exit line; the T_c
-    # geodesic splits at the smallest minimiser z* of their sum
-    g_y, _, _ = ts.line_profile(label, ts.phi_c(label, y), v, comp_exit)
+    # distance profiles of phi_c(x) and phi_c(y) on the exit line, the wall's
+    # child-side line, through which the T0 geodesic from y enters v; the
+    # T_c geodesic splits at the smallest minimiser z* of their sum
+    g_y, _, comp_exit = ts.line_profile(label, ts.phi_c(label, y), v)
     g_x, _ = gate_on_line(comp_exit, a_tree)
     t_star = min(g_x, g_y)
     lo, hi = cplx.model.arclength_window(comp_exit)

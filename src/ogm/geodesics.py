@@ -49,8 +49,6 @@ class ChainConfiguration:
     walls: list[Wall]
     upward: list[bool]
     coords: list[list[float]]  # one (arclength, fibers...) vector per wall
-    x: CoverPoint
-    y: CoverPoint
 
 
 @dataclass
@@ -279,9 +277,7 @@ def distance(
             raise CoverError("point outside the explored complex")
     x, y = cplx.normalize(x), cplx.normalize(y)
     chain = _chain_vars(cplx, x, y)
-    cfg = ChainConfiguration(
-        [wv.wall for wv in chain], [wv.upward for wv in chain], [], x, y
-    )
+    cfg = ChainConfiguration([wv.wall for wv in chain], [wv.upward for wv in chain], [])
     if not chain:
         return GeodesicResult(block_distance(cplx, x, y), cfg, False, 0, 0.0)
 

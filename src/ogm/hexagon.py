@@ -49,10 +49,6 @@ UNMARKED_SIDES = (1, 3, 5)
 # boundary line over marked letter LETTERS[u][0]; the far corner over LETTERS[u][1].
 LETTERS = {1: (0, 1), 3: (1, 2), 5: (2, 0)}
 
-# Unmarked side of a hexagon not adjacent to its entry side; the only boundary
-# line whose chain minimum is that hexagon (entry letter -> new side).
-NEW_SIDE_FOR_LETTER = {0: 3, 1: 5, 2: 1}
-
 
 class TruncationError(Exception):
     """A geometric query left the explored hexagon depth."""
@@ -295,11 +291,12 @@ def tbin_anchors(p: TbinPoint) -> list[tuple[Address, float]]:
 
 def nearest_anchors(x: TbinPoint, y: TbinPoint) -> tuple[float, Address, Address]:
     """(length, va, vb) of the shortest route from x out through anchor va
-    and into y through anchor vb; the first minimal pair wins ties."""
+    and into y through anchor vb; the first minimal pair wins ties.  The
+    length adds da + db first, so it is symmetric in x and y bit for bit."""
     best = None
     for va, da in tbin_anchors(x):
         for vb, db in tbin_anchors(y):
-            tot = da + EDGE * hex_tree_edges(va, vb) + db
+            tot = da + db + EDGE * hex_tree_edges(va, vb)
             if best is None or tot < best[0]:
                 best = (tot, va, vb)
     return best
@@ -482,8 +479,8 @@ def boundary_point_local(side: int, tau: float) -> Vec:
     return tuple(lo[i] * c + w[i] * s_ for i in range(3))  # type: ignore[return-value]
 
 
-def boundary_point(comp: ComponentId, t: float, depth: Optional[int] = None) -> H0Point:
-    """H0 point at arclength t on a boundary component.
+def boundary_point(comp: ComponentId, t: float, depth: int) -> H0Point:
+    """H0 point at arclength t on a boundary component, within hexagon depth.
 
     Arclength origin: low corner of the minimal hexagon's side, orientation
     with increasing local side parameter there.  Consecutive grid segments
@@ -491,15 +488,12 @@ def boundary_point(comp: ComponentId, t: float, depth: Optional[int] = None) -> 
     """
     k = math.floor(t)
     tau_raw = t - k
-    if depth is not None:
-        kmax = depth - len(comp.min_addr)
-        if not (-kmax <= k <= kmax):
-            if k == kmax + 1 and tau_raw == 0.0:
-                k, tau_raw = kmax, 1.0
-            else:
-                raise TruncationError(
-                    f"arclength {t} leaves hexagon depth {depth} on {comp}"
-                )
+    kmax = depth - len(comp.min_addr)
+    if not (-kmax <= k <= kmax):
+        if k == kmax + 1 and tau_raw == 0.0:
+            k, tau_raw = kmax, 1.0
+        else:
+            raise TruncationError(f"arclength {t} leaves hexagon depth {depth} on {comp}")
     addr = chain_address(comp, k)
     tau = tau_raw if k % 2 == 0 else 1.0 - tau_raw
     return H0Point(addr, boundary_point_local(comp.side, tau))

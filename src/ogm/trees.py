@@ -83,7 +83,6 @@ class LineRelation:
     lam_lo: float = 0.0  # entry-line grid coordinates of the shared segment
     lam_hi: float = 0.0
     mu_lo: float = 0.0  # exit-line coordinate matching lam_lo
-    mu_hi: float = 0.0  # exit-line coordinate matching lam_hi
     orient: int = 1
     lam_gate: float = 0.0  # bridge data
     mu_gate: float = 0.0
@@ -140,7 +139,6 @@ def line_relation(comp_in: hx.ComponentId, comp_out: hx.ComponentId) -> LineRela
         lam_lo=k1 + 0.5,
         lam_hi=k2 + 0.5,
         mu_lo=m1 + 0.5,
-        mu_hi=m2 + 0.5,
         orient=1 if m2 >= m1 else -1,
     )
 
@@ -212,44 +210,34 @@ class TreeSystem:
     def _wall_side_comp(self, wall: Wall, bid: BlockId) -> hx.ComponentId:
         return self.cplx.wall_component(wall, child_side=(bid == wall.child))
 
-    def route(
-        self, label: int, src: BlockId, dst: BlockId, comp: Optional[hx.ComponentId] = None
-    ) -> Route:
+    def route(self, label: int, src: BlockId, dst: BlockId) -> Route:
         """The profile walk from block src to block dst along the T0
-        geodesic; comp as in line_profile."""
+        geodesic.  It ends on the line through which the geodesic enters
+        dst: the chain line wall_component(last wall, dst's side) over a dst
+        in c, the fiber line (None) over a dst outside c."""
         chain = self.cplx.wall_chain(src, dst)
         exit_ = self._wall_side_comp(chain[0][0], src) if self.labels[src] == label else None
         relations, line = [], None
         for (w, up), nxt in zip(chain, [*chain[1:], None]):
             bid = w.parent if up else w.child
-            if self.labels[bid] != label:
-                line = None
+            line = self._wall_side_comp(w, bid) if self.labels[bid] == label else None
+            if line is None or nxt is None:
                 continue
-            line = self._wall_side_comp(w, bid)
-            comp_out = self._wall_side_comp(nxt[0], bid) if nxt else (comp or line)
+            comp_out = self._wall_side_comp(nxt[0], bid)
             if comp_out != line:
                 rel = self._relations.get((line, comp_out))
                 if rel is None:
                     rel = self._relations[(line, comp_out)] = line_relation(line, comp_out)
                 relations.append(rel)
-                line = comp_out
         return Route(exit_, tuple(relations), line)
 
     def line_profile(
-        self,
-        label: int,
-        src: TcPoint,
-        dst: BlockId,
-        comp: Optional[hx.ComponentId] = None,
+        self, label: int, src: TcPoint, dst: BlockId
     ) -> tuple[float, float, Optional[hx.ComponentId]]:
-        """Exact T_c distance from src to a line over block dst, as (g, c,
-        line): the line's point at grid coordinate s lies at |s - g| + c.
-        Over a dst in c the line is the chain line comp, by default the one
-        through which the T0 geodesic from src enters dst; over a dst outside
-        c it is the fiber line, and line is None."""
-        if src.owner == dst:
-            return (*gate_on_line(comp, src.tree), comp)
-        route = self.route(label, src.owner, dst, comp)
+        """Exact T_c distance from src to the line of route(label, src.owner,
+        dst), as (g, c, line): the line's point at grid coordinate s lies at
+        |s - g| + c.  src.owner must differ from dst."""
+        route = self.route(label, src.owner, dst)
         g, c = route.push(*line_coords(route.exit, src))
         return float(g), float(c), route.line
 
@@ -261,16 +249,18 @@ class TreeSystem:
             if a.tree is not None:
                 return tree_piece_distance(a.tree, b.tree)
             return abs(a.value - b.value)
+        if b.owner < a.owner:
+            a, b = b, a  # walk from the lower block: symmetric bit for bit
         g, c, line = self.line_profile(label, a, b.owner)
         lam, d = line_coords(line, b)
         return abs(lam - g) + c + d
 
     def tc_matrix(self, label: int, points: Sequence[TcPoint]) -> np.ndarray:
         """Symmetric matrix of tc_distance(label, points[i], points[j]),
-        entry for entry equal to it.  One route per (class, source block,
-        destination block) carries the source points' (g, c) as arrays, and
-        numpy fills the block pair as |lam - g| + c + d; entry (i, j) with
-        i > j comes from the transposed block of the reverse route."""
+        entry for entry equal to it.  One route per (class, unordered pair of
+        owner blocks), from the lower block as in tc_distance, carries that
+        block's points' (g, c) as arrays, and numpy fills the block pair as
+        |lam - g| + c + d."""
         for p in points:
             if p.owner not in self.cplx.blocks:
                 raise CoverError(f"owner {p.owner} not explored")
@@ -292,7 +282,7 @@ class TreeSystem:
             # after a bridge g is one scalar for all of a's points
             return np.abs(lam - np.reshape(g, (-1, 1))) + c[:, None] + d
 
-        groups = [(o, np.array(ix)) for o, ix in members.items()]
+        groups = [(o, np.array(ix)) for o, ix in sorted(members.items())]
         for x, (a, ia) in enumerate(groups):
             if self.labels[a] == label:
                 for y, i in enumerate(ia):
@@ -302,7 +292,7 @@ class TreeSystem:
                 v = block_coords(None, a)[0]
                 out[np.ix_(ia, ia)] = np.abs(v[:, None] - v)
             for o, io in groups[x + 1:]:
-                fill = np.where(ia[:, None] < io, block(a, o), block(o, a).T)
+                fill = block(a, o)
                 out[np.ix_(ia, io)] = fill
                 out[np.ix_(io, ia)] = fill.T
         return out

@@ -391,18 +391,11 @@ def covering_report(
     prod_check = cvg.check_covering(prod, sum_d)
     consts = base_constants(spec.n)
 
-    solver_cache: dict[tuple[int, int], float] = {}
-
-    def cover_distance(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in solver_cache:
-            solver_cache[key] = geo.distance(cplx, pts[key[0]], pts[key[1]], tol=cfg.tol).distance
-        return solver_cache[key]
-
+    # separation pairs span two pieces and diameter pairs one: no pair repeats
     pull = cvg.pullback_check(
         prod,
         sum_d,
-        cover_distance,
+        lambda i, j: geo.distance(cplx, pts[i], pts[j], tol=cfg.tol).distance,
         consts["C"],
         binding_pairs=binding_pairs,
     )

@@ -11,6 +11,15 @@ from ogm import verify as vf
 from ogm.cli import main
 
 
+def _reject_constant(name):
+    pytest.fail(f"CLI output holds {name}, which is not JSON")
+
+
+def strict_json(text):
+    """json.loads that fails the test on NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture(scope="module")
 def spec_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("specs") / "flip.json"
@@ -50,7 +59,7 @@ def run_args(*extra):
 
 def test_constants_json(capsys):
     assert main(["constants"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert abs(math.cosh(doc["s"]) - 2.0) < 1e-12
     assert set(doc) == {"s", "kappa", "rho", "delta"}
     # 15 significant digits
@@ -65,7 +74,7 @@ def test_validate_ok(spec_file, capsys):
 def test_validate_bad(bad_spec_file, capsys):
     assert main(["validate", bad_spec_file]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
-    assert any("fixed base coordinate" in json.loads(ln)["violation"] for ln in lines)
+    assert any("fixed base coordinate" in strict_json(ln)["violation"] for ln in lines)
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -94,7 +103,7 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
         )
         == 0
     )
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert len(doc["blocks"]) == 4  # root + 3 shallow components
     capsys.readouterr()
 
@@ -117,7 +126,7 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
         )
         == 0
     )
-    res = json.loads(capsys.readouterr().out)
+    res = strict_json(capsys.readouterr().out)
     assert res["distance"] > 0
     assert "truncated" in res
     assert res["sweeps"] >= 1
@@ -153,10 +162,10 @@ def test_phi_and_tree_dist(spec_file, tmp_path, capsys):
         "0",
     ]
     assert main(["phi", *common, "--point", p]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert set(doc["classes"]) == {"0", "1"}
     assert main(["tree-dist", *common, "--a", p, "--b", q]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert all(v >= 0 for v in doc.values())
 
 
@@ -183,7 +192,7 @@ def test_curve_cli(spec_file, capsys):
             q,
         ]
     )
-    out = json.loads(capsys.readouterr().out)
+    out = strict_json(capsys.readouterr().out)
     if code == 0:
         assert out["length"] <= out["bound"] + 1e-6
     else:
@@ -200,7 +209,7 @@ def test_verify_qi_deterministic(spec_file, tmp_path, capsys):
     assert main(["verify-qi", "--spec", spec_file, *run_args("--out", str(out2))]) == 0
     assert out1.read_text() == out2.read_text()
     assert csv.read_text().startswith("index,truncated,d,e")
-    rep = json.loads(out1.read_text())
+    rep = strict_json(out1.read_text())
     assert rep["verdict"] == "PASS"
     # stdout stayed clean (outputs went to files)
     assert capsys.readouterr().out == ""
@@ -212,7 +221,7 @@ def test_verify_lipschitz_cli(spec_file, tmp_path):
         main(["verify-lipschitz", "--spec", spec_file, *run_args("--out", str(out))])
         == 0
     )
-    rep = json.loads(out.read_text())
+    rep = strict_json(out.read_text())
     assert rep["verdict"] == "PASS"
     assert rep["retraction_lipschitz"] is not None
     assert rep["retraction_lipschitz_exact"] == hx.EDGE
@@ -236,7 +245,7 @@ def test_covering_cli(spec_file, tmp_path):
         ]
     )
     assert code == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert doc["verdict"] == "PASS"
     assert doc["product"]["colors"] == 8
 
@@ -311,7 +320,7 @@ def test_report_pipeline(spec_file, tmp_path):
         ]
     )
     assert code == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert doc["verdict"] == "PASS"
     assert doc["irreducible"] is True
     assert set(doc) >= {"lipschitz", "qi", "curves", "covering", "constants"}
@@ -332,8 +341,16 @@ def test_point_without_pos_exits_1(spec_file, capsys):
         (None, "object"),  # a JSON list, not a dump
         ({"t0_depth": [1]}, "t0_depth"),
         ({"wall_comp_depth": "x"}, "wall_comp_depth"),
+        # int() read 1.9 as depth 1, float() read "nan" as NaN and True as 1.0
+        ({"t0_depth": 1.9}, "t0_depth"),
+        ({"fiber_range": "nan"}, "fiber_range"),
+        ({"fiber_range": True}, "fiber_range"),
+        ({"fiber_range": math.nan}, "fiber_range"),
     ],
-    ids=["no-depth", "list", "t0-depth-list", "wall-comp-depth-str"],
+    ids=[
+        "no-depth", "list", "t0-depth-list", "wall-comp-depth-str", "t0-depth-float",
+        "fiber-range-str", "fiber-range-bool", "fiber-range-nan",
+    ],
 )
 def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys, fields, word):
     dump = tmp_path / "dump.json"
@@ -346,6 +363,17 @@ def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys, fields,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and word in err
+
+
+@pytest.mark.parametrize("fiber_range", ["nan", "inf", "-1"])
+def test_explore_rejects_bad_fiber_range(spec_file, capsys, fiber_range):
+    # NaN printed "fiber_range": NaN, which is not JSON, and exited 0
+    argv = ["explore", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
+            "--fiber-range", fiber_range]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "fiber_range" in out.err
 
 
 def test_report_explores_twice(spec_file, tmp_path, monkeypatch):

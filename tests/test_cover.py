@@ -184,6 +184,9 @@ def test_depth_validation():
         cover.explore(shipped("flip_n3"), 1, 0)
     with pytest.raises(ValueError, match="wall_comp_depth"):
         cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=-1)
+    for fiber_range in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="fiber_range"):
+            cover.explore(shipped("flip_n3"), 1, 2, fiber_range=fiber_range)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

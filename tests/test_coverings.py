@@ -372,28 +372,31 @@ def test_covering_report_matches_pairwise_reference(
 
 
 def test_covering_report_builds_each_wall_chain_once(monkeypatch):
+    # once per class and unordered pair of sample blocks for the T_c
+    # matrices, and once per solve of a binding pair
     spec = shipped("two_vertex_n5")
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,
         wall_comp_depth=0, workers=1,
     )
-    built = []
-    build = cover.CoverComplex._build_wall_chain
+    calls = []
+    wall_chain = cover.CoverComplex.wall_chain
 
     def counting(self, u, v):
-        built.append((u, v))
-        return build(self, u, v)
+        calls.append((u, v))
+        return wall_chain(self, u, v)
 
-    monkeypatch.setattr(cover.CoverComplex, "_build_wall_chain", counting)
-    vf.covering_report(spec, cfg, 8.0, 1)
+    monkeypatch.setattr(cover.CoverComplex, "wall_chain", counting)
+    binding_pairs = 1
+    vf.covering_report(spec, cfg, 8.0, binding_pairs)
     cx = cover.explore(spec, 2, 4, fiber_range=3.0, wall_comp_depth=0)
     blocks = {
         cx.normalize(cx.sample_point(cover.make_stream(cfg.seed, i))).block
         for i in range(cfg.samples)
     }
-    assert len(built) == len(set(built))
-    assert set(built) <= {(u, v) for u in blocks for v in blocks}
-    assert 0 < len(built) <= len(blocks) ** 2
+    classes = len(tr.TreeSystem(cx).class_labels)
+    assert calls and all(u in blocks and v in blocks for u, v in calls)
+    assert len(calls) <= classes * math.comb(len(blocks), 2) + 2 * binding_pairs
 
 
 def test_covering_report_computes_each_line_relation_once(monkeypatch):
