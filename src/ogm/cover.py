@@ -14,6 +14,7 @@ component 0 is its gluing component and carries the reverse edge label.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -171,20 +172,18 @@ class CoverComplex:
     # child_coords[s(i)] = canonical[i]; child coordinate 0 is again an
     # arclength, of the child's gluing component.
 
-    def wall_coords(self, p: CoverPoint, w: Wall, tol: float = 1e-9) -> tuple[float, ...]:
-        if p.block == w.parent:
-            bc = hx.boundary_param(p.base, tol)
-            if bc.component != self.wall_component(w, False):
-                raise CoverError("point not on this wall")
-            return (bc.arclength,) + p.fiber
-        if p.block == w.child:
-            bc = hx.boundary_param(p.base, tol)
-            if bc.component != self.wall_component(w, True):
-                raise CoverError("point not on this wall")
-            child_coords = (bc.arclength,) + p.fiber
-            perm = self.spec.edges[w.edge_id].perm
-            return tuple(child_coords[perm(i)] for i in range(len(child_coords)))
-        raise CoverError("point belongs to neither side of the wall")
+    def wall_coords(self, p: CoverPoint, w: Wall) -> tuple[float, ...]:
+        if p.block not in (w.parent, w.child):
+            raise CoverError("point belongs to neither side of the wall")
+        child_side = p.block == w.child
+        bc = hx.boundary_param(p.base)
+        if bc.component != self.wall_component(w, child_side):
+            raise CoverError("point not on this wall")
+        coords = (bc.arclength,) + p.fiber
+        if not child_side:
+            return coords
+        perm = self.spec.edges[w.edge_id].perm
+        return tuple(coords[perm(i)] for i in range(len(coords)))
 
     def point_from_wall_coords(
         self, w: Wall, coords: tuple[float, ...], child_side: bool
@@ -204,13 +203,13 @@ class CoverComplex:
         coords = self.wall_coords(p, w)
         return self.point_from_wall_coords(w, coords, child_side=(p.block == w.parent))
 
-    def normalize(self, p: CoverPoint, tol: float = 1e-9) -> CoverPoint:
+    def normalize(self, p: CoverPoint) -> CoverPoint:
         """Wall points resolve to the lower-rank block."""
-        p = CoverPoint(p.block, hx.normalize_point(p.base, tol), p.fiber)
+        p = CoverPoint(p.block, hx.normalize_point(p.base), p.fiber)
         if not p.block:
             return p
         try:
-            bc = hx.boundary_param(p.base, tol)
+            bc = hx.boundary_param(p.base)
         except hx.NotOnBoundaryError:
             return p
         if bc.component != self.model.components[0]:
@@ -333,6 +332,35 @@ def explore(
     wall_comp_depth: Optional[int] = None,
 ) -> CoverComplex:
     return CoverComplex(spec, t0_depth, hex_depth, fiber_range, wall_comp_depth)
+
+
+def read_summary(spec: GraphManifoldSpec, path: str) -> CoverComplex:
+    """Rebuild the complex whose summary() was dumped as JSON to `path`,
+    from its depths, fiber range and wall component depth."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CoverError("complex dump is not a JSON object")
+    if doc.get("spec_digest") != spec.digest():
+        raise CoverError("complex dump was built from a different spec")
+
+    def field(key: str, kind: type):
+        """A JSON number: int() would read 1.9 as 1, float() "nan" as NaN."""
+        if key not in doc:
+            raise CoverError(f"complex dump has no {key} field")
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise CoverError(f"complex dump has a malformed {key} field")
+        return kind(value)
+
+    wall_comp_depth = doc.get("wall_comp_depth")  # absent or null: every component
+    return explore(
+        spec,
+        field("t0_depth", int),
+        field("hex_depth", int),
+        fiber_range=field("fiber_range", float),
+        wall_comp_depth=None if wall_comp_depth is None else field("wall_comp_depth", int),
+    )
 
 
 def make_stream(seed: int, index: int) -> np.random.Generator:

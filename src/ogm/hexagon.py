@@ -44,6 +44,9 @@ HALF_EDGE_EMBEDDED = R_IN / S        # embedded tree half-edge length, unit-side
 
 MARKED_SIDES = (0, 2, 4)             # hexagon side index of marked letter i is 2*i
 UNMARKED_SIDES = (1, 3, 5)
+# A point lies on a side when its Minkowski product with the side's unit
+# normal is at most this in absolute value (normalize_point, boundary_param).
+ON_SIDE_TOL = 1e-9
 
 # Crossing the corner at the low-parameter end of unmarked side u continues the
 # boundary line over marked letter LETTERS[u][0]; the far corner over LETTERS[u][1].
@@ -129,28 +132,6 @@ REFLECTIONS: tuple[Mat, Mat, Mat] = tuple(
 )  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
-class HexagonGeometry:
-    side_unit_curvature: float
-    kappa: float
-    rho: float
-    delta: float
-    vertices: tuple[Vec, ...]
-    marked_sides: tuple[int, int, int]
-
-
-def hexagon_constants() -> HexagonGeometry:
-    """Derived constants of the tiling hexagon (unit-side metric)."""
-    return HexagonGeometry(
-        side_unit_curvature=S,
-        kappa=KAPPA,
-        rho=RHO,
-        delta=DELTA,
-        vertices=VERTICES,
-        marked_sides=MARKED_SIDES,
-    )
-
-
 # ---------------------------------------------------------------------------
 # hexagon addresses
 
@@ -227,10 +208,10 @@ def h0_distance(p: H0Point, q: H0Point) -> float:
     return dist_chart(p.root_chart(), q.root_chart()) / S
 
 
-def normalize_point(p: H0Point, tol: float = 1e-9) -> H0Point:
+def normalize_point(p: H0Point) -> H0Point:
     """Canonical representative: marked-side points use the shorter address."""
     for letter in (0, 1, 2):
-        if abs(mdot(p.local, SIDE_NORMALS[2 * letter])) <= tol:
+        if abs(mdot(p.local, SIDE_NORMALS[2 * letter])) <= ON_SIDE_TOL:
             other = extend(p.hex, letter)
             if len(other) < len(p.hex):
                 return H0Point(other, mat_vec(REFLECTIONS[letter], p.local))
@@ -499,11 +480,11 @@ def boundary_point(comp: ComponentId, t: float, depth: int) -> H0Point:
     return H0Point(addr, boundary_point_local(comp.side, tau))
 
 
-def boundary_param(p: H0Point, tol: float = 1e-9) -> BoundaryCoordinate:
+def boundary_param(p: H0Point) -> BoundaryCoordinate:
     """Inverse of boundary_point; raises NotOnBoundaryError off the grid."""
     side = None
     for u in UNMARKED_SIDES:
-        if abs(mdot(p.local, SIDE_NORMALS[u])) <= tol:
+        if abs(mdot(p.local, SIDE_NORMALS[u])) <= ON_SIDE_TOL:
             side = u
             break
     if side is None:

@@ -82,18 +82,9 @@ class GraphManifoldSpec:
     @staticmethod
     def from_dict(doc: dict) -> "GraphManifoldSpec":
         try:
-            n = int(doc["n"])
+            n = _json_int(doc["n"], "field n")
             vertices = [str(v) for v in doc["vertices"]]
-            edges = [
-                OrientedEdge(
-                    id=str(e["id"]),
-                    frm=str(e["from"]),
-                    to=str(e["to"]),
-                    reverse=str(e["reverse"]),
-                    perm=Permutation(tuple(int(i) for i in e["perm"])),
-                )
-                for e in doc["edges"]
-            ]
+            edges = [_edge_from_dict(e) for e in doc["edges"]]
         except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed spec document: {exc}") from exc
         return GraphManifoldSpec(n, vertices, edges)
@@ -122,6 +113,24 @@ class GraphManifoldSpec:
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer: int() would read 3.7 as 3 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{what} is not a JSON integer: {value!r}")
+    return value
+
+
+def _edge_from_dict(e: dict) -> OrientedEdge:
+    eid = str(e["id"])
+    return OrientedEdge(
+        id=eid,
+        frm=str(e["from"]),
+        to=str(e["to"]),
+        reverse=str(e["reverse"]),
+        perm=Permutation(tuple(_json_int(i, f"edge {eid}: perm entry") for i in e["perm"])),
+    )
 
 
 def validate(spec: GraphManifoldSpec) -> list[str]:

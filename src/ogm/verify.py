@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ class RunConfig:
     tol: float = 1e-6
     fiber_range: float = 3.0
     wall_comp_depth: Optional[int] = 0
-    workers: int = 0  # 0 = available parallelism
+    workers: int = 0  # 0 = the CPUs this process may run on
 
     def __post_init__(self):
         if self.t0_depth < 1 or self.hex_depth < 1:
@@ -63,15 +63,8 @@ class RunConfig:
         return 10.0 * self.tol
 
     def to_dict(self) -> dict:
-        return {
-            "t0_depth": self.t0_depth,
-            "hex_depth": self.hex_depth,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "fiber_range": self.fiber_range,
-            "wall_comp_depth": self.wall_comp_depth,
-        }
+        """Every field but workers, which does not change a report."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
 
 
 @dataclass
@@ -146,12 +139,6 @@ class VerificationReport:
 _STATE: dict = {}
 
 
-def _set_state(cplx: CoverComplex, ts: tr.TreeSystem, cfg: RunConfig) -> None:
-    _STATE["cplx"] = cplx
-    _STATE["ts"] = ts
-    _STATE["cfg"] = cfg
-
-
 def _pair_record(index: int) -> dict:
     cplx: CoverComplex = _STATE["cplx"]
     ts: tr.TreeSystem = _STATE["ts"]
@@ -191,9 +178,12 @@ def _pair_record(index: int) -> dict:
 def _collect_records(
     cplx: CoverComplex, ts: tr.TreeSystem, cfg: RunConfig
 ) -> list[dict]:
-    _set_state(cplx, ts, cfg)
+    _STATE.update(cplx=cplx, ts=ts, cfg=cfg)  # read by _pair_record, also in forked workers
     indices = range(cfg.samples)
-    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+    workers = cfg.workers or (  # 0: the CPUs this process may run on
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    )
+    workers = min(workers, cfg.samples)  # a pool no larger than the work
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
 
@@ -205,13 +195,9 @@ def _collect_records(
     return records
 
 
-def _prepare(spec: GraphManifoldSpec, cfg: RunConfig):
-    bad = validate(spec)
-    if bad:
-        raise CoverError("invalid spec: " + "; ".join(bad))
-    irr = check_irreducible(spec, cfg.t0_depth)
-    if not irr.irreducible:
-        raise CoverError(f"spec rejected (not irreducible): {irr.reason}")
+def _build(spec: GraphManifoldSpec, cfg: RunConfig):
+    """The explored complex and its tree system, for a spec that is valid
+    and irreducible."""
     cplx = explore(
         spec,
         cfg.t0_depth,
@@ -225,6 +211,16 @@ def _prepare(spec: GraphManifoldSpec, cfg: RunConfig):
             f"explored complex has {len(ts.class_labels)} classes, expected {spec.n - 1}"
         )
     return cplx, ts
+
+
+def _prepare(spec: GraphManifoldSpec, cfg: RunConfig):
+    bad = validate(spec)
+    if bad:
+        raise CoverError("invalid spec: " + "; ".join(bad))
+    irr = check_irreducible(spec, cfg.t0_depth)
+    if not irr.irreducible:
+        raise CoverError(f"spec rejected (not irreducible): {irr.reason}")
+    return _build(spec, cfg)
 
 
 def measure_retraction_lipschitz(
@@ -256,13 +252,12 @@ def measure_retraction_lipschitz(
 
 
 def base_constants(n: int) -> dict:
-    g = hx.hexagon_constants()
     return {
-        "s": g.side_unit_curvature,
-        "kappa": g.kappa,
-        "rho": g.rho,
-        "delta": g.delta,
-        "C": constant_c(n, g.delta),
+        "s": hx.S,
+        "kappa": hx.KAPPA,
+        "rho": hx.RHO,
+        "delta": hx.DELTA,
+        "C": constant_c(n, hx.DELTA),
         "half_edge_embedded": hx.HALF_EDGE_EMBEDDED,
     }
 
@@ -275,10 +270,7 @@ def _report(kind, spec, cfg, records, names, counts, checks) -> VerificationRepo
     """The skeleton of every verify_* report: one InequalityStat per name,
     records that fail `counts` counted as TRUNCATED, and every
     (name, margin, witness) that `checks(rec)` yields folded into its stat
-    (a name outside `names` raises KeyError).  Records are collected when
-    none are given."""
-    if records is None:
-        records = collect_records(spec, cfg)
+    (a name outside `names` raises KeyError)."""
     rep = VerificationReport(kind, spec.digest(), spec.n, cfg, base_constants(spec.n))
     rep.inequalities = {name: InequalityStat() for name in names}
     for rec in records:
@@ -292,7 +284,7 @@ def _report(kind, spec, cfg, records, names, counts, checks) -> VerificationRepo
 
 
 def verify_qi(
-    spec: GraphManifoldSpec, cfg: RunConfig, records: Optional[list[dict]] = None
+    spec: GraphManifoldSpec, cfg: RunConfig, records: list[dict]
 ) -> VerificationReport:
     """The sandwich d/C - 1 - eps <= e <= C d + 1 + eps plus the explicit
     upper Lipschitz sub-check, over non-truncated sampled pairs."""
@@ -311,7 +303,7 @@ def verify_qi(
 
 
 def verify_lipschitz(
-    spec: GraphManifoldSpec, cfg: RunConfig, records: Optional[list[dict]] = None
+    spec: GraphManifoldSpec, cfg: RunConfig, records: list[dict]
 ) -> VerificationReport:
     """Per-class 2*delta bounds, the phi0 +1 bound, and the retraction
     constant sampled on hx.HexModel(cfg.hex_depth), which must stay below
@@ -345,7 +337,7 @@ def verify_lipschitz(
 
 
 def verify_curves(
-    spec: GraphManifoldSpec, cfg: RunConfig, records: Optional[list[dict]] = None
+    spec: GraphManifoldSpec, cfg: RunConfig, records: list[dict]
 ) -> VerificationReport:
     """Witness-curve bound: length within [d - tol, (2*delta+1) e + 2*delta + eps]
     and every inductive hop within delta."""
@@ -369,6 +361,14 @@ def covering_report(
     """Tree coverings on the embedded factors, their product, and the
     pullback check with QI-transferred constants."""
     cplx, ts = _prepare(spec, cfg)
+    return _covering(cplx, ts, cfg, scale, binding_pairs)
+
+
+def _covering(
+    cplx: CoverComplex, ts: tr.TreeSystem, cfg: RunConfig, scale: float, binding_pairs: int
+) -> dict:
+    """The covering report on a prepared complex and its tree system."""
+    spec = cplx.spec
     pts = [cplx.sample_point(make_stream(cfg.seed, i)) for i in range(cfg.samples)]
     phis = [ts.phi(p) for p in pts]
     n = len(pts)
@@ -442,3 +442,34 @@ def collect_records(spec: GraphManifoldSpec, cfg: RunConfig) -> list[dict]:
     """Shared sample evaluation for the verify_* reports."""
     cplx, ts = _prepare(spec, cfg)
     return _collect_records(cplx, ts, cfg)
+
+
+def report(spec: GraphManifoldSpec, cfg: RunConfig, binding_pairs: int) -> dict:
+    """The full certificate: the lipschitz, qi and curves reports on one set
+    of records and the covering report at scale 8, all on one explored
+    complex.  A spec that fails validate or the irreducibility check gets a
+    FAIL document and nothing is explored."""
+    violations = validate(spec)
+    if violations:
+        return {"verdict": "FAIL", "violations": violations}
+    irr = check_irreducible(spec, cfg.t0_depth)
+    doc: dict = {
+        "spec_digest": spec.digest(),
+        "n": spec.n,
+        "config": cfg.to_dict(),
+        "constants": base_constants(spec.n),
+        "irreducible": irr.irreducible,
+        "irreducibility_reason": irr.reason,
+    }
+    if not irr.irreducible:
+        doc["verdict"] = "FAIL"
+        return doc
+    cplx, ts = _build(spec, cfg)
+    records = _collect_records(cplx, ts, cfg)
+    for kind, verify in (("lipschitz", verify_lipschitz), ("qi", verify_qi),
+                         ("curves", verify_curves)):
+        doc[kind] = verify(spec, cfg, records).to_dict()
+    doc["covering"] = _covering(cplx, ts, cfg, 8.0, binding_pairs)
+    passed = all(doc[k]["verdict"] == "PASS" for k in ("lipschitz", "qi", "curves", "covering"))
+    doc["verdict"] = "PASS" if passed else "FAIL"
+    return doc

@@ -54,18 +54,17 @@ def report(num, title, detail):
 
 def test_criterion_01_hexagon_algebra():
     t0 = time.time()
-    g = hx.hexagon_constants()
-    assert abs(math.cosh(g.side_unit_curvature) - 2.0) < 1e-12
+    assert abs(math.cosh(hx.S) - 2.0) < 1e-12
     worst_angle = 0.0
     for k in range(6):
-        v = g.vertices[k]
+        v = hx.VERTICES[k]
 
         def tangent(y, x=v):
             d = hx.dist_chart(x, y)
             return tuple((y[i] + hx.mdot(x, y) * x[i]) / math.sinh(d) for i in range(3))
 
-        t1 = tangent(g.vertices[(k - 1) % 6])
-        t2 = tangent(g.vertices[(k + 1) % 6])
+        t1 = tangent(hx.VERTICES[(k - 1) % 6])
+        t2 = tangent(hx.VERTICES[(k + 1) % 6])
         ang = math.acos(max(-1.0, min(1.0, hx.mdot(t1, t2))))
         worst_angle = max(worst_angle, abs(ang - math.pi / 2))
     assert worst_angle < 1e-9
@@ -129,18 +128,17 @@ def test_criterion_02_solver_vs_oracle():
 def test_criterion_03_retraction_constant():
     model = hx.HexModel(4)
     lip = vf.measure_retraction_lipschitz(model, pairs=100_000, seed=5)
-    g = hx.hexagon_constants()
-    assert lip <= 2 * g.delta
+    assert lip <= 2 * hx.DELTA
     assert lip <= hx.EDGE + 1e-9  # the exact constant 2*rho
-    if hx.HALF_EDGE_EMBEDDED <= g.rho:
-        half_edge_note = f"half-edge {hx.HALF_EDGE_EMBEDDED:.4f} <= rho {g.rho:.4f}"
+    if hx.HALF_EDGE_EMBEDDED <= hx.RHO:
+        half_edge_note = f"half-edge {hx.HALF_EDGE_EMBEDDED:.4f} <= rho {hx.RHO:.4f}"
     else:  # pragma: no cover - geometry says this cannot happen
-        half_edge_note = f"WARN half-edge ratio {hx.HALF_EDGE_EMBEDDED / g.rho:.4f}"
+        half_edge_note = f"WARN half-edge ratio {hx.HALF_EDGE_EMBEDDED / hx.RHO:.4f}"
         print(f"ACCEPTANCE 3 WARNING: {half_edge_note}")
     report(
         3,
         "retraction constant",
-        f"sampled {lip:.12f} <= 2*rho {hx.EDGE:.12f} <= 2*delta {2 * g.delta:.6f}; {half_edge_note}",
+        f"sampled {lip:.12f} <= 2*rho {hx.EDGE:.12f} <= 2*delta {2 * hx.DELTA:.6f}; {half_edge_note}",
     )
 
 
@@ -154,13 +152,12 @@ def test_criterion_04_class_structure():
     assert not rep.irreducible
     assert "not reached" in rep.reason
     with pytest.raises(cover.CoverError) as err:
-        vf.verify_qi(red, acceptance_cfg(samples=2))
+        vf.collect_records(red, acceptance_cfg(samples=2))
     assert "irreducible" in str(err.value)
     report(4, "class structure", "n-1 classes at depth 3 for n=3,4,5; reducible spec rejected")
 
 
 def test_criterion_05_lipschitz_suite(records_by_spec):
-    g = hx.hexagon_constants()
     for name in SPECS:
         spec, cfg, records, record_time = records_by_spec[name]
         t0 = time.time()
@@ -198,7 +195,6 @@ def test_criterion_06_qi_sandwich(records_by_spec):
 
 
 def test_criterion_07_special_curves(records_by_spec):
-    g = hx.hexagon_constants()
     for name in SPECS:
         spec, cfg, records, _ = records_by_spec[name]
         usable = [
@@ -212,8 +208,8 @@ def test_criterion_07_special_curves(records_by_spec):
             checked += 1
             L, d, e = r["curve_length"], r["d"], r["e"]
             assert d - 10 * cfg.tol <= L, (name, r["index"])
-            assert L <= (2 * g.delta + 1) * e + 2 * g.delta + EPS, (name, r["index"])
-            assert r["curve_hop_max"] <= g.delta + 1e-9, (name, r["index"])
+            assert L <= (2 * hx.DELTA + 1) * e + 2 * hx.DELTA + EPS, (name, r["index"])
+            assert r["curve_hop_max"] <= hx.DELTA + 1e-9, (name, r["index"])
         report(7, f"special curves {name}", f"{checked} pairs within bounds, hops <= delta")
 
 
@@ -324,8 +320,10 @@ def test_criterion_10_determinism():
         t0_depth=2, hex_depth=3, samples=24, seed=13, tol=1e-6,
         fiber_range=2.0, wall_comp_depth=0, workers=2,
     )
-    a, b, c = (json.dumps(vf.verify_qi(spec, cfg).to_dict(), sort_keys=True)
-               for cfg in (cfg1, cfg1, cfg2))
+    a, b, c = (
+        json.dumps(vf.verify_qi(spec, cfg, vf.collect_records(spec, cfg)).to_dict(), sort_keys=True)
+        for cfg in (cfg1, cfg1, cfg2)
+    )
     assert a == b == c
     doc = json.loads(a)
     assert doc["config"]["seed"] == 13

@@ -7,6 +7,7 @@ from conftest import shipped, shipped_doc
 from ogm import cli, cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
+from ogm import trees as tr
 from ogm import verify as vf
 from ogm.cli import main
 
@@ -75,6 +76,21 @@ def test_validate_bad(bad_spec_file, capsys):
     assert main(["validate", bad_spec_file]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert any("fixed base coordinate" in strict_json(ln)["violation"] for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "n, shown", [(3.7, "3.7"), ("3", "'3'"), (True, "True")], ids=["float", "str", "bool"]
+)
+def test_validate_non_integer_n_exits_1(tmp_path, capsys, n, shown):
+    # n = 3.7 loaded as n = 3 and validated
+    doc = shipped_doc("flip_n3")
+    doc["n"] = n
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: field n is not a JSON integer: {shown}\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -376,21 +392,56 @@ def test_explore_rejects_bad_fiber_range(spec_file, capsys, fiber_range):
     assert out.err.startswith("error:") and "fiber_range" in out.err
 
 
-def test_report_explores_twice(spec_file, tmp_path, monkeypatch):
-    # once for the records, which the three verify reports share, and once
-    # for the covering report
-    calls = []
-    explore = vf.explore
+def test_report_prepares_once(spec_file, tmp_path, monkeypatch):
+    # one validate, irreducibility check, explore and tree system serve the
+    # records, which the three verify reports share, and the covering report
+    calls = {}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return explore(*args, **kwargs)
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
 
-    monkeypatch.setattr(vf, "explore", counted)
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for attr in ("validate", "check_irreducible", "explore"):
+        counted(vf, attr)
+    counted(tr.TreeSystem, "__init__")
     argv = ["report", "--spec", spec_file, *run_args("--samples", "6"),
             "--binding-pairs", "2", "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
-    assert len(calls) == 2
+    assert calls == {"validate": 1, "check_irreducible": 1, "explore": 1, "__init__": 1}
+
+
+def test_report_fail_documents(tmp_path, bad_spec_file, monkeypatch, capsys):
+    def no_explore(*args, **kwargs):
+        pytest.fail("a rejected spec was explored")
+
+    monkeypatch.setattr(vf, "explore", no_explore)
+    assert main(["report", "--spec", bad_spec_file, *run_args()]) == 1
+    assert strict_json(capsys.readouterr().out) == {
+        "verdict": "FAIL",
+        "violations": [
+            "edge w1: fixed base coordinate (perm(0) = 0)",
+            "edge w2: fixed base coordinate (perm(0) = 0)",
+        ],
+    }
+    path = tmp_path / "red.json"
+    path.write_text(json.dumps(shipped_doc("reducible_n4")))
+    spec = shipped("reducible_n4")
+    assert main(["report", "--spec", str(path), *run_args()]) == 1
+    assert strict_json(capsys.readouterr().out) == {
+        "verdict": "FAIL",
+        "spec_digest": spec.digest(),
+        "n": 4,
+        "config": {"t0_depth": 2, "hex_depth": 3, "samples": 20, "seed": 7, "tol": 1e-6,
+                   "fiber_range": 2.0, "wall_comp_depth": 0},
+        "constants": vf.base_constants(4),
+        "irreducible": False,
+        "irreducibility_reason": "coordinates [2] not reached within depth 2 (inconclusive)",
+    }
 
 
 @pytest.mark.parametrize(

@@ -82,12 +82,11 @@ def test_segments_connected_and_single_block(cx, ts):
 
 
 def test_hops_within_delta(cx, ts):
-    g = hx.hexagon_constants()
     for x, y, path in usable_pairs(cx, ts, 300, 40):
         for s in path.segments:
             if s.role == "hop":
                 d = geo.block_distance(cx, s.points[0], s.points[1])
-                assert d <= g.delta + 1e-9
+                assert d <= hx.DELTA + 1e-9
 
 
 def test_step_decrease(cx, ts):
@@ -109,12 +108,11 @@ def test_witness_dominates_distance(cx, ts):
 
 
 def test_length_bound(cx, ts):
-    g = hx.hexagon_constants()
     eps = 10 * 1e-6
     for x, y, path in usable_pairs(cx, ts, 600, 60):
         L = cv.curve_length(cx, path)
         e = ts.product_distance(ts.phi(x), ts.phi(y))
-        assert L <= (2 * g.delta + 1) * e + 2 * g.delta + eps
+        assert L <= (2 * hx.DELTA + 1) * e + 2 * hx.DELTA + eps
 
 
 def test_curve_length_additive(cx, ts):

@@ -14,47 +14,42 @@ def tangent_toward(x, y):
 
 
 def test_side_length_pins_cosh_two():
-    g = hx.hexagon_constants()
     # independent oracle: u = cosh(s) solves u^2 - u - 2 = 0, positive root 2
-    u = math.cosh(g.side_unit_curvature)
+    u = math.cosh(hx.S)
     assert abs(u - 2.0) < 1e-12
-    assert abs(g.side_unit_curvature - math.log(2.0 + math.sqrt(3.0))) < 1e-12
-    assert g.kappa == g.side_unit_curvature ** 2
+    assert abs(hx.S - math.log(2.0 + math.sqrt(3.0))) < 1e-12
+    assert hx.KAPPA == hx.S ** 2
 
 
 def test_vertices_realize_unit_sides():
-    g = hx.hexagon_constants()
     for j in range(6):
-        d = hx.dist_chart(g.vertices[(j - 1) % 6], g.vertices[j]) / g.side_unit_curvature
+        d = hx.dist_chart(hx.VERTICES[(j - 1) % 6], hx.VERTICES[j]) / hx.S
         assert abs(d - 1.0) < 1e-12
 
 
 def test_rho_against_saccheri_identity():
-    g = hx.hexagon_constants()
     # Saccheri quadrilateral with legs s/2, base s: summit = distance between
     # the midpoints of the two sides flanking the base
-    s = g.side_unit_curvature
+    s = hx.S
     summit = math.cosh(s / 2) ** 2 * math.cosh(s) - math.sinh(s / 2) ** 2
     assert abs(summit - 2.5) < 1e-12
-    assert abs(math.cosh(g.rho * s) - summit) < 1e-12
+    assert abs(math.cosh(hx.RHO * s) - summit) < 1e-12
     # and against the explicit chart midpoints of marked sides 0 and 2
     d = hx.dist_chart(hx.MIDPOINTS[0], hx.MIDPOINTS[2]) / s
-    assert abs(d - g.rho) < 1e-12
+    assert abs(d - hx.RHO) < 1e-12
 
 
 def test_delta_is_max_vertex_distance():
-    g = hx.hexagon_constants()
-    dm = max(hx.dist_chart(a, b) for a in g.vertices for b in g.vertices)
-    assert abs(dm / g.side_unit_curvature - g.delta) < 1e-12
-    assert g.delta >= g.rho > 0.0
+    dm = max(hx.dist_chart(a, b) for a in hx.VERTICES for b in hx.VERTICES)
+    assert abs(dm / hx.S - hx.DELTA) < 1e-12
+    assert hx.DELTA >= hx.RHO > 0.0
 
 
 def test_all_angles_right():
-    g = hx.hexagon_constants()
     for k in range(6):
-        v = g.vertices[k]
-        t1 = tangent_toward(v, g.vertices[(k - 1) % 6])
-        t2 = tangent_toward(v, g.vertices[(k + 1) % 6])
+        v = hx.VERTICES[k]
+        t1 = tangent_toward(v, hx.VERTICES[(k - 1) % 6])
+        t2 = tangent_toward(v, hx.VERTICES[(k + 1) % 6])
         ang = math.acos(max(-1.0, min(1.0, hx.mdot(t1, t2))))
         assert abs(ang - math.pi / 2) < 1e-9
 

@@ -224,3 +224,33 @@ def test_digest_stable():
     a = shipped("flip_n3").digest()
     b = GraphManifoldSpec.from_dict(shipped_doc("flip_n3")).digest()
     assert a == b and len(a) == 64
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # int() loaded n = 3.7 as 3, and "x" raised a ValueError naming no field
+        ("n", 3.7, "field n is not a JSON integer: 3.7"),
+        ("n", "x", "field n is not a JSON integer: 'x'"),
+        ("n", True, "field n is not a JSON integer: True"),
+        ("n", None, "field n is not a JSON integer: None"),
+        # int() loaded both as (1, 0)
+        ("perm", [1.9, 0.2], "edge w1: perm entry is not a JSON integer: 1.9"),
+        ("perm", [True, False], "edge w1: perm entry is not a JSON integer: True"),
+        ("perm", [1, "0"], "edge w1: perm entry is not a JSON integer: '0'"),
+        ("perm", "10", "edge w1: perm entry is not a JSON integer: '1'"),
+    ],
+    ids=["n-float", "n-str", "n-bool", "n-null", "perm-float", "perm-bool", "perm-str-entry",
+         "perm-str"],
+)
+def test_from_dict_reads_only_json_integers(field, value, message):
+    doc = shipped_doc("flip_n3")
+    if field == "n":
+        doc["n"] = value
+    else:
+        assert doc["edges"][0]["id"] == "w1"
+        doc["edges"][0]["perm"] = value
+    with pytest.raises(SpecError) as err:
+        GraphManifoldSpec.from_dict(doc)
+    assert str(err.value) == message
+

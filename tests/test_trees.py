@@ -208,8 +208,7 @@ def test_phi_product_zero_and_fiber_shift(cx, ts):
 
 
 def test_product_upper_bound_sampled(cx, ts):
-    g = hx.hexagon_constants()
-    bound = 2 * g.delta * (cx.spec.n - 1) + 1
+    bound = 2 * hx.DELTA * (cx.spec.n - 1) + 1
     eps = 10 * 1e-6
     for i in range(40):
         x, y = sample(cx, 600 + 2 * i), sample(cx, 601 + 2 * i)
@@ -221,7 +220,6 @@ def test_product_upper_bound_sampled(cx, ts):
 
 
 def test_phi_c_lipschitz_sampled(cx, ts):
-    g = hx.hexagon_constants()
     eps = 10 * 1e-6
     for i in range(40):
         x, y = sample(cx, 700 + 2 * i), sample(cx, 701 + 2 * i)
@@ -230,7 +228,7 @@ def test_phi_c_lipschitz_sampled(cx, ts):
             continue
         for lab in ts.class_labels:
             dtc = ts.tc_distance(lab, ts.phi_c(lab, x), ts.phi_c(lab, y))
-            assert dtc <= 2 * g.delta * res.distance + eps
+            assert dtc <= 2 * hx.DELTA * res.distance + eps
 
 
 def test_unexplored_owner_rejected(ts):

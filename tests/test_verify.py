@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -27,10 +28,9 @@ def small_cfg(samples=40, seed=7, workers=1):
 
 
 def test_constant_c():
-    g = hx.hexagon_constants()
-    assert vf.constant_c(3, g.delta) == 4 * g.delta + 1
+    assert vf.constant_c(3, hx.DELTA) == 4 * hx.DELTA + 1
     # hypothetical degenerate branches
-    assert vf.constant_c(2, g.delta) == 2 * g.delta + 1
+    assert vf.constant_c(2, hx.DELTA) == 2 * hx.DELTA + 1
     assert vf.constant_c(3, 0.0) == 1.0
 
 
@@ -102,10 +102,9 @@ def test_lipschitz_report():
     rep = vf.verify_lipschitz(spec, cfg, records)
     assert rep.verdict == "PASS"
     assert rep.retraction_lipschitz is not None
-    g = hx.hexagon_constants()
-    assert rep.retraction_lipschitz <= 2 * g.delta
+    assert rep.retraction_lipschitz <= 2 * hx.DELTA
     # the exact constant 2*rho bounds the sample, which comes close to it
-    assert rep.retraction_lipschitz_exact == hx.EDGE == 2 * g.rho
+    assert rep.retraction_lipschitz_exact == hx.EDGE == 2 * hx.RHO
     assert rep.retraction_lipschitz <= hx.EDGE + 1e-9
     assert rep.retraction_lipschitz >= hx.EDGE - 1e-4
     assert rep.inequalities["retraction_2rho"].violations == 0
@@ -122,25 +121,77 @@ def test_curves_report():
     assert rep.verdict == "PASS"
 
 
+def qi_json(spec, cfg) -> str:
+    records = vf.collect_records(spec, cfg)
+    return json.dumps(vf.verify_qi(spec, cfg, records).to_dict(), sort_keys=True)
+
+
 def test_report_replay_bit_for_bit():
     spec = shipped("flip_n3")
     cfg = small_cfg(samples=20)
-    a = json.dumps(vf.verify_qi(spec, cfg).to_dict(), sort_keys=True)
-    b = json.dumps(vf.verify_qi(spec, cfg).to_dict(), sort_keys=True)
-    assert a == b
+    assert qi_json(spec, cfg) == qi_json(spec, cfg)
 
 
 def test_worker_count_independent():
     spec = shipped("flip_n3")
-    one = json.dumps(vf.verify_qi(spec, small_cfg(samples=24, workers=1)).to_dict(), sort_keys=True)
-    two = json.dumps(vf.verify_qi(spec, small_cfg(samples=24, workers=2)).to_dict(), sort_keys=True)
+    one = qi_json(spec, small_cfg(samples=24, workers=1))
+    two = qi_json(spec, small_cfg(samples=24, workers=2))
     assert one == two
+
+
+class RecordingContext:
+    """Stands in for the fork context: records each pool size asked for and
+    maps serially, so no process starts."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(i) for i in items]
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, sizes",
+    [
+        (64, 8, [4]),  # forked 64 processes for 4 pairs
+        (3, 8, [3]),
+        (1, 8, []),
+        (0, 64, [4]),
+        (0, 3, [3]),  # the CPUs this process may run on, not os.cpu_count()
+        (0, 1, []),
+        (0, None, [4]),  # no sched_getaffinity: os.cpu_count()
+    ],
+)
+def test_pool_size_capped_by_samples(monkeypatch, workers, cpus, sizes):
+    import multiprocessing
+
+    ctx = RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    spec = shipped("flip_n3")
+    records = vf.collect_records(spec, small_cfg(samples=4, workers=workers))
+    assert ctx.sizes == sizes
+    assert records == vf.collect_records(spec, small_cfg(samples=4, workers=1))
 
 
 def test_reducible_rejected():
     spec = shipped("reducible_n4")
     with pytest.raises(CoverError) as err:
-        vf.verify_qi(spec, small_cfg())
+        vf.collect_records(spec, small_cfg())
     assert "irreducible" in str(err.value)
 
 
@@ -149,7 +200,7 @@ def test_invalid_spec_rejected():
     doc["edges"][0]["perm"] = [0, 1]
     doc["edges"][1]["perm"] = [0, 1]
     with pytest.raises(CoverError):
-        vf.verify_qi(GraphManifoldSpec.from_dict(doc), small_cfg())
+        vf.collect_records(GraphManifoldSpec.from_dict(doc), small_cfg())
 
 
 def test_truncated_never_counts():
@@ -184,7 +235,7 @@ def test_csv_dump(tmp_path):
 def test_report_json_schema():
     spec = shipped("cycle_n4")
     cfg = small_cfg(samples=15)
-    rep = vf.verify_qi(spec, cfg)
+    rep = vf.verify_qi(spec, cfg, vf.collect_records(spec, cfg))
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["kind"] == "qi"
     assert doc["n"] == 4
