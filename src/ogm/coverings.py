@@ -4,9 +4,10 @@ Tree covering: slice by distance-to-root annuli of width R; within an
 annulus, merge points whose rootward meet is above kR - R/2 (the Gromov
 product computes the meet level from distances alone); color by annulus
 parity.  Two colors suffice, same-color pieces are R-separated, and pieces
-are 3R-bounded.  Products take piece tuples with tuple colors (2^m colors,
-the tight coloring is out of scope), and pullbacks transfer the constants
-through the verified quasi-isometry.
+are 3R-bounded; pieces are numbered by least member.  Products take piece
+tuples with tuple colors (2^m colors, the tight coloring is out of scope),
+and pullbacks transfer the constants through the verified quasi-isometry,
+solving only the binding pairs.
 """
 
 from __future__ import annotations
@@ -25,24 +26,6 @@ class ColoredCovering:
     assignment: list[int]  # piece id per sample point
     piece_color: list[int]
     bound: float  # claimed diameter bound
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        """Join the sets of i and j; True when they were apart."""
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-        return ri != rj
 
 
 def meet_level(fi, fj, dij):
@@ -73,24 +56,23 @@ def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> Colo
     merge = (annulus[:, None] == annulus[None, :]) & (
         meet >= (annulus * scale - scale / 2.0)[:, None]
     )
-    # pieces never cross annuli: once every annulus is one piece, stop
-    uf = _UnionFind(n)
-    unions_left = n - len(set(annulus.tolist()))  # np.unique would import numpy.ma
-    for i, j in zip(*np.nonzero(np.triu(merge, 1))):
-        if unions_left == 0:
+    # pieces are the components of the merge mask (within one annulus): a
+    # point and the point its label names take the least label among its
+    # merging points, labels jump until fixed, and the least member remains
+    lab = np.arange(n)
+    while True:
+        low = np.min(np.broadcast_to(lab, (n, n)), axis=1, where=merge, initial=n)
+        nxt = np.minimum(lab, low)
+        np.minimum.at(nxt, lab, low)
+        while (nxt[nxt] != nxt).any():
+            nxt = nxt[nxt]
+        if (nxt == lab).all():
             break
-        unions_left -= uf.union(int(i), int(j))
-    roots: dict[tuple[int, int], int] = {}
-    assignment = [0] * n
-    piece_color: list[int] = []
-    for i in range(n):
-        key = (annulus[i], uf.find(i))
-        pid = roots.get(key)
-        if pid is None:
-            pid = len(piece_color)
-            roots[key] = pid
-            piece_color.append(int(annulus[i]) % 2)
-        assignment[i] = pid
+        lab = nxt
+    # numbered by least member: the order of first occurrence
+    root = lab == np.arange(n)
+    assignment = (np.cumsum(root) - 1)[lab].tolist()
+    piece_color = (annulus[root] % 2).tolist()
     return ColoredCovering(scale, 2, assignment, piece_color, 3.0 * scale)
 
 
@@ -178,7 +160,13 @@ def pullback_check(
     same_piece, same_color = _pair_masks(cov)
 
     def binding(mask: np.ndarray, descending: bool) -> list[tuple[int, int]]:
-        # order of the (d, i, j) tuples, fully reversed when descending
+        # order of the (d, i, j) tuples, fully reversed when descending, of
+        # the pairs up to and tied with the binding_pairs-th distance only
+        d = embedded_dmat[mask]
+        if len(d) > binding_pairs:
+            k = len(d) - binding_pairs if descending else binding_pairs - 1
+            d.partition(k)
+            mask = mask & (embedded_dmat >= d[k] if descending else embedded_dmat <= d[k])
         i, j = np.nonzero(mask)
         order = np.lexsort((j, i, embedded_dmat[i, j]))
         if descending:

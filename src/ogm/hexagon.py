@@ -27,7 +27,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 Vec = tuple[float, float, float]
 Mat = tuple[Vec, Vec, Vec]
@@ -263,6 +265,21 @@ def hex_tree_edges(a: Address, b: Address) -> int:
     return len(a) + len(b) - 2 * _lcp_len(a, b)
 
 
+def prefix_edges(a: Sequence[Address], b: Sequence[Address]) -> np.ndarray:
+    """Matrix of hex_tree_edges(a[i], b[j]) on padded address arrays (a
+    padded with -1, b with -2, so padding never matches): the common prefix
+    grows while the letters at each position agree."""
+    width = max(map(len, [*a, *b]), default=0)
+    pa, pb = (np.array([x + (pad,) * (width - len(x)) for x in xs], dtype=np.int64)
+              .reshape(len(xs), width) for xs, pad in ((a, -1), (b, -2)))
+    same = np.ones((len(a), len(b)), dtype=bool)
+    lcp = np.zeros((len(a), len(b)), dtype=np.int64)
+    for k in range(width):
+        same &= pa[:, None, k] == pb[None, :, k]
+        lcp += same
+    return np.array([len(x) for x in a])[:, None] + [len(x) for x in b] - 2 * lcp
+
+
 def tbin_anchors(p: TbinPoint) -> list[tuple[Address, float]]:
     """(vertex, distance) for the vertex p is, or both ends of p's edge."""
     if p.child is None:
@@ -289,6 +306,23 @@ def tbin_distance(x: TbinPoint, y: TbinPoint) -> float:
             and x.child == y.child:
         return abs(x.offset - y.offset)
     return nearest_anchors(x, y)[0]
+
+
+def tbin_distance_matrix(points: Sequence[TbinPoint]) -> np.ndarray:
+    """Matrix of tbin_distance over points, entry for entry equal to it: the
+    least anchor sum da + db + EDGE * edges in nearest_anchors' order (a
+    vertex is both its anchors), or |offset difference| on a shared edge."""
+    ends = [tbin_anchors(p) for p in points]
+    anchors = [e[0] for e in ends] + [e[-1] for e in ends]  # slot-major: 2x2 quarters
+    dist = np.array([d for _, d in anchors])
+    edges = prefix_edges([v for v, _ in anchors], [v for v, _ in anchors])
+    n = len(points)
+    best = (dist[:, None] + dist + EDGE * edges).reshape(2, n, 2, n).min(axis=(0, 2))
+    edge_ids: dict[tuple[Address, Address], int] = {}
+    key = np.array([-1 - i if p.child is None else edge_ids.setdefault((p.parent, p.child), i)
+                    for i, p in enumerate(points)])
+    off = np.array([p.offset for p in points])
+    return np.where(key[:, None] == key, np.abs(off[:, None] - off), best)
 
 
 def tbin_path_vertices(a: Address, b: Address) -> list[Address]:

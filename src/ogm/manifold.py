@@ -82,8 +82,9 @@ class GraphManifoldSpec:
     @staticmethod
     def from_dict(doc: dict) -> "GraphManifoldSpec":
         try:
-            n = _json_int(doc["n"], "field n")
-            vertices = [str(v) for v in doc["vertices"]]
+            n = _json(doc["n"], int, "field n")
+            vertices = _json(doc["vertices"], list, "field vertices")
+            vertices = [_json(v, str, "vertex name") for v in vertices]
             edges = [_edge_from_dict(e) for e in doc["edges"]]
         except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed spec document: {exc}") from exc
@@ -115,21 +116,25 @@ class GraphManifoldSpec:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer: int() would read 3.7 as 3 and true as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{what} is not a JSON integer: {value!r}")
+_JSON_KINDS = {int: "integer", str: "string", list: "array"}
+
+
+def _json(value, kind: type, what: str):
+    """A JSON value of one kind: int() would read 3.7 as 3 and true as 1,
+    str() null as 'None', and a string would iterate as its characters."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SpecError(f"{what} is not a JSON {_JSON_KINDS[kind]}: {value!r}")
     return value
 
 
 def _edge_from_dict(e: dict) -> OrientedEdge:
-    eid = str(e["id"])
+    eid = _json(e["id"], str, "edge field id")
     return OrientedEdge(
         id=eid,
-        frm=str(e["from"]),
-        to=str(e["to"]),
-        reverse=str(e["reverse"]),
-        perm=Permutation(tuple(_json_int(i, f"edge {eid}: perm entry") for i in e["perm"])),
+        frm=_json(e["from"], str, f"edge {eid}: field from"),
+        to=_json(e["to"], str, f"edge {eid}: field to"),
+        reverse=_json(e["reverse"], str, f"edge {eid}: field reverse"),
+        perm=Permutation(tuple(_json(i, int, f"edge {eid}: perm entry") for i in e["perm"])),
     )
 
 

@@ -28,12 +28,23 @@ are in grid units, where the line gluings are the identity.  Gates and line
 relations come from exact arithmetic on hexagon addresses (a chain line is
 its minimal hexagon followed by alternating letters, see hexagon.line_gate),
 so no window of chain vertices is searched and the tree is not truncated.
+
+A route is one map (lo, hi, orient, shift, const): the gate g goes to
+orient * clip(g, lo, hi) + shift and the offset c to c + |g - clip| + const.
+A shared segment clips to itself, a bridge is lo == hi, and the identity
+clips to the whole line.  Two maps compose into one, since gate projections
+onto the lines of a tree compose: clipping to I1 and then to the preimage J
+of I2 is clipping to I1 & J, or, when that is empty, a bridge from the end
+of I1 nearest J that adds the gap to const.  The parameters are
+half-integers and compose exactly; tc_distance, line_profile and tc_matrix
+all push points through the composed map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,11 +53,6 @@ from .cover import CoverComplex, CoverError, CoverPoint, Wall
 from .manifold import Permutation, class_label, path_permutation
 
 BlockId = tuple[int, ...]
-
-
-def tree_piece_distance(a: hx.TbinPoint, b: hx.TbinPoint) -> float:
-    """Distance inside a c piece (collapsed quotient metric, grid units)."""
-    return hx.tbin_distance(a, b) / hx.EDGE
 
 
 @dataclass(frozen=True)
@@ -75,41 +81,45 @@ class ProductPoint:
 # line geometry inside one dual tree (all lengths in grid units)
 
 
-@dataclass(frozen=True)
-class LineRelation:
-    """How the exit chain line sees the entry chain line."""
+class LineRelation(NamedTuple):
+    """How the exit chain line sees the entry chain line, as one map of
+    V-profiles (see the module docstring)."""
 
-    kind: str  # "overlap" | "bridge"
-    lam_lo: float = 0.0  # entry-line grid coordinates of the shared segment
-    lam_hi: float = 0.0
-    mu_lo: float = 0.0  # exit-line coordinate matching lam_lo
-    orient: int = 1
-    lam_gate: float = 0.0  # bridge data
-    mu_gate: float = 0.0
-    bridge: float = 0.0
+    lo: float = -math.inf  # entry-line grid coordinates of the clip interval
+    hi: float = math.inf
+    orient: float = 1
+    shift: float = 0.0
+    const: float = 0.0
 
     def cross(self, g, c):
-        """Push the V-profile |s - g| + c on the entry line through the tree
-        piece onto the exit line; g and c are floats or numpy arrays."""
-        if self.kind == "bridge":
-            return self.mu_gate, c + abs(self.lam_gate - g) + self.bridge
-        clipped = np.minimum(np.maximum(g, self.lam_lo), self.lam_hi)
-        return self.mu_lo + self.orient * (clipped - self.lam_lo), c + abs(g - clipped)
+        """Push (g, c) through the map; the fields, g and c are floats or
+        numpy arrays that broadcast together."""
+        clipped = np.minimum(np.maximum(g, self.lo), self.hi)
+        return self.orient * clipped + self.shift, c + abs(g - clipped) + self.const
+
+    def then(self, nxt: "LineRelation") -> "LineRelation":
+        """This map followed by nxt, as one map (see the module docstring)."""
+        j_lo, j_hi = sorted(self.orient * (y - self.shift) for y in (nxt.lo, nxt.hi))
+        lo, hi, gap = max(self.lo, j_lo), min(self.hi, j_hi), 0.0
+        if lo > hi:
+            lo = hi = self.hi if self.hi < j_lo else self.lo
+            gap = (j_lo if lo < j_lo else j_hi) - lo
+        orient = self.orient * nxt.orient
+        shift = nxt.orient * self.shift + nxt.shift + orient * gap
+        return LineRelation(lo, hi, orient, shift, self.const + abs(gap) + nxt.const)
+
+
+IDENTITY = LineRelation()
 
 
 @dataclass(frozen=True)
 class Route:
     """The point-free part of a profile walk: the source piece's exit line,
-    the relations crossed in order, and the end line (None over a fiber)."""
+    the composed relation, and the end line (None over a fiber)."""
 
     exit: Optional[hx.ComponentId]
-    relations: tuple[LineRelation, ...]
+    relation: LineRelation
     line: Optional[hx.ComponentId]
-
-    def push(self, g, c):
-        for rel in self.relations:
-            g, c = rel.cross(g, c)
-        return g, c
 
 
 # Grid coordinates: the chain vertex at position k sits at k + 1/2.
@@ -124,9 +134,7 @@ def line_relation(comp_in: hx.ComponentId, comp_out: hx.ComponentId) -> LineRela
     k1, _ = hx.line_gate(comp_in, comp_out.min_addr)
     m1, bridge = hx.line_gate(comp_out, hx.chain_address(comp_in, k1))
     if bridge:
-        return LineRelation(
-            "bridge", lam_gate=k1 + 0.5, mu_gate=m1 + 0.5, bridge=float(bridge)
-        )
+        return LineRelation(k1 + 0.5, k1 + 0.5, 1, float(m1 - k1), float(bridge))
     shared = [(k1, m1)]
     for k in (k1 - 1, k1 + 1):
         m, off = hx.line_gate(comp_out, hx.chain_address(comp_in, k))
@@ -134,13 +142,8 @@ def line_relation(comp_in: hx.ComponentId, comp_out: hx.ComponentId) -> LineRela
             shared.append((k, m))
     shared.sort()
     (k1, m1), (k2, m2) = shared[0], shared[-1]
-    return LineRelation(
-        "overlap",
-        lam_lo=k1 + 0.5,
-        lam_hi=k2 + 0.5,
-        mu_lo=m1 + 0.5,
-        orient=1 if m2 >= m1 else -1,
-    )
+    orient = 1 if m2 >= m1 else -1
+    return LineRelation(k1 + 0.5, k2 + 0.5, orient, m1 + 0.5 - orient * (k1 + 0.5))
 
 
 def gate_on_line(comp: hx.ComponentId, point: hx.TbinPoint) -> tuple[float, float]:
@@ -192,7 +195,10 @@ class TreeSystem:
     def phi_c(self, label: int, x: CoverPoint) -> TcPoint:
         if label not in self.class_labels:
             raise CoverError(f"class {label} not present in the explored complex")
-        xn = self.cplx.normalize(x)
+        return self._phi_c(label, self.cplx.normalize(x))
+
+    def _phi_c(self, label: int, xn: CoverPoint) -> TcPoint:
+        """phi_c of a normalized point."""
         if self.labels[xn.block] == label:
             return TcPoint(owner=xn.block, tree=hx.retract(xn.base))
         # over a block outside c, phi_c reads block coordinate sigma(label)
@@ -202,7 +208,7 @@ class TreeSystem:
         xn = self.cplx.normalize(x)
         return ProductPoint(
             t0=xn.block,
-            coords=tuple((lab, self.phi_c(lab, xn)) for lab in self.class_labels),
+            coords=tuple((lab, self._phi_c(lab, xn)) for lab in self.class_labels),
         )
 
     # -- T_c distance ---------------------------------------------------------
@@ -217,7 +223,7 @@ class TreeSystem:
         in c, the fiber line (None) over a dst outside c."""
         chain = self.cplx.wall_chain(src, dst)
         exit_ = self._wall_side_comp(chain[0][0], src) if self.labels[src] == label else None
-        relations, line = [], None
+        rel, line = IDENTITY, None
         for (w, up), nxt in zip(chain, [*chain[1:], None]):
             bid = w.parent if up else w.child
             line = self._wall_side_comp(w, bid) if self.labels[bid] == label else None
@@ -225,11 +231,11 @@ class TreeSystem:
                 continue
             comp_out = self._wall_side_comp(nxt[0], bid)
             if comp_out != line:
-                rel = self._relations.get((line, comp_out))
-                if rel is None:
-                    rel = self._relations[(line, comp_out)] = line_relation(line, comp_out)
-                relations.append(rel)
-        return Route(exit_, tuple(relations), line)
+                step = self._relations.get((line, comp_out))
+                if step is None:
+                    step = self._relations[(line, comp_out)] = line_relation(line, comp_out)
+                rel = rel.then(step)
+        return Route(exit_, rel, line)
 
     def line_profile(
         self, label: int, src: TcPoint, dst: BlockId
@@ -238,7 +244,7 @@ class TreeSystem:
         dst), as (g, c, line): the line's point at grid coordinate s lies at
         |s - g| + c.  src.owner must differ from dst."""
         route = self.route(label, src.owner, dst)
-        g, c = route.push(*line_coords(route.exit, src))
+        g, c = route.relation.cross(*line_coords(route.exit, src))
         return float(g), float(c), route.line
 
     def tc_distance(self, label: int, a: TcPoint, b: TcPoint) -> float:
@@ -246,8 +252,8 @@ class TreeSystem:
             if p.owner not in self.cplx.blocks:
                 raise CoverError(f"owner {p.owner} not explored")
         if a.owner == b.owner:
-            if a.tree is not None:
-                return tree_piece_distance(a.tree, b.tree)
+            if a.tree is not None:  # the collapsed piece metric, in grid units
+                return hx.tbin_distance(a.tree, b.tree) / hx.EDGE
             return abs(a.value - b.value)
         if b.owner < a.owner:
             a, b = b, a  # walk from the lower block: symmetric bit for bit
@@ -257,14 +263,13 @@ class TreeSystem:
 
     def tc_matrix(self, label: int, points: Sequence[TcPoint]) -> np.ndarray:
         """Symmetric matrix of tc_distance(label, points[i], points[j]),
-        entry for entry equal to it.  One route per (class, unordered pair of
-        owner blocks), from the lower block as in tc_distance, carries that
-        block's points' (g, c) as arrays, and numpy fills the block pair as
-        |lam - g| + c + d."""
+        entry for entry equal to it, filled one strip per owner block a: its
+        own block, and its pairs with all later blocks, whose routes from a
+        are stacked into one map of arrays that a's points go through at once."""
         for p in points:
             if p.owner not in self.cplx.blocks:
                 raise CoverError(f"owner {p.owner} not explored")
-        out = np.zeros((len(points), len(points)))
+        out = np.empty((len(points), len(points)))
         members: dict[BlockId, list[int]] = {}
         for i, p in enumerate(points):
             members.setdefault(p.owner, []).append(i)
@@ -275,26 +280,27 @@ class TreeSystem:
                 coords[(line, o)] = np.array([line_coords(line, points[j]) for j in members[o]]).T
             return coords[(line, o)]
 
-        def block(a: BlockId, o: BlockId) -> np.ndarray:
-            route = self.route(label, a, o)
-            g, c = route.push(*block_coords(route.exit, a))
-            lam, d = block_coords(route.line, o)
-            # after a bridge g is one scalar for all of a's points
-            return np.abs(lam - np.reshape(g, (-1, 1))) + c[:, None] + d
-
-        groups = [(o, np.array(ix)) for o, ix in sorted(members.items())]
-        for x, (a, ia) in enumerate(groups):
+        blocks = sorted(members)
+        for x, a in enumerate(blocks):
+            ia = members[a]
             if self.labels[a] == label:
-                for y, i in enumerate(ia):
-                    for j in ia[y + 1:]:
-                        out[i, j] = out[j, i] = tree_piece_distance(points[i].tree, points[j].tree)
+                strip = [hx.tbin_distance_matrix([points[i].tree for i in ia]) / hx.EDGE]
             else:
                 v = block_coords(None, a)[0]
-                out[np.ix_(ia, ia)] = np.abs(v[:, None] - v)
-            for o, io in groups[x + 1:]:
-                fill = block(a, o)
-                out[np.ix_(ia, io)] = fill
-                out[np.ix_(io, ia)] = fill.T
+                strip = [np.abs(v[:, None] - v)]
+            later = blocks[x + 1:]
+            cols = ia + [i for o in later for i in members[o]]
+            if later:
+                routes = [self.route(label, a, o) for o in later]
+                rel = LineRelation(*np.array([r.relation for r in routes]).T[:, :, None])
+                gc = np.array([block_coords(r.exit, a) for r in routes])
+                g, c = rel.cross(gc[:, 0], gc[:, 1])  # one row per later block
+                k = np.repeat(np.arange(len(later)), [len(members[o]) for o in later])
+                lam, d = np.hstack([block_coords(r.line, o) for r, o in zip(routes, later)])
+                strip.append(np.abs(lam - g[k].T) + c[k].T + d)
+            strip = np.hstack(strip)
+            out[np.ix_(ia, cols)] = strip
+            out[np.ix_(cols, ia)] = strip.T
         return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:

@@ -188,11 +188,11 @@ def _collect_records(
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
+        # chunks of at most 16 pairs, and at least one chunk per worker
+        chunksize = max(1, min(16, math.ceil(cfg.samples / workers)))
         with ctx.Pool(workers) as pool:
-            records = pool.map(_pair_record, indices, chunksize=16)
-    else:
-        records = [_pair_record(i) for i in indices]
-    return records
+            return pool.map(_pair_record, indices, chunksize=chunksize)
+    return [_pair_record(i) for i in indices]
 
 
 def _build(spec: GraphManifoldSpec, cfg: RunConfig):
@@ -372,10 +372,10 @@ def _covering(
     pts = [cplx.sample_point(make_stream(cfg.seed, i)) for i in range(cfg.samples)]
     phis = [ts.phi(p) for p in pts]
     n = len(pts)
-    blocks = sorted({p.t0 for p in phis})
-    t0_table = np.array([[ts.t0_distance(u, v) for v in blocks] for u in blocks])
-    row = np.array([blocks.index(p.t0) for p in phis])
-    t0_d = t0_table[np.ix_(row, row)]
+    # T0 distances by prefix arithmetic on block ids, tabled over the blocks
+    index = {b: k for k, b in enumerate(sorted({p.t0 for p in phis}))}
+    row = [index[p.t0] for p in phis]
+    t0_d = hx.prefix_edges(list(index), list(index)).astype(float)[np.ix_(row, row)]
     factors = [cvg.tree_covering(t0_d, t0_d[0], scale)]
     factor_checks = [cvg.check_covering(factors[0], t0_d)]
     sum_d = t0_d  # summed in place: the T0 factor is done with it

@@ -93,6 +93,18 @@ def test_validate_non_integer_n_exits_1(tmp_path, capsys, n, shown):
     assert out.err == f"error: field n is not a JSON integer: {shown}\n"
 
 
+def test_validate_non_string_vertex_exits_1(tmp_path, capsys):
+    # "vertices": "ab" loaded as the two vertices a and b and validated
+    doc = shipped_doc("two_vertex_n5")
+    doc["vertices"] = "".join(doc["vertices"])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: field vertices is not a JSON array: {doc['vertices']!r}\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -192,10 +192,28 @@ def test_invalid_scale():
 # -- masked pair code against the pairwise loops it replaced ------------------
 
 
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
 def reference_tree_covering(dmat, root_dist, scale):
+    """Pairwise union-find over the merging pairs; pieces numbered in order
+    of first occurrence."""
     n = len(root_dist)
     annulus = np.floor(root_dist / scale).astype(int)
-    uf = cvg._UnionFind(n)
+    uf = UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
             if annulus[i] != annulus[j]:
@@ -284,23 +302,43 @@ def test_tree_covering_matches_pairwise_reference():
             )
 
 
-def test_tree_covering_stops_merging_when_annuli_are_whole(monkeypatch):
-    # every point in annulus 0: n - 1 successful unions make it one piece,
-    # and no merging pair is visited after that
+def test_tree_covering_whole_annulus_is_one_piece():
+    # every point in annulus 0, whose merge threshold -R/2 every pair meets
     dmat, root = tbin_sample(60, seed=4)
     scale = float(root.max()) + 1.0
-    calls = []
-    union = cvg._UnionFind.union
-
-    def counted(uf, i, j):
-        calls.append((i, j))
-        return union(uf, i, j)
-
-    monkeypatch.setattr(cvg._UnionFind, "union", counted)
     cov = cvg.tree_covering(dmat, root, scale)
-    assert len(calls) <= len(root) - 1
-    assert set(cov.assignment) == {0}
+    assert set(cov.assignment) == {0} and cov.piece_color == [0]
     assert (cov.assignment, cov.piece_color) == reference_tree_covering(dmat, root, scale)
+
+
+def path_metric(order, spacing=36.0):
+    """Points on a line at the positions `order`, distances stretched so
+    that in annulus 0 at scale 16 (all root distances 10) only neighbours
+    on the line merge: the merge graph is a path through the points in
+    `order`'s position order, not in index order.  The root distances do
+    not come from the metric, so it is not a tree metric."""
+    pos = np.asarray(order, dtype=float)
+    return spacing * np.abs(pos[:, None] - pos[None, :]), np.full(len(pos), 10.0)
+
+
+@pytest.mark.parametrize("kind", ["sorted", "reversed", "zigzag", "shuffled", "broken"])
+def test_tree_covering_long_path_matches_union_find(kind):
+    n, i = 301, np.arange(301)
+    shuffled = np.random.default_rng(3).permutation(n)
+    order = {
+        "sorted": i,
+        "reversed": i[::-1],
+        # the least index sits mid-path, and indices rise away from it
+        "zigzag": n // 2 + (i + 1) // 2 * np.where(i % 2, 1, -1),
+        "shuffled": shuffled,
+        # a gap after every 37th position cuts the path into 9 pieces
+        "broken": shuffled + shuffled // 37,
+    }[kind]
+    dmat, root = path_metric(order)
+    cov = cvg.tree_covering(dmat, root, 16.0)
+    ref = reference_tree_covering(dmat, root, 16.0)
+    assert (cov.assignment, cov.piece_color) == ref
+    assert len(cov.piece_color) == (9 if kind == "broken" else 1)
 
 
 def test_check_covering_matches_pairwise_reference():
@@ -326,6 +364,26 @@ def test_pullback_binding_order_matches_pairwise_reference(binding_pairs):
         diams = sorted(same_piece, reverse=True)[:binding_pairs]
         assert chk.min_same_color_separation == min([math.inf] + [d for d, _, _ in seps])
         assert chk.max_piece_diameter == max([0.0] + [d for d, _, _ in diams])
+
+
+def test_pullback_binding_keeps_ties_at_the_cut():
+    # integer distances: the binding_pairs-th distance on each side is tied
+    # with pairs past it, so selecting at the cut must keep all of them
+    dmat, root = tbin_vertex_sample(90, seed=1)
+    cov = cvg.tree_covering(dmat, root, 2.0)
+    same_piece, cross_color = reference_pairs(cov, dmat)
+    seps = sorted(d for d, _, _ in cross_color)
+    diams = sorted((d for d, _, _ in same_piece), reverse=True)
+    for k in (1, 7, 50):
+        assert seps[k - 1] == seps[k] and diams[k - 1] == diams[k]
+        calls = []
+
+        def stub(i, j):
+            calls.append((i, j))
+            return float(dmat[i, j])
+
+        cvg.pullback_check(cov, dmat, stub, 3.0, binding_pairs=k)
+        assert calls == reference_binding_order(cov, dmat, k)
 
 
 @pytest.mark.parametrize("binding_pairs", [0, -1])
@@ -397,6 +455,39 @@ def test_covering_report_builds_each_wall_chain_once(monkeypatch):
     classes = len(tr.TreeSystem(cx).class_labels)
     assert calls and all(u in blocks and v in blocks for u, v in calls)
     assert len(calls) <= classes * math.comb(len(blocks), 2) + 2 * binding_pairs
+
+
+@pytest.mark.parametrize("wall_comp_depth", [0, None])
+def test_covering_report_routes_once_per_block_pair(monkeypatch, wall_comp_depth):
+    # same-owner tree blocks come from tbin_distance_matrix, and every
+    # other pair from one route per class and unordered pair of owners
+    spec = shipped("two_vertex_n5")
+    cfg = vf.RunConfig(
+        t0_depth=2, hex_depth=4, samples=60, seed=5, fiber_range=3.0,
+        wall_comp_depth=wall_comp_depth, workers=1,
+    )
+    calls = {"tbin_distance": 0, "route": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(hx, "tbin_distance")
+    counting(tr.TreeSystem, "route")
+    vf.covering_report(spec, cfg, 8.0, 1)
+    cx = cover.explore(spec, 2, 4, fiber_range=3.0, wall_comp_depth=wall_comp_depth)
+    blocks = {
+        cx.normalize(cx.sample_point(cover.make_stream(cfg.seed, i))).block
+        for i in range(cfg.samples)
+    }
+    classes = len(tr.TreeSystem(cx).class_labels)
+    assert calls["tbin_distance"] == 0
+    assert 0 < calls["route"] <= classes * math.comb(len(blocks), 2)
 
 
 def test_covering_report_computes_each_line_relation_once(monkeypatch):

@@ -254,3 +254,31 @@ def test_from_dict_reads_only_json_integers(field, value, message):
         GraphManifoldSpec.from_dict(doc)
     assert str(err.value) == message
 
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # "ab" loaded as the two vertices a and b, null as a vertex named None
+        (("vertices",), "ab", "field vertices is not a JSON array: 'ab'"),
+        (("vertices",), None, "field vertices is not a JSON array: None"),
+        (("vertices", 0), None, "vertex name is not a JSON string: None"),
+        (("vertices", 0), 7, "vertex name is not a JSON string: 7"),
+        (("edges", 0, "id"), 1, "edge field id is not a JSON string: 1"),
+        (("edges", 0, "from"), None, "edge w1: field from is not a JSON string: None"),
+        (("edges", 0, "to"), ["v"], "edge w1: field to is not a JSON string: ['v']"),
+        (("edges", 0, "reverse"), False, "edge w1: field reverse is not a JSON string: False"),
+    ],
+    ids=["vertices-str", "vertices-null", "vertex-null", "vertex-int", "edge-id-int",
+         "edge-from-null", "edge-to-list", "edge-reverse-bool"],
+)
+def test_from_dict_reads_only_json_strings(path, value, message):
+    doc = shipped_doc("flip_n3")
+    assert doc["edges"][0]["id"] == "w1"
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SpecError) as err:
+        GraphManifoldSpec.from_dict(doc)
+    assert str(err.value) == message

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -298,6 +300,12 @@ def interleaved_tc_points(cx, ts, lab, blocks, rounds, seed):
     return pts
 
 
+def relation_kind(rel):
+    if rel == tr.IDENTITY:
+        return "identity"
+    return "bridge" if rel.lo == rel.hi else "overlap"
+
+
 def test_tc_matrix_interleaved_block_pairs():
     relation_kinds, fiber_only = set(), 0
     for name, wall_comp_depth in (("flip_n3", None), ("cycle_n4", 0), ("two_vertex_n5", 0)):
@@ -317,8 +325,8 @@ def test_tc_matrix_interleaved_block_pairs():
                     io = [j for j, q in enumerate(owners) if q == o]
                     assert min(ia) < max(io) and max(ia) > min(io)  # both orders
                     route = ts.route(lab, a, o)
-                    relation_kinds |= {rel.kind for rel in route.relations}
-                    fiber_only += route.exit is None and route.line is None and not route.relations
+                    relation_kinds.add(relation_kind(route.relation))
+                    fiber_only += route.exit is None and route.line is None
             mat = ts.tc_matrix(lab, pts)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
@@ -329,7 +337,7 @@ def test_tc_matrix_interleaved_block_pairs():
             perm = np.random.default_rng(lab).permutation(len(pts))
             permuted = ts.tc_matrix(lab, [pts[k] for k in perm])
             assert (permuted == mat[np.ix_(perm, perm)]).all()
-    assert relation_kinds == {"bridge", "overlap"}
+    assert relation_kinds == {"bridge", "overlap", "identity"}
     assert fiber_only > 0
 
 
@@ -371,7 +379,7 @@ def brute_gate(comp, point):
         return kp + 0.5 + sign * point.offset / hx.EDGE, 0.0
     best = None
     for addr, k in ks.items():
-        d = tr.tree_piece_distance(point, hx.tbin_vertex(addr))
+        d = hx.tbin_distance(point, hx.tbin_vertex(addr)) / hx.EDGE
         if best is None or d < best[1]:
             best = (k + 0.5, d)
     return best
@@ -386,12 +394,14 @@ def brute_relation(comp_in, comp_out):
     if shared:
         (k1, m1), (k2, m2) = shared[0], shared[-1]
         orient = -1 if len(shared) > 1 and shared[1][1] < m1 else 1
-        assert m2 == m1 + orient * (k2 - k1)  # the exit coordinate of lam_hi
-        return tr.LineRelation("overlap", k1 + 0.5, k2 + 0.5, m1 + 0.5, orient)
+        assert m2 == m1 + orient * (k2 - k1)  # the exit coordinate of hi
+        # k1 + 1/2 maps to m1 + 1/2
+        return tr.LineRelation(k1 + 0.5, k2 + 0.5, orient, (m1 + 0.5) - orient * (k1 + 0.5))
     d, k, m = min(
         (hx.hex_tree_edges(a, b), k, m) for a, k in in_k.items() for m, b in out
     )
-    return tr.LineRelation("bridge", lam_gate=k + 0.5, mu_gate=m + 0.5, bridge=float(d))
+    # a bridge: every gate leaves through k + 1/2 and lands on m + 1/2
+    return tr.LineRelation(k + 0.5, k + 0.5, 1, float(m - k), float(d))
 
 
 def test_line_relation_matches_brute_force():
@@ -402,7 +412,8 @@ def test_line_relation_matches_brute_force():
             if comp_in != comp_out:
                 rel = tr.line_relation(comp_in, comp_out)
                 assert rel == brute_relation(comp_in, comp_out)
-                kinds.add(rel.kind)
+                kinds.add(relation_kind(rel))
+                assert (rel.const >= 1) == (rel.lo == rel.hi)
     assert kinds == {"overlap", "bridge"}
 
 
@@ -433,3 +444,184 @@ def test_gate_beyond_former_window():
     addr = hx.chain_address(comp, 40) + (3 - a - b,)
     assert tr.gate_on_line(comp, hx.tbin_vertex(addr)) == (40.5, 1.0)
     assert brute_gate(comp, hx.tbin_vertex(addr)) == (40.5, 1.0)
+
+
+# -- the composed map against the sequential walk it replaced -----------------
+
+
+class StepRelation(NamedTuple):
+    """One relation as the walk crossed it before routes were composed: an
+    overlap clips to [lam_lo, lam_hi] and maps lam_lo onto mu_lo, a bridge
+    leaves the entry line at lam_gate and lands at mu_gate."""
+
+    kind: str
+    lam_lo: float = 0.0
+    lam_hi: float = 0.0
+    mu_lo: float = 0.0
+    orient: int = 1
+    lam_gate: float = 0.0
+    mu_gate: float = 0.0
+    bridge: float = 0.0
+
+    def cross(self, g, c):
+        if self.kind == "bridge":
+            return self.mu_gate, c + abs(self.lam_gate - g) + self.bridge
+        clipped = min(max(g, self.lam_lo), self.lam_hi)
+        return self.mu_lo + self.orient * (clipped - self.lam_lo), c + abs(g - clipped)
+
+    def as_map(self):
+        if self.kind == "bridge":
+            return tr.LineRelation(
+                self.lam_gate, self.lam_gate, 1, self.mu_gate - self.lam_gate, self.bridge
+            )
+        return tr.LineRelation(
+            self.lam_lo, self.lam_hi, self.orient, self.mu_lo - self.orient * self.lam_lo
+        )
+
+
+def walk(steps, g, c):
+    for step in steps:
+        g, c = step.cross(g, c)
+    return g, c
+
+
+def compose(maps):
+    return functools.reduce(tr.LineRelation.then, maps, tr.IDENTITY)
+
+
+def random_step(rng):
+    """Grid data as line_relation makes it: half-integer chain positions."""
+    lo, mu = rng.randint(-6, 6) + 0.5, rng.randint(-6, 6) + 0.5
+    if rng.random() < 0.3:
+        return StepRelation("bridge", lam_gate=lo, mu_gate=mu, bridge=float(rng.randint(1, 4)))
+    return StepRelation(
+        "overlap", lam_lo=lo, lam_hi=lo + rng.randint(0, 3), mu_lo=mu, orient=rng.choice((1, -1))
+    )
+
+
+def meeting(a, b):
+    """How a's interval meets the preimage under a of b's interval."""
+    j_lo, j_hi = sorted(a.orient * (y - a.shift) for y in (b.lo, b.hi))
+    width = min(a.hi, j_hi) - max(a.lo, j_lo)
+    return "empty" if width < 0 else "point" if width == 0 else "segment"
+
+
+def test_composed_map_matches_sequential_walk():
+    rng = random.Random(11)
+    meetings, orients = set(), set()
+    for _ in range(4000):
+        steps = [random_step(rng) for _ in range(rng.randint(1, 5))]
+        maps = [step.as_map() for step in steps]
+        composed = compose(maps)
+        orients.add(composed.orient)
+        meetings |= {meeting(a, b) for a, b in zip(maps, maps[1:])}
+        for g in (rng.uniform(-9, 9), rng.randint(-9, 9) + 0.5, rng.choice(maps).lo):
+            c = rng.uniform(0, 3)
+            want = walk(steps, g, c)
+            got = composed.cross(g, c)
+            assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+        assert tr.IDENTITY.then(composed) == composed == composed.then(tr.IDENTITY)
+    assert meetings == {"empty", "point", "segment"}
+    assert orients == {1, -1}
+
+
+def sequential_route(ts, label, src, dst):
+    """The route as it was walked before composition: exit line, the tuple
+    of line relations crossed in order, end line."""
+    chain = ts.cplx.wall_chain(src, dst)
+    side = ts._wall_side_comp
+    exit_ = side(chain[0][0], src) if ts.labels[src] == label else None
+    steps, line = [], None
+    for (w, up), nxt in zip(chain, [*chain[1:], None]):
+        bid = w.parent if up else w.child
+        line = side(w, bid) if ts.labels[bid] == label else None
+        if line is not None and nxt is not None and side(nxt[0], bid) != line:
+            steps.append(tr.line_relation(line, side(nxt[0], bid)))
+    return exit_, steps, line
+
+
+@pytest.mark.parametrize("name, wall_comp_depth", [("flip_n3", None), ("two_vertex_n5", 0)])
+def test_route_matches_sequential_walk(name, wall_comp_depth):
+    cx = cover.explore(
+        shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
+        wall_comp_depth=wall_comp_depth,
+    )
+    ts = tr.TreeSystem(cx)
+    rng = random.Random(name)
+    longest = 0
+    for _ in range(300):
+        src, dst = rng.sample(cx.block_list, 2)
+        lab = rng.choice(ts.class_labels)
+        exit_, steps, line = sequential_route(ts, lab, src, dst)
+        route = ts.route(lab, src, dst)
+        assert (route.exit, route.line) == (exit_, line)
+        assert route.relation == compose(steps)
+        longest = max(longest, len(steps))
+        for _ in range(4):
+            g, c = rng.uniform(-8, 8), rng.uniform(0, 4)
+            want = walk(steps, g, c)
+            got = route.relation.cross(g, c)
+            assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+    assert longest >= 2
+
+
+def test_composition_law_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    half = st.integers(-8, 8).map(lambda k: k + 0.5)
+    bridge = st.builds(
+        lambda lo, mu, b: StepRelation("bridge", lam_gate=lo, mu_gate=mu, bridge=float(b)),
+        half, half, st.integers(1, 4),
+    )
+    overlap = st.builds(
+        lambda lo, w, mu, o: StepRelation("overlap", lam_lo=lo, lam_hi=lo + w, mu_lo=mu, orient=o),
+        half, st.integers(0, 4), half, st.sampled_from((1, -1)),
+    )
+    steps = st.lists(st.one_of(bridge, overlap), min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(a=steps, b=steps, g=st.floats(-12, 12), c=st.floats(0, 5))
+    def law(a, b, g, c):
+        ab = compose([s.as_map() for s in a]).then(compose([s.as_map() for s in b]))
+        want = walk(a + b, g, c)
+        got = ab.cross(g, c)
+        assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+
+    law()
+
+
+# -- same-owner tree blocks and prefix arithmetic in numpy --------------------
+
+
+def test_prefix_edges_matches_hex_tree_edges():
+    rng = random.Random(2)
+    hexes = hx.hexagons_to_depth(5)
+    a = [()] + rng.sample(hexes, 30)
+    b = rng.sample(hexes, 25) + [a[3], ()]
+    mat = hx.prefix_edges(a, b)
+    assert mat.shape == (len(a), len(b))
+    for i, x in enumerate(a):
+        assert mat[i].tolist() == [hx.hex_tree_edges(x, y) for y in b]
+    assert hx.prefix_edges([()], [()]).tolist() == [[0]]
+
+
+def test_tbin_distance_matrix_equals_pairwise():
+    rng = random.Random(6)
+    hexes = hx.hexagons_to_depth(5)[1:]
+    pts = [hx.tbin_vertex(rng.choice(hexes)) for _ in range(20)] + [hx.tbin_vertex(())]
+    for _ in range(20):
+        child = rng.choice(hexes)
+        pts.append(hx.tbin_edge_point(child[:-1], child, rng.uniform(0.0, hx.EDGE)))
+    for _ in range(3):  # several points on one edge, and both its ends
+        child = rng.choice(hexes)
+        pts += [hx.tbin_edge_point(child[:-1], child, rng.uniform(0.0, hx.EDGE)) for _ in range(3)]
+        pts += [hx.tbin_vertex(child[:-1]), hx.tbin_vertex(child)]
+    pts += [pts[2], pts[25]]
+    rng.shuffle(pts)
+    mat = hx.tbin_distance_matrix(pts)
+    shared = 0
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert mat[i, j] == hx.tbin_distance(x, y), (x, y)
+            shared += i != j and x.child is not None and (x.parent, x.child) == (y.parent, y.child)
+    assert shared >= 18

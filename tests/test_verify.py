@@ -136,7 +136,8 @@ def test_worker_count_independent():
     spec = shipped("flip_n3")
     one = qi_json(spec, small_cfg(samples=24, workers=1))
     two = qi_json(spec, small_cfg(samples=24, workers=2))
-    assert one == two
+    three = qi_json(spec, small_cfg(samples=24, workers=3))
+    assert one == two == three
 
 
 class RecordingContext:
@@ -145,6 +146,7 @@ class RecordingContext:
 
     def __init__(self):
         self.sizes = []
+        self.chunksizes = []
 
     def Pool(self, size):
         self.sizes.append(size)
@@ -157,6 +159,7 @@ class RecordingContext:
         return False
 
     def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return [fn(i) for i in items]
 
 
@@ -186,6 +189,27 @@ def test_pool_size_capped_by_samples(monkeypatch, workers, cpus, sizes):
     records = vf.collect_records(spec, small_cfg(samples=4, workers=workers))
     assert ctx.sizes == sizes
     assert records == vf.collect_records(spec, small_cfg(samples=4, workers=1))
+
+
+@pytest.mark.parametrize(
+    "samples, workers, chunksize",
+    [
+        (20, 4, 5),  # chunks of 16 fed 2 of the 4 workers
+        (40, 2, 16),
+        (33, 3, 11),
+        (5, 8, 1),  # the pool is capped at 5
+    ],
+)
+def test_every_worker_gets_a_chunk(monkeypatch, samples, workers, chunksize):
+    import multiprocessing
+
+    ctx = RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    spec = shipped("flip_n3")
+    vf.collect_records(spec, small_cfg(samples=samples, workers=workers))
+    assert ctx.chunksizes == [chunksize]
+    (pool,) = ctx.sizes
+    assert math.ceil(samples / chunksize) >= pool == min(samples, workers)
 
 
 def test_reducible_rejected():
