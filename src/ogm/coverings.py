@@ -28,6 +28,10 @@ class ColoredCovering:
     bound: float  # claimed diameter bound
 
 
+# float entries per row block of tree_covering's merge mask (8 MB)
+_BLOCK_ENTRIES = 1 << 20
+
+
 def meet_level(fi, fj, dij):
     """Rootward meet height of two points at root distances fi, fj and
     distance dij, via the Gromov product (elementwise on arrays)."""
@@ -52,10 +56,15 @@ def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> Colo
         raise ValueError("scale must be finite and > 0")
     n = len(root_dist)
     annulus = np.floor(root_dist / scale).astype(int)
-    meet = meet_level(root_dist[:, None], root_dist[None, :], dmat)
-    merge = (annulus[:, None] == annulus[None, :]) & (
-        meet >= (annulus * scale - scale / 2.0)[:, None]
-    )
+    level = annulus * scale - scale / 2.0
+    # the merge mask in row blocks, so that no n x n float temporary exists
+    merge = np.empty((n, n), dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        meet = meet_level(root_dist[lo:hi, None], root_dist[None, :], dmat[lo:hi])
+        np.logical_and(annulus[lo:hi, None] == annulus, meet >= level[lo:hi, None],
+                       out=merge[lo:hi])
     # pieces are the components of the merge mask (within one annulus): a
     # point and the point its label names take the least label among its
     # merging points, labels jump until fixed, and the least member remains

@@ -200,7 +200,11 @@ class H0Point:
 
 
 def contains_local(x: Vec, tol: float = 1e-9) -> bool:
-    return all(mdot(x, n) <= tol for n in SIDE_NORMALS)
+    x0, x1, x2 = x
+    for n0, n1, n2 in SIDE_NORMALS:
+        if not -x0 * n0 + x1 * n1 + x2 * n2 <= tol:
+            return False
+    return True
 
 
 def h0_distance(p: H0Point, q: H0Point) -> float:
@@ -290,13 +294,32 @@ def tbin_anchors(p: TbinPoint) -> list[tuple[Address, float]]:
 def nearest_anchors(x: TbinPoint, y: TbinPoint) -> tuple[float, Address, Address]:
     """(length, va, vb) of the shortest route from x out through anchor va
     and into y through anchor vb; the first minimal pair wins ties.  The
-    length adds da + db first, so it is symmetric in x and y bit for bit."""
-    best = None
-    for va, da in tbin_anchors(x):
-        for vb, db in tbin_anchors(y):
-            tot = da + db + EDGE * hex_tree_edges(va, vb)
-            if best is None or tot < best[0]:
-                best = (tot, va, vb)
+    length adds da + db first, so it is symmetric in x and y bit for bit.
+
+    Anchor pairs go in tbin_anchors order, parent before child.  Only the
+    parents' edge count takes a prefix walk: a child c of parent p is one
+    edge nearer than p to the vertices below c, one edge farther from all
+    others."""
+    xp, xc, yp, yc = x.parent, x.child, y.parent, y.child
+    dx = 0.0 if xc is None else x.offset
+    dy = 0.0 if yc is None else y.offset
+    e = hex_tree_edges(xp, yp)
+    best = (dx + dy + EDGE * e, xp, yp)
+    if yc is not None:
+        e_pc = e - 1 if xp[:len(yc)] == yc else e + 1
+        tot = dx + (EDGE - dy) + EDGE * e_pc
+        if tot < best[0]:
+            best = (tot, xp, yc)
+    if xc is not None:
+        e = e - 1 if yp[:len(xc)] == xc else e + 1  # xc to yp
+        tot = (EDGE - dx) + dy + EDGE * e
+        if tot < best[0]:
+            best = (tot, xc, yp)
+        if yc is not None:
+            e = e - 1 if xc[:len(yc)] == yc else e + 1  # xc to yc
+            tot = (EDGE - dx) + (EDGE - dy) + EDGE * e
+            if tot < best[0]:
+                best = (tot, xc, yc)
     return best
 
 
@@ -337,32 +360,44 @@ def tbin_path_vertices(a: Address, b: Address) -> list[Address]:
 # retraction onto the embedded tree
 
 
-def marked_side_distances(p: H0Point) -> tuple[float, float, float]:
-    """Distances (unit-side metric) from p to the three marked sides of its
-    hexagon.  Inside the hexagon the nearest point of each carrying geodesic
-    lies on the side itself, so line distance equals side distance."""
-    out = []
-    for i in range(3):
-        v = -mdot(p.local, SIDE_NORMALS[2 * i])
-        # snap chart-roundoff to the side itself so that on-side points give
-        # exactly 0 from both adjacent hexagons
-        out.append(math.asinh(v) / S if v > 1e-12 else 0.0)
-    return tuple(out)  # type: ignore[return-value]
+(_M0, _M1, _M2), (_M3, _M4, _M5), (_M6, _M7, _M8) = (
+    SIDE_NORMALS[s] for s in MARKED_SIDES)
+
+
+def _side_distances(x: Vec) -> tuple[float, float, float]:
+    """Distances (unit-side metric) from the local point x to the three
+    marked sides of its hexagon.  Inside the hexagon the nearest point of
+    each carrying geodesic lies on the side itself, so line distance equals
+    side distance."""
+    x0, x1, x2 = x
+    # -<x, n> per marked side; chart roundoff below 1e-12 snaps to the side
+    # itself, so that on-side points give exactly 0 from both adjacent hexagons
+    v0 = -(-x0 * _M0 + x1 * _M1 + x2 * _M2)
+    v1 = -(-x0 * _M3 + x1 * _M4 + x2 * _M5)
+    v2 = -(-x0 * _M6 + x1 * _M7 + x2 * _M8)
+    return (math.asinh(v0) / S if v0 > 1e-12 else 0.0,
+            math.asinh(v1) / S if v1 > 1e-12 else 0.0,
+            math.asinh(v2) / S if v2 > 1e-12 else 0.0)
 
 
 def retract(p: H0Point) -> TbinPoint:
     """2*delta-Lipschitz retraction H0 -> T_bin (measured constant ~2*rho).
 
-    f(d) = rho*max(0, 1-2d) applied to the nearest marked side; two marked
-    sides of one hexagon are >= 1 apart, so at most one side has d < 1/2 and
-    the clamp makes argmin ties harmless (both branches hit the vertex).
+    f(d) = rho*max(0, 1-2d) applied to the nearest marked side (the first
+    of equals); two marked sides of one hexagon are >= 1 apart, so at most
+    one side has d < 1/2 and the clamp makes argmin ties harmless (both
+    branches hit the vertex).
     """
-    d = marked_side_distances(p)
-    i = min(range(3), key=lambda j: (d[j], j))
-    f = RHO * max(0.0, 1.0 - 2.0 * d[i])
-    if f == 0.0:
-        return tbin_vertex(p.hex)
-    return tbin_edge_point(p.hex, extend(p.hex, i), f)
+    d0, d1, d2 = _side_distances(p.local)
+    i, d = 0, d0
+    if d1 < d:
+        i, d = 1, d1
+    if d2 < d:
+        i, d = 2, d2
+    # 1 - 2d > 0 exactly when d < 1/2; otherwise f == 0, the vertex
+    if d < 0.5:
+        return tbin_edge_point(p.hex, extend(p.hex, i), RHO * (1.0 - 2.0 * d))
+    return tbin_vertex(p.hex)
 
 
 def embed_tree_point(t: TbinPoint) -> H0Point:
@@ -574,6 +609,10 @@ def line_lambda_of_point(comp: ComponentId, p: TbinPoint) -> float:
 # the truncated model
 
 
+_PEAK = math.cosh(R_CIRC) - 1.0  # HexModel.sample_local's radial range
+_TWO_PI = 2.0 * math.pi
+
+
 class HexModel:
     """H0 truncated at a hexagon depth: develop matrices precomputed, the
     canonical boundary-component table, and sampling support.  Immutable
@@ -627,10 +666,9 @@ class HexModel:
 
     def sample_local(self, rng) -> Vec:
         """Uniform point of the hexagon (area measure) by polar rejection."""
-        peak = math.cosh(R_CIRC) - 1.0
         while True:
-            r = math.acosh(1.0 + rng.random() * peak)
-            psi = rng.random() * 2.0 * math.pi
+            r = math.acosh(1.0 + rng.random() * _PEAK)
+            psi = rng.random() * _TWO_PI
             x = _polar(r, psi)
             if contains_local(x, 0.0):
                 return x

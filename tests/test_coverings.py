@@ -341,6 +341,23 @@ def test_tree_covering_long_path_matches_union_find(kind):
     assert len(cov.piece_color) == (9 if kind == "broken" else 1)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_tree_covering_row_blocks_match_reference(monkeypatch, rows):
+    # the merge mask is built in row blocks of _BLOCK_ENTRIES // n rows; the
+    # sizes here do not divide n, so the last block is a short one
+    cases = [tbin_vertex_sample(90, seed=1), tbin_sample(71, seed=4),
+             path_metric(np.arange(61) + np.arange(61) // 13)]
+    for dmat, root in cases:
+        n = len(root)
+        assert n % rows or rows == 1
+        monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * n + n - 1)
+        for scale in (1.0, 3.0, 8.0, 16.0):
+            cov = cvg.tree_covering(dmat, root, scale)
+            assert (cov.assignment, cov.piece_color) == reference_tree_covering(
+                dmat, root, scale
+            )
+
+
 def test_check_covering_matches_pairwise_reference():
     for cov, dmat in masked_cases():
         assert cvg.check_covering(cov, dmat) == reference_check_covering(cov, dmat)

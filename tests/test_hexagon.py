@@ -149,7 +149,7 @@ def test_retract_fixes_embedded_locus():
 def test_retract_clamps_far_points():
     # all three marked-side distances >= 1/2 at the center (they equal
     # R_IN/S ~ 0.669), so the center and nearby points clamp to the vertex
-    d = hx.marked_side_distances(hx.H0Point((), hx.CENTER))
+    d = hx._side_distances(hx.CENTER)
     assert all(x >= 0.5 for x in d)
     assert hx.retract(hx.H0Point((), hx.CENTER)) == hx.tbin_vertex(())
 

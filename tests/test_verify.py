@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -312,3 +313,18 @@ def test_traced_entry_points_resolve(monkeypatch):
     assert entries
     missing = [f"{owner.__name__}.{attr}" for owner, attr in entries if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_micro_timing_primitives_resolve():
+    # perfbench/micro.py times hexagon primitives as hx.<name>; a renamed
+    # primitive would only break the traced benchmark run.  The file is
+    # parsed, not imported: importing it pulls in the benchmark's workloads
+    micro = Path(__file__).resolve().parent.parent / "perfbench" / "micro.py"
+    names = {
+        node.attr
+        for node in ast.walk(ast.parse(micro.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "hx"
+    }
+    assert {"retract", "tbin_distance", "h0_distance"} <= names
+    assert sorted(name for name in names if not hasattr(hx, name)) == []
