@@ -227,13 +227,13 @@ class CoverComplex:
         )
         return CoverPoint(bid, hx.H0Point(addr, local), fiber)
 
-    def contains(self, p: CoverPoint, tol: float = 1e-9) -> bool:
+    def contains(self, p: CoverPoint) -> bool:
         if p.block not in self.blocks or len(p.fiber) != self.spec.n - 2:
             return False
         if not all(math.isfinite(f) for f in p.fiber):
             return False
         try:
-            self.model.check_point(p.base, tol)
+            self.model.check_point(p.base)
         except (hx.TruncationError, ValueError):
             return False
         return True
@@ -280,7 +280,7 @@ class CoverComplex:
         local = (math.sqrt(1.0 + x1 * x1 + x2 * x2), x1, x2)
         fiber = numbers("fiber", float, fields["fiber"].split(",")) if fields.get("fiber") else ()
         p = CoverPoint(bid, hx.H0Point(addr, local), fiber)
-        if not self.contains(p, tol=1e-6):
+        if not self.contains(p):
             raise CoverError(f"point outside complex: {text!r}")
         return p
 

@@ -16,6 +16,13 @@ so one projected damped-Newton solve over every coordinate of the chain at
 once, with an Armijo backtracking search projected onto the arclength
 windows, finds the global minimum.  It stops on the Newton decrement and
 returns the projected-gradient norm as its optimality certificate.
+
+Each Newton step factors the Hessian on the free coordinates with numpy's
+Cholesky.  While the factorisation fails, or a pivot diag(L)^2 is not above
+1e-13 * scale (scale = max(1, largest free diagonal entry)), the diagonal
+gets a Levenberg shift: 1e-10 * scale, then ten times the last, for at most
+40 factorisations before ConvergenceError (the modified Cholesky of Nocedal
+and Wright, Numerical Optimization, section 3.4).
 """
 
 from __future__ import annotations
@@ -180,46 +187,26 @@ def _chain_objective(segs, z: list[float], derivs: bool):
     return total, grad, hess
 
 
-def _cholesky(a: list[list[float]], floor: float) -> Optional[list[list[float]]]:
-    """Lower Cholesky factor, or None when a pivot is not above `floor`."""
-    n = len(a)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            v = a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
-            if i > j:
-                low[i][j] = v / low[j][j]
-            elif v > floor:
-                low[i][i] = math.sqrt(v)
-            else:
-                return None
-    return low
-
-
 def _newton_step(hess, grad: list[float], free: list[int]) -> list[float]:
-    """Solve H_ff d = -g_f on the free coordinates by dense Cholesky, with a
-    Levenberg shift of the diagonal while the factorisation fails."""
-    n = len(free)
-    scale = max([1.0] + [hess[v][v] for v in free])
+    """Solve H_ff d = -g_f on the free coordinates with the Cholesky factor
+    of H_ff + shift*I, under the Levenberg rule of the module docstring.
+    numpy returns a NaN factor without raising; the pivot test rejects it."""
+    h = np.array(hess)[np.ix_(free, free)]
+    scale = h.diagonal().max(initial=1.0)
     shift = 0.0
     for _ in range(40):
-        low = _cholesky(
-            [[hess[a][b] + (shift if a == b else 0.0) for b in free] for a in free],
-            1e-13 * scale,
-        )
-        if low is not None:
-            break
+        try:
+            low = np.linalg.cholesky(h + shift * np.eye(len(free)))
+            if (low.diagonal() ** 2 > 1e-13 * scale).all():
+                break
+        except np.linalg.LinAlgError:
+            pass
         shift = max(10.0 * shift, 1e-10 * scale)
     else:
         raise ConvergenceError("no Levenberg shift makes the Hessian positive definite")
-    y: list[float] = []
-    for i in range(n):
-        y.append((-grad[free[i]] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i])
-    step = [0.0] * len(grad)
-    for i in reversed(range(n)):
-        tail = sum(low[k][i] * step[free[k]] for k in range(i + 1, n))
-        step[free[i]] = (y[i] - tail) / low[i][i]
-    return step
+    step = np.zeros(len(grad))
+    step[free] = np.linalg.solve(low.T, np.linalg.solve(low, -np.array(grad)[free]))
+    return step.tolist()
 
 
 def _projected_newton(segs, z, bounds, tol: float, max_sweeps: int):

@@ -449,18 +449,13 @@ class BoundaryCoordinate:
 
 
 def chain_minimum(address: Address, side: int) -> Address:
-    """Walk the boundary chain through (address, side) to its unique
-    root-nearest hexagon."""
-    a, b = LETTERS[side]
-    cur = address
-    while True:
-        na, nb = extend(cur, a), extend(cur, b)
-        if len(na) < len(cur):
-            cur = na
-        elif len(nb) < len(cur):
-            cur = nb
-        else:
-            return cur
+    """Root-nearest hexagon of the boundary chain through (address, side):
+    the address without its trailing run of the side's two letters."""
+    letters = LETTERS[side]
+    n = len(address)
+    while n and address[n - 1] in letters:
+        n -= 1
+    return address[:n]
 
 
 def component_of(address: Address, side: int) -> ComponentId:
@@ -500,14 +495,6 @@ def line_gate(comp: ComponentId, address: Address) -> tuple[int, int]:
     if k and address[m] == letters[0]:
         k = -k
     return k, len(address) - n
-
-
-def chain_position(comp: ComponentId, address: Address) -> int:
-    """Position of a chain hexagon; inverse of chain_address."""
-    k, off = line_gate(comp, address)
-    if off:
-        raise ValueError("address not on this chain")
-    return k
 
 
 def _corners(side: int) -> tuple[Vec, Vec]:
@@ -559,7 +546,7 @@ def boundary_param(p: H0Point) -> BoundaryCoordinate:
     if side is None:
         raise NotOnBoundaryError("point does not lie on an unmarked side")
     comp = component_of(p.hex, side)
-    k = chain_position(comp, p.hex)
+    k, _ = line_gate(comp, p.hex)
     lo, _ = _corners(side)
     tau = dist_chart(p.local, lo) / S
     tau = min(max(tau, 0.0), 1.0)
@@ -577,32 +564,16 @@ def boundary_param(p: H0Point) -> BoundaryCoordinate:
 # edge midpoints.
 
 
-def line_lambda_of_vertex(k: int) -> float:
-    return EDGE * (k + 0.5)
-
-
 def line_point_at_lambda(comp: ComponentId, lam: float) -> TbinPoint:
     """Point of the chain line at tree-arclength coordinate lam."""
     t = lam / EDGE
     k = math.floor(t + 0.5)  # nearest vertex position
     addr = chain_address(comp, k)
-    off = lam - line_lambda_of_vertex(k)
+    off = lam - EDGE * (k + 0.5)
     if off == 0.0:
         return tbin_vertex(addr)
     nbr = chain_address(comp, k + 1) if off > 0 else chain_address(comp, k - 1)
     return tbin_edge_point(addr, nbr, abs(off))
-
-
-def line_lambda_of_point(comp: ComponentId, p: TbinPoint) -> float:
-    """Inverse of line_point_at_lambda for points on the chain line."""
-    if p.child is None:
-        return line_lambda_of_vertex(chain_position(comp, p.parent))
-    kp = chain_position(comp, p.parent)
-    kc = chain_position(comp, p.child)
-    if abs(kp - kc) != 1:
-        raise ValueError("edge point not on this chain line")
-    lp = line_lambda_of_vertex(kp)
-    return lp + p.offset * (1.0 if kc > kp else -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +608,9 @@ class HexModel:
         if address not in self._hexset:
             raise TruncationError(f"hexagon {address} beyond depth {self.depth}")
 
-    def check_point(self, p: H0Point, tol: float = 1e-9) -> None:
+    def check_point(self, p: H0Point) -> None:
         self.check_address(p.hex)
-        if not contains_local(p.local, tol):
+        if not contains_local(p.local):
             raise ValueError("local coordinates outside the hexagon")
 
     def arclength_window(self, comp: ComponentId) -> tuple[float, float]:

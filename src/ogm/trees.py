@@ -147,15 +147,15 @@ def line_relation(comp_in: hx.ComponentId, comp_out: hx.ComponentId) -> LineRela
 
 
 def gate_on_line(comp: hx.ComponentId, point: hx.TbinPoint) -> tuple[float, float]:
-    """(grid coordinate of the gate on the line, piece distance to it).  An
-    edge point off the line leaves its edge through the nearer end, and both
-    ends share the gate."""
+    """(grid coordinate of the gate on the line, piece distance to it).  A
+    point on the line is its own gate.  An edge point off the line leaves its
+    edge through the nearer end, and both ends share the gate."""
     k, d = hx.line_gate(comp, point.parent)
     if point.child is None:
         return k + 0.5, float(d)
-    _, dc = hx.line_gate(comp, point.child)
-    if d == dc == 0:
-        return hx.line_lambda_of_point(comp, point) / hx.EDGE, 0.0
+    kc, dc = hx.line_gate(comp, point.child)
+    if d == dc == 0:  # an edge of the line; its vertex k sits at EDGE * (k + 1/2)
+        return (hx.EDGE * (k + 0.5) + point.offset * (1.0 if kc > k else -1.0)) / hx.EDGE, 0.0
     o = point.offset / hx.EDGE
     return k + 0.5, min(o + d, 1.0 - o + dc)
 
@@ -182,9 +182,6 @@ class TreeSystem:
         self._relations: dict[tuple[hx.ComponentId, hx.ComponentId], LineRelation] = {}
 
     # -- maps ---------------------------------------------------------------
-
-    def phi0(self, x: CoverPoint) -> BlockId:
-        return self.cplx.normalize(x).block
 
     def t0_distance(self, u: BlockId, v: BlockId) -> float:
         """Block ids are prefix addresses of T0, as hexagon addresses are of

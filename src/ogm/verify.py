@@ -152,10 +152,11 @@ def _pair_record(index: int) -> dict:
         return rec
     rec["truncated"] = False
     rec["d"] = res.distance
-    rec["t0"] = ts.t0_distance(ts.phi0(x), ts.phi0(y))
+    px, py = ts.phi(x), ts.phi(y)
+    rec["t0"] = ts.t0_distance(px.t0, py.t0)
     rec["tc"] = {}
     for lab in ts.class_labels:
-        rec["tc"][lab] = ts.tc_distance(lab, ts.phi_c(lab, x), ts.phi_c(lab, y))
+        rec["tc"][lab] = ts.tc_distance(lab, px.coord(lab), py.coord(lab))
     rec["e"] = rec["t0"] + sum(rec["tc"].values())
     rec["x"] = cplx.format_point(x)
     rec["y"] = cplx.format_point(y)

@@ -362,6 +362,17 @@ def test_point_without_pos_exits_1(spec_file, capsys):
     assert err.startswith("error:") and "pos" in err
 
 
+@pytest.mark.parametrize("command", ["phi", "geodesic"])
+def test_point_just_outside_exits_1(spec_file, capsys, command):
+    # the midpoint of unmarked side 1 pushed 3e-7 along its outward normal:
+    # `phi` accepted it (up to 1e-6 outside) while `geodesic` rejected it
+    point = "block=;hex=;pos=0.500000212132057,0.8660257712079391;fiber=0.5"
+    flags = ["--point", point] if command == "phi" else ["--from", point, "--to", point]
+    assert main([command, "--spec", spec_file, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "outside" in err
+
+
 @pytest.mark.parametrize(
     "fields, word",
     [

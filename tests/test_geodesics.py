@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import shipped
@@ -309,3 +310,93 @@ def test_truncation_flag(cx):
     y = CoverPoint(y.block, y.base, (20.0,))
     res = geo.distance(cx, x, y)
     assert res.truncated
+
+
+# ---------------------------------------------------------------------------
+# the Levenberg-shifted Newton step against the list solver it replaced
+
+
+def _reference_cholesky(a, floor):
+    n = len(a)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            v = a[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if i > j:
+                low[i][j] = v / low[j][j]
+            elif v > floor:
+                low[i][i] = math.sqrt(v)
+            else:
+                return None
+    return low
+
+
+def _reference_newton_step(hess, grad, free):
+    """(step, factorisations tried) of the dense list Cholesky step."""
+    n = len(free)
+    scale = max([1.0] + [hess[v][v] for v in free])
+    shift = 0.0
+    for tries in range(1, 41):
+        low = _reference_cholesky(
+            [[hess[a][b] + (shift if a == b else 0.0) for b in free] for a in free],
+            1e-13 * scale,
+        )
+        if low is not None:
+            break
+        shift = max(10.0 * shift, 1e-10 * scale)
+    else:
+        raise geo.ConvergenceError("no Levenberg shift makes the Hessian positive definite")
+    y = []
+    for i in range(n):
+        y.append((-grad[free[i]] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i])
+    step = [0.0] * len(grad)
+    for i in reversed(range(n)):
+        tail = sum(low[k][i] * step[free[k]] for k in range(i + 1, n))
+        step[free[i]] = (y[i] - tail) / low[i][i]
+    return step, tries
+
+
+def _levenberg_cases():
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(7, 7))
+    spd = m @ m.T + 0.1 * np.eye(7)
+    sym = m + m.T  # eigenvalues of both signs
+    yield "spd", spd.tolist(), rng.normal(size=7).tolist(), [0, 1, 2, 3, 4, 5, 6], False
+    yield "spd-subset", spd.tolist(), rng.normal(size=7).tolist(), [0, 2, 3, 6], False
+    yield "indefinite", sym.tolist(), rng.normal(size=7).tolist(), [1, 2, 4, 5, 6], True
+    # factorable, but the last pivot 1.1e-15 is not above 1e-13 * scale
+    yield "near-singular", [[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, -2.0], [0, 1], True
+    yield "no-free", spd.tolist(), rng.normal(size=7).tolist(), [], False
+
+
+@pytest.mark.parametrize(
+    "hess, grad, free, shifted",
+    [case[1:] for case in _levenberg_cases()],
+    ids=[case[0] for case in _levenberg_cases()],
+)
+def test_newton_step_matches_list_solver(monkeypatch, hess, grad, free, shifted):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    step = geo._newton_step(hess, grad, free)
+    ref, tries = _reference_newton_step(hess, grad, free)
+    assert (tries > 1) == shifted
+    assert len(calls) == tries  # the same shift schedule, try for try
+    size = max([abs(v) for v in ref], default=0.0)
+    assert all(abs(a - b) <= 1e-12 * size for a, b in zip(step, ref))
+    assert len(step) == len(grad)
+    assert all(step[v] == 0.0 for v in range(len(grad)) if v not in free)
+
+
+def test_newton_step_nan_hessian_raises():
+    # numpy returns a NaN factor without raising; the pivot test rejects it
+    hess = [[math.nan, 0.0], [0.0, 1.0]]
+    with pytest.raises(geo.ConvergenceError, match="no Levenberg shift"):
+        geo._newton_step(hess, [1.0, 1.0], [0, 1])
+    with pytest.raises(geo.ConvergenceError, match="no Levenberg shift"):
+        _reference_newton_step(hess, [1.0, 1.0], [0, 1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ogm import hexagon as hx
+from ogm import trees as tr
 
 
 def tangent_toward(x, y):
@@ -297,8 +298,8 @@ def test_boundary_profile_monotone():
     for _ in range(10_000):
         t1 = rng.uniform(-3.9, 4.8)
         t2 = t1 + rng.random() * 0.5
-        lam1 = hx.line_lambda_of_point(comp, hx.line_point_at_lambda(comp, hx.EDGE * t1))
-        lam2 = hx.line_lambda_of_point(comp, hx.line_point_at_lambda(comp, hx.EDGE * t2))
+        lam1 = tr.gate_on_line(comp, hx.line_point_at_lambda(comp, hx.EDGE * t1))[0] * hx.EDGE
+        lam2 = tr.gate_on_line(comp, hx.line_point_at_lambda(comp, hx.EDGE * t2))[0] * hx.EDGE
         assert lam2 >= lam1
         assert abs((lam2 - lam1) - hx.EDGE * (t2 - t1)) < 1e-9
 

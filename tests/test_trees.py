@@ -36,10 +36,10 @@ def test_class_labels_flip_parity(cx, ts):
 
 def test_phi0_interior_and_wall(cx, ts):
     x = CoverPoint((3,), hx.H0Point((1, 2), hx.CENTER), (0.5,))
-    assert ts.phi0(x) == (3,)
+    assert ts.phi(x).t0 == (3,)
     w = cx.walls[((), 3)]
     wp = cx.point_from_wall_coords(w, (0.5, 1.0), child_side=True)
-    assert ts.phi0(wp) == ()  # lower rank wins on walls
+    assert ts.phi(wp).t0 == ()  # lower rank wins on walls
 
 
 def test_phi0_lipschitz_sampled(cx, ts):
@@ -48,7 +48,7 @@ def test_phi0_lipschitz_sampled(cx, ts):
         res = geo.distance(cx, x, y, tol=1e-5)
         if res.truncated:
             continue
-        t0d = ts.t0_distance(ts.phi0(x), ts.phi0(y))
+        t0d = ts.t0_distance(ts.phi(x).t0, ts.phi(y).t0)
         assert t0d <= res.distance + 1.0 + 1e-6
 
 
@@ -84,7 +84,7 @@ def test_wall_push_back_exact(cx):
     comp = cx.model.components[0]
     for t in (-1.3, 0.0, 0.61, 2.5):
         x = hx.line_point_at_lambda(comp, hx.EDGE * t)
-        lam = hx.line_lambda_of_point(comp, x)
+        lam = tr.gate_on_line(comp, x)[0] * hx.EDGE
         assert hx.tbin_distance(hx.line_point_at_lambda(comp, lam), x) < 1e-12
         assert abs(lam - hx.EDGE * t) < 1e-12
 

@@ -315,16 +315,32 @@ def test_traced_entry_points_resolve(monkeypatch):
     assert missing == []
 
 
-def test_micro_timing_primitives_resolve():
-    # perfbench/micro.py times hexagon primitives as hx.<name>; a renamed
-    # primitive would only break the traced benchmark run.  The file is
-    # parsed, not imported: importing it pulls in the benchmark's workloads
-    micro = Path(__file__).resolve().parent.parent / "perfbench" / "micro.py"
-    names = {
-        node.attr
-        for node in ast.walk(ast.parse(micro.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name) and node.value.id == "hx"
-    }
-    assert {"retract", "tbin_distance", "h0_distance"} <= names
-    assert sorted(name for name in names if not hasattr(hx, name)) == []
+def test_benchmark_reads_resolve():
+    # perfbench/micro.py and workloads.py read ogm modules through aliases
+    # (geo., vf., cli., hx.) and import names from ogm submodules; a deleted or
+    # renamed library name would only break the benchmark run.  The files are
+    # parsed, not imported: importing them pulls in the benchmark's configs
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    reads, missing = {}, []
+    for name in ("micro.py", "workloads.py"):
+        tree = ast.parse((bench / name).read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ogm":
+                for a in node.names:
+                    aliases[a.asname or a.name] = importlib.import_module(f"ogm.{a.name}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ogm."):
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{a.name}" for a in node.names
+                            if not hasattr(module, a.name)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                reads.setdefault(node.value.id, set()).add(node.attr)
+                if not hasattr(aliases[node.value.id], node.attr):
+                    missing.append(f"{name}: {node.value.id}.{node.attr}")
+    assert set(reads) == {"geo", "vf", "cli", "hx"}
+    assert {"retract", "tbin_distance", "h0_distance"} <= reads["hx"]
+    assert {"distance", "brute_force_distance"} <= reads["geo"]
+    assert "collect_records" in reads["vf"] and "covering_report" in reads["cli"]
+    assert sorted(missing) == []
