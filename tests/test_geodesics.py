@@ -370,9 +370,7 @@ def _levenberg_cases():
 
 
 @pytest.mark.parametrize(
-    "hess, grad, free, shifted",
-    [case[1:] for case in _levenberg_cases()],
-    ids=[case[0] for case in _levenberg_cases()],
+    "hess, grad, free, shifted", [pytest.param(*case[1:], id=case[0]) for case in _levenberg_cases()]
 )
 def test_newton_step_matches_list_solver(monkeypatch, hess, grad, free, shifted):
     calls = []
