@@ -153,9 +153,7 @@ class CoverComplex:
         Built on each call from the common prefix of the two block ids; no
         chain is kept."""
         self.block(u), self.block(v)
-        k = 0
-        while k < len(u) and k < len(v) and u[k] == v[k]:
-            k += 1
+        k = hx.lcp_len(u, v)
         up = tuple((self.walls[(u[: i - 1], u[i - 1])], True) for i in range(len(u), k, -1))
         down = tuple((self.walls[(v[:i], v[i])], False) for i in range(k, len(v)))
         return up + down

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,17 @@ class ColoredCovering:
     bound: float  # claimed diameter bound
 
 
-# float entries per row block of tree_covering's merge mask (8 MB)
+# entries per row block of an n x n fill (8 MB of floats)
 _BLOCK_ENTRIES = 1 << 20
+
+
+def row_blocks(n: int, start: int = 0, stop: Optional[int] = None) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) that split rows start..stop (all n by default)
+    of an n-column matrix into blocks of at most _BLOCK_ENTRIES entries
+    and at least one row."""
+    stop = n if stop is None else stop
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [(lo, min(lo + rows, stop)) for lo in range(start, stop, rows)]
 
 
 def meet_level(fi, fj, dij):
@@ -38,15 +47,14 @@ def meet_level(fi, fj, dij):
     return 0.5 * (fi + fj - dij)
 
 
-def _pair_masks(cov: ColoredCovering) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle masks of the pairs (i < j) in one piece, and of the
+def _pair_masks(cov: ColoredCovering, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over rows lo..hi of the pairs (i < j) in one piece, and of the
     pairs in different pieces of the same color."""
-    n = len(cov.assignment)
     piece = np.asarray(cov.assignment)
     color = np.asarray(cov.piece_color)[piece]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    same_piece = upper & (piece[:, None] == piece[None, :])
-    same_color = upper & ~same_piece & (color[:, None] == color[None, :])
+    upper = np.arange(hi - lo)[:, None] + lo < np.arange(len(piece))
+    same_piece = upper & (piece[lo:hi, None] == piece)
+    same_color = upper & ~same_piece & (color[lo:hi, None] == color)
     return same_piece, same_color
 
 
@@ -59,9 +67,7 @@ def tree_covering(dmat: np.ndarray, root_dist: np.ndarray, scale: float) -> Colo
     level = annulus * scale - scale / 2.0
     # the merge mask in row blocks, so that no n x n float temporary exists
     merge = np.empty((n, n), dtype=bool)
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
-    for lo in range(0, n, rows):
-        hi = lo + rows
+    for lo, hi in row_blocks(n):
         meet = meet_level(root_dist[lo:hi, None], root_dist[None, :], dmat[lo:hi])
         np.logical_and(annulus[lo:hi, None] == annulus, meet >= level[lo:hi, None],
                        out=merge[lo:hi])
@@ -133,9 +139,12 @@ def check_covering(cov: ColoredCovering, dmat: np.ndarray) -> CoveringCheck:
     """Exhaustive pairwise verification of the covering properties: pieces
     of one color cov.scale apart, each of diameter at most cov.bound."""
     n = len(cov.assignment)
-    same_piece, same_color = _pair_masks(cov)
-    max_diam = float(np.max(dmat, where=same_piece, initial=0.0))
-    min_sep = float(np.min(dmat, where=same_color, initial=math.inf))
+    diams, seps = [0.0], [math.inf]
+    for lo, hi in row_blocks(n):
+        same_piece, same_color = _pair_masks(cov, lo, hi)
+        diams.append(np.max(dmat[lo:hi], where=same_piece, initial=0.0))
+        seps.append(np.min(dmat[lo:hi], where=same_color, initial=math.inf))
+    max_diam, min_sep = float(np.max(diams)), float(np.min(seps))
     pairs = n * (n - 1) // 2
     ok = (min_sep >= cov.scale - 1e-9) and (max_diam <= cov.bound + 1e-9)
     return CoveringCheck(
@@ -166,24 +175,38 @@ def pullback_check(
         raise ValueError("binding_pairs must be >= 1")
     req = (cov.scale - 1.0) / qi_constant - 1.0
     allow = qi_constant * (cov.bound + 1.0) + 1.0
-    same_piece, same_color = _pair_masks(cov)
+    n = len(cov.assignment)
 
-    def binding(mask: np.ndarray, descending: bool) -> list[tuple[int, int]]:
-        # order of the (d, i, j) tuples, fully reversed when descending, of
-        # the pairs up to and tied with the binding_pairs-th distance only
-        d = embedded_dmat[mask]
+    def cut(i, j, d, descending):
+        # the pairs up to and tied with the binding_pairs-th distance
         if len(d) > binding_pairs:
             k = len(d) - binding_pairs if descending else binding_pairs - 1
-            d.partition(k)
-            mask = mask & (embedded_dmat >= d[k] if descending else embedded_dmat <= d[k])
-        i, j = np.nonzero(mask)
-        order = np.lexsort((j, i, embedded_dmat[i, j]))
+            kth = np.partition(d, k)[k]
+            keep = d >= kth if descending else d <= kth
+            i, j, d = i[keep], j[keep], d[keep]
+        return i, j, d
+
+    # cut in each row block, then among the survivors: a pair within the
+    # global cut is within its block's
+    pieces, colors = [], []
+    for lo, hi in row_blocks(n):
+        masks = _pair_masks(cov, lo, hi)
+        for mask, kept, descending in zip(masks, (pieces, colors), (True, False)):
+            i, j = np.nonzero(mask)
+            kept.append(cut(i + lo, j, embedded_dmat[lo:hi][i, j], descending))
+
+    def binding(kept, descending: bool) -> list[tuple[int, int]]:
+        # order of the (d, i, j) tuples, fully reversed when descending
+        if not kept:
+            return []
+        i, j, d = cut(*map(np.concatenate, zip(*kept)), descending)
+        order = np.lexsort((j, i, d))
         if descending:
             order = order[::-1]
         return [(int(i[k]), int(j[k])) for k in order[:binding_pairs]]
 
-    seps = [cover_distance(i, j) for i, j in binding(same_color, False)]
-    diams = [cover_distance(i, j) for i, j in binding(same_piece, True)]
+    seps = [cover_distance(i, j) for i, j in binding(colors, False)]
+    diams = [cover_distance(i, j) for i, j in binding(pieces, True)]
     min_sep = min(seps, default=math.inf)
     max_diam = max(diams, default=0.0)
     checked = len(seps) + len(diams)

@@ -255,7 +255,9 @@ def tbin_edge_point(a: Address, b: Address, offset_from_a: float) -> TbinPoint:
     return TbinPoint(a, b, offset_from_a)
 
 
-def _lcp_len(a: Address, b: Address) -> int:
+def lcp_len(a: Sequence[int], b: Sequence[int]) -> int:
+    """Length of the common prefix of two addresses: the depth of their
+    meet, for hexagon addresses in T_bin as for block ids in T0."""
     n = 0
     for x, y in zip(a, b):
         if x != y:
@@ -266,7 +268,7 @@ def _lcp_len(a: Address, b: Address) -> int:
 
 def hex_tree_edges(a: Address, b: Address) -> int:
     """Edge count between hexagon addresses in T_bin."""
-    return len(a) + len(b) - 2 * _lcp_len(a, b)
+    return len(a) + len(b) - 2 * lcp_len(a, b)
 
 
 def prefix_edges(a: Sequence[Address], b: Sequence[Address]) -> np.ndarray:
@@ -350,7 +352,7 @@ def tbin_distance_matrix(points: Sequence[TbinPoint]) -> np.ndarray:
 
 def tbin_path_vertices(a: Address, b: Address) -> list[Address]:
     """Vertex addresses of the T_bin geodesic from a to b, inclusive."""
-    k = _lcp_len(a, b)
+    k = lcp_len(a, b)
     up = [a[:i] for i in range(len(a), k, -1)]
     down = [b[:i] for i in range(k, len(b) + 1)]
     return up + down

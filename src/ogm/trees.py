@@ -35,9 +35,24 @@ A shared segment clips to itself, a bridge is lo == hi, and the identity
 clips to the whole line.  Two maps compose into one, since gate projections
 onto the lines of a tree compose: clipping to I1 and then to the preimage J
 of I2 is clipping to I1 & J, or, when that is empty, a bridge from the end
-of I1 nearest J that adds the gap to const.  The parameters are
-half-integers and compose exactly; tc_distance, line_profile and tc_matrix
-all push points through the composed map.
+of I1 nearest J that adds the gap to const.  tc_distance, line_profile and
+tc_matrix all push points through the composed map.
+
+Routes through T0.  Block ids are prefix addresses, so the T0 geodesic from
+block a to block o climbs from a to the meet a[:k] (k the common prefix
+length), turns inside the meet from the child a[:k+1] to the child o[:k+1],
+and descends to o.  A block is left or entered upward through its parent
+wall, whose line on the block's side is component 0, and downward through
+the component its child names.  So a route is up(a -> a[:k]), then the turn
+line_relation(components[a[k]], components[o[k]]), then down(a[:k] -> o);
+a map over a block outside c is the identity.  The up and down maps are
+cached per (class, block) for every ancestor, so a route costs no wall walk.
+Composing in this grouping gives the same five numbers as composing wall by
+wall: composition is associative, the parameters are half-integers (const
+an integer) far below 2**52, so every operation in `then` is exact, and
+the numbers are fixed by the map itself and the product of the
+orientations.  Routes, and so tc_matrix and tc_distance, are therefore
+bit for bit those of the wall-by-wall walk.
 """
 
 from __future__ import annotations
@@ -49,7 +64,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import hexagon as hx
-from .cover import CoverComplex, CoverError, CoverPoint, Wall
+from .cover import CoverComplex, CoverError, CoverPoint
+from .coverings import row_blocks
 from .manifold import Permutation, class_label, path_permutation
 
 BlockId = tuple[int, ...]
@@ -112,8 +128,14 @@ class LineRelation(NamedTuple):
 IDENTITY = LineRelation()
 
 
-@dataclass(frozen=True)
-class Route:
+def _compose(first: LineRelation, second: LineRelation) -> LineRelation:
+    """first.then(second), skipping identities."""
+    if first is IDENTITY:
+        return second
+    return first if second is IDENTITY else first.then(second)
+
+
+class Route(NamedTuple):
     """The point-free part of a profile walk: the source piece's exit line,
     the composed relation, and the end line (None over a fiber)."""
 
@@ -179,7 +201,10 @@ class TreeSystem:
             self.sigma[bid] = path_permutation(cplx.spec, cplx.blocks[bid].labels)
             self.labels[bid] = class_label(self.sigma[bid])
         self.class_labels: tuple[int, ...] = tuple(sorted(set(self.labels.values())))
-        self._relations: dict[tuple[hx.ComponentId, hx.ComponentId], LineRelation] = {}
+        # line relations by component indices, and the up and down maps of
+        # _walks by (class label, block id); both filled on first use
+        self._relations: dict[tuple[int, int], LineRelation] = {}
+        self._walk_maps: dict[tuple[int, BlockId], tuple[tuple[LineRelation, ...], ...]] = {}
 
     # -- maps ---------------------------------------------------------------
 
@@ -210,28 +235,58 @@ class TreeSystem:
 
     # -- T_c distance ---------------------------------------------------------
 
-    def _wall_side_comp(self, wall: Wall, bid: BlockId) -> hx.ComponentId:
-        return self.cplx.wall_component(wall, child_side=(bid == wall.child))
+    def _turn(self, label: int, bid: BlockId, comp_in: int, comp_out: int) -> LineRelation:
+        """The map inside block bid from the line of component comp_in to the
+        line of comp_out.  It is the identity when the two lines are one,
+        and over a block outside c, where both read the same fiber
+        coordinate."""
+        if self.labels[bid] != label or comp_in == comp_out:
+            return IDENTITY
+        rel = self._relations.get((comp_in, comp_out))
+        if rel is None:
+            comps = self.cplx.model.components
+            rel = self._relations[(comp_in, comp_out)] = line_relation(
+                comps[comp_in], comps[comp_out])
+        return rel
+
+    def _walks(self, label: int, bid: BlockId) -> tuple[tuple[LineRelation, ...], ...]:
+        """(up, down): for k < len(bid), up[k] is the map through the blocks
+        strictly between bid and its ancestor bid[:k], walked upward from
+        bid's parent wall line to the parent wall line of bid[:k+1], and
+        down[k] the same blocks walked downward."""
+        maps = self._walk_maps.get((label, bid))
+        if maps is None:
+            up = down = (IDENTITY,)
+            p = bid[:-1]
+            if p:
+                p_up, p_down = self._walks(label, p)
+                step = self._turn(label, p, bid[-1], 0)
+                up = tuple(_compose(step, m) for m in p_up) + up
+                step = self._turn(label, p, 0, bid[-1])
+                down = tuple(_compose(m, step) for m in p_down) + down
+            maps = self._walk_maps[(label, bid)] = up, down
+        return maps
 
     def route(self, label: int, src: BlockId, dst: BlockId) -> Route:
-        """The profile walk from block src to block dst along the T0
-        geodesic.  It ends on the line through which the geodesic enters
-        dst: the chain line wall_component(last wall, dst's side) over a dst
-        in c, the fiber line (None) over a dst outside c."""
-        chain = self.cplx.wall_chain(src, dst)
-        exit_ = self._wall_side_comp(chain[0][0], src) if self.labels[src] == label else None
-        rel, line = IDENTITY, None
-        for (w, up), nxt in zip(chain, [*chain[1:], None]):
-            bid = w.parent if up else w.child
-            line = self._wall_side_comp(w, bid) if self.labels[bid] == label else None
-            if line is None or nxt is None:
-                continue
-            comp_out = self._wall_side_comp(nxt[0], bid)
-            if comp_out != line:
-                step = self._relations.get((line, comp_out))
-                if step is None:
-                    step = self._relations[(line, comp_out)] = line_relation(line, comp_out)
-                rel = rel.then(step)
+        """The profile walk from block src to block dst != src along the T0
+        geodesic, through their meet src[:k] (k the common prefix length):
+        up(src -> meet), the turn inside the meet from the child toward src
+        to the child toward dst, and down(meet -> dst), from the cached
+        per-block maps.  A block leaves or enters upward through its parent
+        wall, whose line on its side is component 0, and downward through
+        the component its child names.  The walk ends on the line through
+        which it enters dst: that chain line over a dst in c, the fiber
+        (None) over a dst outside c."""
+        k = hx.lcp_len(src, dst)
+        up, down = len(src) > k, len(dst) > k
+        comps = self.cplx.model.components
+        exit_ = comps[0 if up else dst[k]] if self.labels[src] == label else None
+        line = comps[0 if down else src[k]] if self.labels[dst] == label else None
+        rel = self._walks(label, src)[0][k] if up else IDENTITY
+        if up and down:
+            rel = _compose(rel, self._turn(label, src[:k], src[k], dst[k]))
+        if down:
+            rel = _compose(rel, self._walks(label, dst)[1][k])
         return Route(exit_, rel, line)
 
     def line_profile(
@@ -260,44 +315,64 @@ class TreeSystem:
 
     def tc_matrix(self, label: int, points: Sequence[TcPoint]) -> np.ndarray:
         """Symmetric matrix of tc_distance(label, points[i], points[j]),
-        entry for entry equal to it, filled one strip per owner block a: its
-        own block, and its pairs with all later blocks, whose routes from a
-        are stacked into one map of arrays that a's points go through at once."""
+        entry for entry equal to it.  In owner order the points of a block
+        are one slice.  Each pair of blocks is walked from the lower block,
+        as tc_distance walks it, and every route from an earlier block ends
+        on the later block's entry line (component 0 over a block in c, else
+        the fiber), so each point's column coordinates are read once.  A
+        block's rows go, in row blocks, through the stacked maps of its
+        routes to all later blocks at once; that strict upper block triangle
+        is mirrored, and the same-owner block comes from
+        hexagon.tbin_distance_matrix or fiber differences.  Columns stay in
+        owner order until one row-blocked gather at the end."""
         for p in points:
             if p.owner not in self.cplx.blocks:
                 raise CoverError(f"owner {p.owner} not explored")
-        out = np.empty((len(points), len(points)))
-        members: dict[BlockId, list[int]] = {}
-        for i, p in enumerate(points):
-            members.setdefault(p.owner, []).append(i)
-        coords: dict[tuple[Optional[hx.ComponentId], BlockId], np.ndarray] = {}
-
-        def block_coords(line: Optional[hx.ComponentId], o: BlockId) -> np.ndarray:
-            if (line, o) not in coords:
-                coords[(line, o)] = np.array([line_coords(line, points[j]) for j in members[o]]).T
-            return coords[(line, o)]
-
-        blocks = sorted(members)
+        n = len(points)
+        blocks = sorted({p.owner for p in points})
+        index = {b: x for x, b in enumerate(blocks)}
+        blk = np.array([index[p.owner] for p in points], dtype=np.intp)
+        pos = np.argsort(blk, kind="stable")  # input index of each owner-order slot
+        counts = np.bincount(blk, minlength=len(blocks))
+        start = np.concatenate([[0], np.cumsum(counts)])
+        comp0 = self.cplx.model.components[0]
+        entry = [comp0 if self.labels[b] == label else None for b in blocks]
+        lam, d = np.array([line_coords(entry[blk[i]], points[i]) for i in pos]).reshape(n, 2).T
+        out = np.empty((n, n))  # rows in input order, columns in owner order
         for x, a in enumerate(blocks):
-            ia = members[a]
-            if self.labels[a] == label:
-                strip = [hx.tbin_distance_matrix([points[i].tree for i in ia]) / hx.EDGE]
+            s, e = start[x], start[x + 1]
+            if entry[x] is None:
+                own = np.abs(lam[s:e, None] - lam[s:e])
             else:
-                v = block_coords(None, a)[0]
-                strip = [np.abs(v[:, None] - v)]
-            later = blocks[x + 1:]
-            cols = ia + [i for o in later for i in members[o]]
-            if later:
-                routes = [self.route(label, a, o) for o in later]
+                own = hx.tbin_distance_matrix([points[i].tree for i in pos[s:e]]) / hx.EDGE
+            routes = [self.route(label, a, o) for o in blocks[x + 1:]]
+            if routes:
                 rel = LineRelation(*np.array([r.relation for r in routes]).T[:, :, None])
-                gc = np.array([block_coords(r.exit, a) for r in routes])
+                # a route leaves through the entry line but toward descendants
+                exits = [(y, r.exit) for y, r in enumerate(routes) if r.exit is not entry[x]]
+            for lo, hi in row_blocks(n, s, e):
+                rows = pos[lo:hi]
+                out[rows, s:e] = own[lo - s:hi - s]
+                if not routes:
+                    continue
+                gc = np.empty((len(routes), 2, hi - lo))
+                gc[:] = lam[lo:hi], d[lo:hi]
+                coords: dict[hx.ComponentId, np.ndarray] = {}
+                for y, line in exits:
+                    if line not in coords:
+                        coords[line] = np.array([line_coords(line, points[i]) for i in rows]).T
+                    gc[y] = coords[line]
                 g, c = rel.cross(gc[:, 0], gc[:, 1])  # one row per later block
-                k = np.repeat(np.arange(len(later)), [len(members[o]) for o in later])
-                lam, d = np.hstack([block_coords(r.line, o) for r, o in zip(routes, later)])
-                strip.append(np.abs(lam - g[k].T) + c[k].T + d)
-            strip = np.hstack(strip)
-            out[np.ix_(ia, cols)] = strip
-            out[np.ix_(cols, ia)] = strip.T
+                strip = lam[e:] - np.repeat(g, counts[x + 1:], axis=0).T
+                np.abs(strip, out=strip)
+                strip += np.repeat(c, counts[x + 1:], axis=0).T
+                strip += d[e:]
+                out[rows, e:] = strip
+                out[pos[e:], lo:hi] = strip.T
+        slot = np.empty(n, dtype=np.intp)
+        slot[pos] = np.arange(n)
+        for lo, hi in row_blocks(n):
+            out[lo:hi] = out[lo:hi, slot]
         return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:

@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("depths must be >= 1")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:  # numpy seed sequences take non-negative entropy only
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and > 0")
         if not (math.isfinite(self.fiber_range) and self.fiber_range >= 0):

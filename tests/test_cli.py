@@ -294,6 +294,8 @@ def test_covering_binding_pairs_below_one_exits_1(spec_file, capsys, binding_pai
         ("--fiber-range", "-1", "fiber_range"),
         ("--fiber-range", "inf", "fiber_range"),
         ("--workers", "-2", "workers"),
+        # numpy's "expected non-negative integer" did not name the field
+        ("--seed", "-1", "seed"),
         # said "explored complex has 1 classes, expected 2"
         ("--wall-comp-depth", "-1", "wall_comp_depth"),
     ],

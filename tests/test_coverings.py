@@ -358,14 +358,22 @@ def test_tree_covering_row_blocks_match_reference(monkeypatch, rows):
             )
 
 
-def test_check_covering_matches_pairwise_reference():
+@pytest.mark.parametrize("rows", [1, 7])
+def test_check_covering_matches_pairwise_reference(monkeypatch, rows):
+    # the pair masks are built in row blocks of _BLOCK_ENTRIES // n rows
     for cov, dmat in masked_cases():
+        n = len(cov.assignment)
+        monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * n + n - 1)
+        assert len(cvg.row_blocks(n)) == -(-n // rows)
         assert cvg.check_covering(cov, dmat) == reference_check_covering(cov, dmat)
 
 
 @pytest.mark.parametrize("binding_pairs", [1, 7, 10_000])
-def test_pullback_binding_order_matches_pairwise_reference(binding_pairs):
-    for cov, dmat in masked_cases():
+def test_pullback_binding_order_matches_pairwise_reference(monkeypatch, binding_pairs):
+    for rows, (cov, dmat) in zip([1, 7, 1000] * 3, masked_cases()):
+        # binding candidates are cut in row blocks, then among the survivors
+        n = len(cov.assignment)
+        monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * n + n - 1)
         calls = []
 
         def stub(i, j):
@@ -447,8 +455,8 @@ def test_covering_report_matches_pairwise_reference(
 
 
 def test_covering_report_builds_each_wall_chain_once(monkeypatch):
-    # once per class and unordered pair of sample blocks for the T_c
-    # matrices, and once per solve of a binding pair
+    # once per solve of a binding pair; the T_c matrices take their routes
+    # from the cached per-block maps
     spec = shipped("two_vertex_n5")
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,
@@ -469,9 +477,8 @@ def test_covering_report_builds_each_wall_chain_once(monkeypatch):
         cx.normalize(cx.sample_point(cover.make_stream(cfg.seed, i))).block
         for i in range(cfg.samples)
     }
-    classes = len(tr.TreeSystem(cx).class_labels)
     assert calls and all(u in blocks and v in blocks for u, v in calls)
-    assert len(calls) <= classes * math.comb(len(blocks), 2) + 2 * binding_pairs
+    assert len(calls) <= 2 * binding_pairs
 
 
 @pytest.mark.parametrize("wall_comp_depth", [0, None])

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import shipped
 from ogm import cover
+from ogm import coverings as cvg
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -341,6 +342,73 @@ def test_tc_matrix_interleaved_block_pairs():
     assert fiber_only > 0
 
 
+def family_tc_points(cx, ts, lab, seed):
+    """Sampled phi_c images on a family of blocks, 1 to 12 points each: the
+    root, two children, and children of those, so that some pairs of
+    blocks are an ancestor and its descendant."""
+    rng = random.Random(seed)
+    kids = rng.sample([b for b in cx.block_list if len(b) == 1], 2)
+    grand = [b for b in cx.block_list if len(b) == 2 and b[:1] in kids]
+    pts = []
+    for bid in [(), *kids, *rng.sample(grand, 4)]:
+        for _ in range(rng.randint(1, 12)):
+            x = cx.sample_point(cover.make_stream(seed, len(pts)))
+            pts.append(ts.phi_c(lab, CoverPoint(bid, x.base, x.fiber)))
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_tc_matrix_row_blocks_match_pairwise(monkeypatch, rows):
+    # a block's rows go through its routes in row blocks of
+    # _BLOCK_ENTRIES // n rows; n is no multiple of 7, so blocks split and
+    # the last row block is short
+    toward_descendant = split = 0
+    for name, wall_comp_depth in (("flip_n3", None), ("cycle_n4", 1), ("two_vertex_n5", 0)):
+        cx = cover.explore(
+            shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
+            wall_comp_depth=wall_comp_depth,
+        )
+        ts = tr.TreeSystem(cx)
+        for lab in ts.class_labels:
+            pts = family_tc_points(cx, ts, lab, seed=lab)
+            if len(pts) % 7 == 0:
+                pts.pop()
+            n = len(pts)
+            monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * n + n - 1)
+            assert len(cvg.row_blocks(n)) == -(-n // rows)
+            owners = sorted({p.owner for p in pts})
+            split += sum(sum(p.owner == o for p in pts) > rows for o in owners)
+            toward_descendant += sum(
+                ts.labels[a] == lab and o[:len(a)] == a for a in owners for o in owners if o > a
+            )
+            mat = ts.tc_matrix(lab, pts)
+            for i in range(n):
+                assert mat[i, i] == 0.0
+                for j in range(i + 1, n):
+                    d = ts.tc_distance(lab, pts[i], pts[j])
+                    assert mat[i, j] == mat[j, i] == d, (name, lab, i, j)
+    assert toward_descendant > 0 and split > 0
+
+
+def test_tc_matrix_walks_no_wall_chain(monkeypatch):
+    # routes come from the cached per-block maps, not from wall chains
+    cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0)
+    ts = tr.TreeSystem(cx)
+    calls = []
+    wall_chain = cover.CoverComplex.wall_chain
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return wall_chain(self, u, v)
+
+    monkeypatch.setattr(cover.CoverComplex, "wall_chain", counting)
+    for lab in ts.class_labels:
+        pts = family_tc_points(cx, ts, lab, seed=3)
+        assert ts.tc_matrix(lab, pts).shape == (len(pts), len(pts))
+    assert calls == []
+
+
 def test_line_profile_matches_tc_distance(cx, ts):
     # dst blocks two or three walls from src; the profile ends on the line
     # through which the T0 geodesic enters dst, the child side of the last
@@ -529,7 +597,10 @@ def sequential_route(ts, label, src, dst):
     """The route as it was walked before composition: exit line, the tuple
     of line relations crossed in order, end line."""
     chain = ts.cplx.wall_chain(src, dst)
-    side = ts._wall_side_comp
+
+    def side(w, bid):
+        return ts.cplx.wall_component(w, child_side=(bid == w.child))
+
     exit_ = side(chain[0][0], src) if ts.labels[src] == label else None
     steps, line = [], None
     for (w, up), nxt in zip(chain, [*chain[1:], None]):
@@ -540,7 +611,11 @@ def sequential_route(ts, label, src, dst):
     return exit_, steps, line
 
 
-@pytest.mark.parametrize("name, wall_comp_depth", [("flip_n3", None), ("two_vertex_n5", 0)])
+@pytest.mark.parametrize(
+    "name, wall_comp_depth",
+    [("flip_n3", None), ("two_vertex_n5", 0), ("flip_n3", 1), ("cycle_n4", None),
+     ("cycle_n4", 1), ("two_vertex_n5", 1)],
+)
 def test_route_matches_sequential_walk(name, wall_comp_depth):
     cx = cover.explore(
         shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0,

@@ -50,6 +50,7 @@ def test_run_config_validation():
         ("fiber_range", math.nan),
         ("fiber_range", math.inf),
         ("workers", -1),
+        ("seed", -1),
     ]:
         with pytest.raises(ValueError, match=field):
             vf.RunConfig(**{field: value})
@@ -315,14 +316,23 @@ def test_traced_entry_points_resolve(monkeypatch):
     assert missing == []
 
 
+def _resolve(expr, aliases):
+    """The object a parsed name or attribute chain denotes."""
+    if isinstance(expr, ast.Name):
+        return aliases[expr.id]
+    return getattr(_resolve(expr.value, aliases), expr.attr)
+
+
 def test_benchmark_reads_resolve():
-    # perfbench/micro.py and workloads.py read ogm modules through aliases
-    # (geo., vf., cli., hx.) and import names from ogm submodules; a deleted or
-    # renamed library name would only break the benchmark run.  The files are
+    # perfbench/micro.py, workloads.py and tracing.py read ogm modules
+    # through aliases (geo., vf., cli., hx., trees.) and import names from
+    # ogm submodules, and the tracer wraps owner.__dict__[attr] for every
+    # (owner, attr) of its SPANNED and COUNTED tables; a deleted or renamed
+    # library name would only break the benchmark run.  The files are
     # parsed, not imported: importing them pulls in the benchmark's configs
     bench = Path(__file__).resolve().parent.parent / "perfbench"
-    reads, missing = {}, []
-    for name in ("micro.py", "workloads.py"):
+    reads, missing, wrapped = {}, [], set()
+    for name in ("micro.py", "workloads.py", "tracing.py"):
         tree = ast.parse((bench / name).read_text(encoding="utf-8"))
         aliases = {}
         for node in ast.walk(tree):
@@ -339,8 +349,17 @@ def test_benchmark_reads_resolve():
                 reads.setdefault(node.value.id, set()).add(node.attr)
                 if not hasattr(aliases[node.value.id], node.attr):
                     missing.append(f"{name}: {node.value.id}.{node.attr}")
-    assert set(reads) == {"geo", "vf", "cli", "hx"}
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")):
+                for entry in node.value.elts:
+                    owner, attr = _resolve(entry.elts[0], aliases), entry.elts[1].value
+                    wrapped.add(f"{ast.unparse(entry.elts[0])}.{attr}")
+                    if attr not in owner.__dict__:
+                        missing.append(f"{name}: {ast.unparse(entry.elts[0])}.{attr}")
+    assert set(reads) == {"geo", "vf", "cli", "hx", "trees"}
     assert {"retract", "tbin_distance", "h0_distance"} <= reads["hx"]
     assert {"distance", "brute_force_distance"} <= reads["geo"]
     assert "collect_records" in reads["vf"] and "covering_report" in reads["cli"]
+    assert {"verify.collect_records", "trees.TreeSystem.tc_distance",
+            "cli.covering_report", "hexagon.boundary_point"} <= wrapped
     assert sorted(missing) == []
