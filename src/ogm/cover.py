@@ -100,7 +100,7 @@ class CoverComplex:
         self.blocks: dict[BlockId, Block] = {}
         self.walls: dict[tuple[BlockId, int], Wall] = {}
         self._build()
-        self.block_list = sorted(self.blocks)  # BFS-compatible: rank then lex
+        self.block_list = sorted(self.blocks)  # lexicographic: a preorder of the T0 ball
 
     def _build(self) -> None:
         wall_comps = [

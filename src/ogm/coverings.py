@@ -160,7 +160,7 @@ def check_covering(cov: ColoredCovering, dmat: np.ndarray) -> CoveringCheck:
 def pullback_check(
     cov: ColoredCovering,
     embedded_dmat: np.ndarray,
-    cover_distance: Callable[[int, int], float],
+    cover_distances: Callable[[list[tuple[int, int]]], list[float]],
     qi_constant: float,
     binding_pairs: int = 120,
 ) -> CoveringCheck:
@@ -170,6 +170,8 @@ def pullback_check(
     separation and diameter checks run the (expensive) cover-space distance
     on the binding pairs only: same-color cross-piece pairs with the
     smallest embedded distance and within-piece pairs with the largest.
+    `cover_distances` maps a list of sample index pairs to their distances;
+    it gets the separation pairs, then the diameter pairs, in one call.
     """
     if binding_pairs < 1:
         raise ValueError("binding_pairs must be >= 1")
@@ -205,8 +207,9 @@ def pullback_check(
             order = order[::-1]
         return [(int(i[k]), int(j[k])) for k in order[:binding_pairs]]
 
-    seps = [cover_distance(i, j) for i, j in binding(colors, False)]
-    diams = [cover_distance(i, j) for i, j in binding(pieces, True)]
+    sep_pairs, diam_pairs = binding(colors, False), binding(pieces, True)
+    dists = cover_distances(sep_pairs + diam_pairs)
+    seps, diams = dists[: len(sep_pairs)], dists[len(sep_pairs) :]
     min_sep = min(seps, default=math.inf)
     max_diam = max(diams, default=0.0)
     checked = len(seps) + len(diams)

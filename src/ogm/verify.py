@@ -23,7 +23,7 @@ from . import curves as cv
 from . import geodesics as geo
 from . import hexagon as hx
 from . import trees as tr
-from .cover import CoverComplex, CoverError, explore, make_stream
+from .cover import CoverComplex, CoverError, CoverPoint, explore, make_stream
 from .manifold import GraphManifoldSpec, check_irreducible, validate
 
 
@@ -141,14 +141,22 @@ class VerificationReport:
 _STATE: dict = {}
 
 
-def _pair_record(index: int) -> dict:
+def _pair_records(indices: range) -> list[dict]:
+    """The records of a chunk of sample indices, their distances solved in
+    one batch."""
+    cplx: CoverComplex = _STATE["cplx"]
+    cfg: RunConfig = _STATE["cfg"]
+    pairs = [(cplx.sample_point(make_stream(cfg.seed, 2 * i)),
+              cplx.sample_point(make_stream(cfg.seed, 2 * i + 1))) for i in indices]
+    results = geo.distances(cplx, pairs, tol=cfg.tol)
+    return [_pair_record(i, x, y, res) for i, (x, y), res in zip(indices, pairs, results)]
+
+
+def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResult) -> dict:
+    """The record of sample `index`, the pair (x, y) at solved distance `res`."""
     cplx: CoverComplex = _STATE["cplx"]
     ts: tr.TreeSystem = _STATE["ts"]
-    cfg: RunConfig = _STATE["cfg"]
-    x = cplx.sample_point(make_stream(cfg.seed, 2 * index))
-    y = cplx.sample_point(make_stream(cfg.seed, 2 * index + 1))
     rec: dict = {"index": index}
-    res = geo.distance(cplx, x, y, tol=cfg.tol)
     if res.truncated:
         rec["truncated"] = True
         return rec
@@ -181,21 +189,22 @@ def _pair_record(index: int) -> dict:
 def _collect_records(
     cplx: CoverComplex, ts: tr.TreeSystem, cfg: RunConfig
 ) -> list[dict]:
-    _STATE.update(cplx=cplx, ts=ts, cfg=cfg)  # read by _pair_record, also in forked workers
-    indices = range(cfg.samples)
+    _STATE.update(cplx=cplx, ts=ts, cfg=cfg)  # read by _pair_records, also in forked workers
     workers = cfg.workers or (  # 0: the CPUs this process may run on
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     )
     workers = min(workers, cfg.samples)  # a pool no larger than the work
+    # chunks of at most 16 pairs, and at least one chunk per worker; each
+    # chunk's distances are one batch solve
+    size = max(1, min(16, math.ceil(cfg.samples / workers)))
+    chunks = [range(i, min(i + size, cfg.samples)) for i in range(0, cfg.samples, size)]
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        # chunks of at most 16 pairs, and at least one chunk per worker
-        chunksize = max(1, min(16, math.ceil(cfg.samples / workers)))
         with ctx.Pool(workers) as pool:
-            return pool.map(_pair_record, indices, chunksize=chunksize)
-    return [_pair_record(i) for i in indices]
+            return [rec for chunk in pool.map(_pair_records, chunks, chunksize=1) for rec in chunk]
+    return [rec for chunk in chunks for rec in _pair_records(chunk)]
 
 
 def _build(spec: GraphManifoldSpec, cfg: RunConfig):
@@ -408,7 +417,8 @@ def _covering(
     pull = cvg.pullback_check(
         prod,
         sum_d,
-        lambda i, j: geo.distance(cplx, pts[i], pts[j], tol=cfg.tol).distance,
+        lambda pairs: [res.distance for res in geo.distances(
+            cplx, [(pts[i], pts[j]) for i, j in pairs], tol=cfg.tol)],
         consts["C"],
         binding_pairs=binding_pairs,
     )

@@ -376,9 +376,9 @@ def test_pullback_binding_order_matches_pairwise_reference(monkeypatch, binding_
         monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * n + n - 1)
         calls = []
 
-        def stub(i, j):
-            calls.append((i, j))
-            return float(dmat[i, j])
+        def stub(pairs):
+            calls.extend(pairs)
+            return [float(dmat[i, j]) for i, j in pairs]
 
         chk = cvg.pullback_check(cov, dmat, stub, 3.0, binding_pairs=binding_pairs)
         expected = reference_binding_order(cov, dmat, binding_pairs)
@@ -403,9 +403,9 @@ def test_pullback_binding_keeps_ties_at_the_cut():
         assert seps[k - 1] == seps[k] and diams[k - 1] == diams[k]
         calls = []
 
-        def stub(i, j):
-            calls.append((i, j))
-            return float(dmat[i, j])
+        def stub(pairs):
+            calls.extend(pairs)
+            return [float(dmat[i, j]) for i, j in pairs]
 
         cvg.pullback_check(cov, dmat, stub, 3.0, binding_pairs=k)
         assert calls == reference_binding_order(cov, dmat, k)
@@ -416,7 +416,8 @@ def test_pullback_rejects_binding_pairs_below_one(binding_pairs):
     dmat, root = tbin_vertex_sample(20, seed=3)
     cov = cvg.tree_covering(dmat, root, 2.0)
     with pytest.raises(ValueError):
-        cvg.pullback_check(cov, dmat, lambda i, j: 0.0, 3.0, binding_pairs=binding_pairs)
+        cvg.pullback_check(cov, dmat, lambda pairs: [0.0] * len(pairs), 3.0,
+                           binding_pairs=binding_pairs)
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,17 @@ def test_metric_axioms_sampled(cx_small):
         assert abs(fwd - rev) <= 1e-9 * max(1.0, fwd)
 
 
+def objective(segs, z, derivs=False):
+    """The batched kernel on a batch of one chain at z: its length, and with
+    `derivs` also its gradient and dense Hessian as lists."""
+    stack = geo._Stack([(segs, [(-math.inf, math.inf)] * len(z), list(z))])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, grad, hess = stack.evaluate(np.array(z, dtype=float), np.ones(1, bool), derivs)
+    if not derivs:
+        return float(f[0])
+    return float(f[0]), grad.tolist(), hess.reshape(len(z), len(z)).tolist()
+
+
 def test_convexity_probe(cx):
     import random as _random
 
@@ -179,7 +190,7 @@ def test_convexity_probe(cx):
         z1 = [rng.uniform(-2, 2) for _ in range(k)]
         z2 = [rng.uniform(-2, 2) for _ in range(k)]
         mid = [(a + b) / 2 for a, b in zip(z1, z2)]
-        f1, f2, fm = (geo._chain_objective(segs, z, False)[0] for z in (z1, z2, mid))
+        f1, f2, fm = (objective(segs, z) for z in (z1, z2, mid))
         assert fm <= 0.5 * (f1 + f2) + 1e-9
 
 
@@ -256,13 +267,13 @@ def test_chain_derivatives_match_central_differences(spec):
             for lo, hi in wv.bounds
         ]
         segs = geo._segments(cx.model, chain, x, y)
-        _, grad, hess = geo._chain_objective(segs, z, True)
+        _, grad, hess = objective(segs, z, True)
 
         def f(*moves):
             zz = list(z)
             for v, dv in moves:
                 zz[v] += dv
-            return geo._chain_objective(segs, zz, False)[0]
+            return objective(segs, zz)
 
         for a in range(len(z)):
             assert abs((f((a, h)) - f((a, -h))) / (2 * h) - grad[a]) < 1e-6
@@ -369,6 +380,17 @@ def _levenberg_cases():
     yield "no-free", spd.tolist(), rng.normal(size=7).tolist(), [], False
 
 
+def batched_step(hess, grad, free):
+    """The batched kernel's step for one pair, scattered over every
+    coordinate, and whether its Levenberg loop failed."""
+    steps, failed = geo._newton_steps(
+        np.array(hess)[np.ix_(free, free)][None], np.array(grad)[free][None]
+    )
+    step = np.zeros(len(grad))
+    step[free] = steps[0]
+    return step.tolist(), failed == [0]
+
+
 @pytest.mark.parametrize(
     "hess, grad, free, shifted", [pytest.param(*case[1:], id=case[0]) for case in _levenberg_cases()]
 )
@@ -381,20 +403,54 @@ def test_newton_step_matches_list_solver(monkeypatch, hess, grad, free, shifted)
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    step = geo._newton_step(hess, grad, free)
+    step, failed = batched_step(hess, grad, free)
     ref, tries = _reference_newton_step(hess, grad, free)
+    assert not failed
     assert (tries > 1) == shifted
-    assert len(calls) == tries  # the same shift schedule, try for try
+    # one stacked factorisation, then, when it fails, the pair's own
+    # Levenberg loop, the same shift schedule try for try
+    assert len(calls) == (1 + tries if shifted else 1)
     size = max([abs(v) for v in ref], default=0.0)
     assert all(abs(a - b) <= 1e-12 * size for a, b in zip(step, ref))
-    assert len(step) == len(grad)
     assert all(step[v] == 0.0 for v in range(len(grad)) if v not in free)
 
 
-def test_newton_step_nan_hessian_raises():
-    # numpy returns a NaN factor without raising; the pivot test rejects it
+def test_newton_step_nan_hessian_raises(monkeypatch):
+    # numpy returns a NaN factor without raising; the pivot test rejects it,
+    # for that pair of a stack alone
     hess = [[math.nan, 0.0], [0.0, 1.0]]
     with pytest.raises(geo.ConvergenceError, match="no Levenberg shift"):
-        geo._newton_step(hess, [1.0, 1.0], [0, 1])
-    with pytest.raises(geo.ConvergenceError, match="no Levenberg shift"):
         _reference_newton_step(hess, [1.0, 1.0], [0, 1])
+    good = [[2.0, 0.5], [0.5, 1.0]]
+    steps, failed = geo._newton_steps(np.array([good, hess, good]), np.ones((3, 2)))
+    assert failed == [1]
+    alone, _ = geo._newton_steps(np.array([good]), np.ones((1, 2)))
+    assert np.array_equal(steps[[0, 2]], np.concatenate((alone, alone)))
+    # a solve whose Hessian is NaN raises the same error
+    evaluate = geo._Stack.evaluate
+
+    def nan_hessian(self, z, pairs, derivs):
+        f, grad, hess = evaluate(self, z, pairs, derivs)
+        return f, grad, None if hess is None else hess * math.nan
+
+    monkeypatch.setattr(geo._Stack, "evaluate", nan_hessian)
+    cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4)
+    x, y = sample_in_block(cx, (), 950), sample_in_block(cx, (5,), 951)
+    with pytest.raises(geo.ConvergenceError, match="no Levenberg shift"):
+        geo.distance(cx, x, y)
+
+
+def test_stacked_newton_steps_match_each_alone():
+    # LAPACK factors and solves each matrix of a stack as it would alone;
+    # failed factorisations fall back per pair
+    rng = np.random.default_rng(17)
+    mats, grads = [], []
+    for k in range(6):
+        m = rng.normal(size=(5, 5))
+        mats.append(m + m.T if k % 3 == 1 else m @ m.T + 0.1 * np.eye(5))
+        grads.append(rng.normal(size=5))
+    steps, failed = geo._newton_steps(np.array(mats), np.array(grads))
+    assert failed == []
+    for h, g, step in zip(mats, grads, steps):
+        alone, _ = geo._newton_steps(h[None], g[None])
+        assert np.array_equal(step, alone[0])

@@ -144,11 +144,12 @@ def test_worker_count_independent():
 
 class RecordingContext:
     """Stands in for the fork context: records each pool size asked for and
-    maps serially, so no process starts."""
+    the tasks of each map, and maps serially, so no process starts."""
 
     def __init__(self):
         self.sizes = []
         self.chunksizes = []
+        self.tasks = []
 
     def Pool(self, size):
         self.sizes.append(size)
@@ -162,6 +163,7 @@ class RecordingContext:
 
     def map(self, fn, items, chunksize=1):
         self.chunksizes.append(chunksize)
+        self.tasks.append(list(items))
         return [fn(i) for i in items]
 
 
@@ -203,13 +205,16 @@ def test_pool_size_capped_by_samples(monkeypatch, workers, cpus, sizes):
     ],
 )
 def test_every_worker_gets_a_chunk(monkeypatch, samples, workers, chunksize):
+    # each pool task is one chunk of consecutive indices, solved as one batch
     import multiprocessing
 
     ctx = RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
     spec = shipped("flip_n3")
     vf.collect_records(spec, small_cfg(samples=samples, workers=workers))
-    assert ctx.chunksizes == [chunksize]
+    assert ctx.chunksizes == [1]
+    (tasks,) = ctx.tasks
+    assert tasks == [range(i, min(i + chunksize, samples)) for i in range(0, samples, chunksize)]
     (pool,) = ctx.sizes
     assert math.ceil(samples / chunksize) >= pool == min(samples, workers)
 
