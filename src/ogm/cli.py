@@ -83,7 +83,7 @@ def cmd_constants(args) -> int:
 def cmd_explore(args) -> int:
     cplx = _complex_from_args(args)
     _write_or_print(cplx.summary(), args.out)
-    _log(f"explored {len(cplx.blocks)} blocks, {len(cplx.walls)} walls")
+    _log(f"explored {cplx.block_count} blocks, {cplx.block_count - 1} walls")
     return 0
 
 
@@ -202,6 +202,8 @@ def cmd_report(args) -> int:
 
 
 def _add_complex_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True)
+    p.add_argument("--out")
     p.add_argument("--complex", help="complex summary JSON to rebuild from")
     p.add_argument("--t0-depth", type=int, default=2, dest="t0_depth")
     p.add_argument("--hex-depth", type=int, default=4, dest="hex_depth")
@@ -214,6 +216,7 @@ def _add_complex_args(p: argparse.ArgumentParser) -> None:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     """One flag per RunConfig field, typed and defaulted by the field's
     default (each is an int or a float, never None)."""
+    p.add_argument("--spec", required=True)
     for f in fields(vf.RunConfig):
         flag = "--" + f.name.replace("_", "-")
         p.add_argument(flag, type=type(f.default), default=f.default, dest=f.name)
@@ -241,58 +244,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("geodesic", help="distance between two point addresses")
-    p.add_argument("--spec", required=True)
     _add_complex_args(p)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("phi", help="embedded product coordinates of a point")
-    p.add_argument("--spec", required=True)
     _add_complex_args(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("tree-dist", help="T_c distance between two points")
-    p.add_argument("--spec", required=True)
     _add_complex_args(p)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--class-label", type=int, default=None, dest="class_label")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_tree_dist)
 
     p = sub.add_parser("curve", help="special witness curve between points")
-    p.add_argument("--spec", required=True)
     _add_complex_args(p)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("verify-qi", help="certify the quasi-isometry sandwich")
-    p.add_argument("--spec", required=True)
     _add_run_args(p)
     p.add_argument("--csv", help="dump (d, e) sample pairs")
     p.set_defaults(fn=cmd_verify_qi)
 
     p = sub.add_parser("verify-lipschitz", help="certify the Lipschitz bounds")
-    p.add_argument("--spec", required=True)
     _add_run_args(p)
     p.set_defaults(fn=cmd_verify_lipschitz)
 
     p = sub.add_parser("covering", help="colored covering checks at a scale")
-    p.add_argument("--spec", required=True)
     _add_run_args(p)
     p.add_argument("--scale", type=float, default=8.0)
     p.add_argument("--binding-pairs", type=int, default=60, dest="binding_pairs")
     p.set_defaults(fn=cmd_covering)
 
     p = sub.add_parser("report", help="full verification pipeline")
-    p.add_argument("--spec", required=True)
     _add_run_args(p)
     p.add_argument("--binding-pairs", type=int, default=60, dest="binding_pairs")
     p.set_defaults(fn=cmd_report)

@@ -1,15 +1,22 @@
-"""Finite truncation of the universal-cover model space.
+"""The universal-cover model space, within a ball of the dual tree T0.
 
 Blocks are copies of H0 x R^(n-2) indexed by vertices of the dual tree T0;
 adjacent blocks are glued along walls (boundary line x R^(n-2)) by the edge
 permutation, zero offset, matching the integer grids.  All blocks share one
 HexModel, so a block is just its tree address plus a label assignment.
 
-Block addressing: children are created one per boundary component of the
-parent; a block id is the tuple of parent component indices along the path
-from the root.  Edge labels are assigned round-robin over the boundary
-edges of the block's graph vertex in canonical component order; a child's
-component 0 is its gluing component and carries the reverse edge label.
+Block addressing: a block id is the tuple of parent component indices along
+the path from the root, across wall components (minimal hexagon address
+length <= wall_comp_depth), down to depth t0_depth; component 0 of a
+non-root block is its gluing component.  Edge labels are assigned
+round-robin over the boundary edges of the block's graph vertex in
+canonical component order; a child's component 0 carries the reverse edge
+label.
+
+Nothing is explored up front: a block is a function of its id, computed
+from the root by this child rule on first use and cached per complex, and
+the caches never change an answer.  The ball is a regular tree, so its size
+and its lexicographic order (a preorder) are address arithmetic too.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import hexagon as hx
-from .manifold import GraphManifoldSpec, OrientedEdge, validate
+from .manifold import GraphManifoldSpec, OrientedEdge, Permutation, class_label, validate
 
 BlockId = tuple[int, ...]
 
@@ -33,10 +40,8 @@ class Block:
     labels: tuple[str, ...]  # oriented edge ids from the root block
     g_vertex: str
     shift: int  # round-robin offset into boundary(g_vertex)
-
-    @property
-    def rank(self) -> int:
-        return len(self.id)
+    sigma: Permutation  # composed gluing permutation from the root
+    class_label: int  # manifold.class_label(sigma)
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,9 @@ class CoverError(ValueError):
 
 
 class CoverComplex:
-    """Two-phase: explore() builds and freezes; all queries afterwards are
-    pure and safe to run concurrently."""
+    """A ball of the cover, radius t0_depth in T0.  Blocks and walls are
+    computed from their ids on first use and cached (see the module
+    docstring); the caches never change an answer."""
 
     def __init__(
         self,
@@ -97,38 +103,18 @@ class CoverComplex:
         self.fiber_range = float(fiber_range)
         self.wall_comp_depth = wall_comp_depth
         self.model = hx.HexModel(hex_depth)
-        self.blocks: dict[BlockId, Block] = {}
-        self.walls: dict[tuple[BlockId, int], Wall] = {}
-        self._build()
-        self.block_list = sorted(self.blocks)  # lexicographic: a preorder of the T0 ball
-
-    def _build(self) -> None:
-        wall_comps = [
-            ci
-            for ci, comp in enumerate(self.model.components)
-            if self.wall_comp_depth is None
-            or len(comp.min_addr) <= self.wall_comp_depth
-        ]
-        root = Block((), (), self.spec.root_vertex(), 0)
-        self.blocks[()] = root
-        frontier = [root]
-        for _ in range(self.t0_depth):
-            nxt = []
-            for blk in frontier:
-                for ci in wall_comps:
-                    if ci == 0 and blk.rank > 0:
-                        continue  # component 0 links upward
-                    edge = self.block_label(blk, ci)
-                    child_g = edge.to
-                    rev = self.spec.edges[edge.reverse]
-                    shift = self.spec.boundary(child_g).index(rev)
-                    child = Block(
-                        blk.id + (ci,), blk.labels + (edge.id,), child_g, shift
-                    )
-                    self.blocks[child.id] = child
-                    self.walls[(blk.id, ci)] = Wall(blk.id, ci, child.id, edge.id)
-                    nxt.append(child)
-            frontier = nxt
+        # components are sorted by min_addr length, so the wall components
+        # are the first wall_count of them
+        self.wall_count = sum(wall_comp_depth is None or len(c.min_addr) <= wall_comp_depth
+                              for c in self.model.components)
+        # _sizes[d]: blocks in the subtree of a block at depth d
+        self._sizes = [1] * (t0_depth + 1)
+        for d in range(t0_depth - 1, -1, -1):
+            self._sizes[d] = 1 + len(self.child_comps(d)) * self._sizes[d + 1]
+        self.block_count = self._sizes[0]
+        identity = Permutation.identity(spec.n - 1)
+        root = Block((), (), spec.root_vertex(), 0, identity, class_label(identity))
+        self._blocks: dict[BlockId, Block] = {(): root}
 
     # -- structure queries --------------------------------------------------
 
@@ -136,16 +122,50 @@ class CoverComplex:
         ring = self.spec.boundary(blk.g_vertex)
         return ring[(blk.shift + comp_index) % len(ring)]
 
+    def child(self, blk: Block, comp_index: int) -> Block:
+        """The child rule: the child of blk across component comp_index is
+        glued by that component's round-robin label, and its shift puts the
+        reverse label on its component 0."""
+        edge = self.block_label(blk, comp_index)
+        shift = self.spec.boundary(edge.to).index(self.spec.edges[edge.reverse])
+        sigma = edge.perm.after(blk.sigma)
+        return Block(blk.id + (comp_index,), blk.labels + (edge.id,), edge.to, shift,
+                     sigma, class_label(sigma))
+
+    def child_comps(self, depth: int) -> range:
+        """Components across which a block at this depth has children in
+        the ball: every wall component at the root, all but component 0,
+        which links upward, below it, and none at depth t0_depth."""
+        if depth >= self.t0_depth:
+            return range(0)
+        return range(1 if depth else 0, self.wall_count)
+
+    def in_ball(self, bid: BlockId) -> bool:
+        return all(ci in self.child_comps(j) for j, ci in enumerate(bid))
+
     def block(self, bid: BlockId) -> Block:
-        try:
-            return self.blocks[bid]
-        except KeyError:
-            raise CoverError(f"block {bid} not explored") from None
+        blk = self._blocks.get(bid)
+        if blk is None:
+            if not self.in_ball(bid):
+                raise CoverError(f"block {bid} not explored")
+            blk = self._blocks[bid] = self.child(self.block(bid[:-1]), bid[-1])
+        return blk
+
+    def block_at(self, index: int) -> BlockId:
+        """The index-th block id of the ball in lexicographic order, which is
+        a preorder of T0."""
+        if not 0 <= index < self.block_count:
+            raise CoverError(f"block index {index} outside 0..{self.block_count - 1}")
+        bid: BlockId = ()
+        while index:
+            q, index = divmod(index - 1, self._sizes[len(bid) + 1])
+            bid += (self.child_comps(len(bid))[q],)
+        return bid
 
     def parent_wall(self, bid: BlockId) -> Wall:
         if not bid:
             raise CoverError("root block has no parent wall")
-        return self.walls[(bid[:-1], bid[-1])]
+        return Wall(bid[:-1], bid[-1], bid, self.block(bid).labels[-1])
 
     def wall_chain(self, u: BlockId, v: BlockId) -> WallChain:
         """Walls along the T0 geodesic from u to v, in order, with a flag:
@@ -154,8 +174,8 @@ class CoverComplex:
         chain is kept."""
         self.block(u), self.block(v)
         k = hx.lcp_len(u, v)
-        up = tuple((self.walls[(u[: i - 1], u[i - 1])], True) for i in range(len(u), k, -1))
-        down = tuple((self.walls[(v[:i], v[i])], False) for i in range(k, len(v)))
+        up = tuple((self.parent_wall(u[:i]), True) for i in range(len(u), k, -1))
+        down = tuple((self.parent_wall(v[: i + 1]), False) for i in range(k, len(v)))
         return up + down
 
     def wall_component(self, w: Wall, child_side: bool) -> hx.ComponentId:
@@ -217,7 +237,9 @@ class CoverComplex:
     # -- sampling -----------------------------------------------------------
 
     def sample_point(self, rng: np.random.Generator) -> CoverPoint:
-        bid = self.block_list[int(rng.integers(0, len(self.block_list)))]
+        if self.block_count > 2**63:  # numpy draws the block index as an int64
+            raise CoverError(f"cannot sample a ball of {self.block_count} blocks (at most 2**63)")
+        bid = self.block_at(int(rng.integers(0, self.block_count)))
         addr = self.model.hexagons[int(rng.integers(0, len(self.model.hexagons)))]
         local = self.model.sample_local(rng)
         fiber = tuple(
@@ -226,7 +248,7 @@ class CoverComplex:
         return CoverPoint(bid, hx.H0Point(addr, local), fiber)
 
     def contains(self, p: CoverPoint) -> bool:
-        if p.block not in self.blocks or len(p.fiber) != self.spec.n - 2:
+        if not self.in_ball(p.block) or len(p.fiber) != self.spec.n - 2:
             return False
         if not all(math.isfinite(f) for f in p.fiber):
             return False
@@ -266,10 +288,10 @@ class CoverComplex:
         if fields.get("block"):
             for seg in fields["block"].split(","):
                 lab, _, ci = seg.partition("#")
-                wall = self.walls.get((bid, int(ci))) if ci.isdecimal() else None
-                if wall is None or wall.edge_id != lab:
+                child = bid + (int(ci),) if ci.isdecimal() else None
+                if child is None or not self.in_ball(child) or self.block(child).labels[-1] != lab:
                     raise CoverError(f"unknown block segment {seg!r}")
-                bid = wall.child
+                bid = child
         addr = numbers("hex", int, fields.get("hex", ""))
         pos = numbers("pos", float, fields["pos"].split(","))
         if len(pos) != 2:
@@ -287,28 +309,17 @@ class CoverComplex:
             {"index": i, "min_hex": list(c.min_addr), "side": c.side}
             for i, c in enumerate(self.model.components)
         ]
-        blocks = []
-        for bid in self.block_list:
-            blk = self.blocks[bid]
-            blocks.append(
-                {
-                    "id": list(bid),
-                    "g_vertex": blk.g_vertex,
-                    "labels": [
-                        self.block_label(blk, ci).id
-                        for ci in range(len(self.model.components))
-                    ],
-                }
+        blocks, walls = [], []
+        for i in range(self.block_count):  # walls in (parent, component) order
+            bid = self.block_at(i)
+            blk = self.block(bid)
+            labels = [self.block_label(blk, ci).id for ci in range(len(comps))]
+            blocks.append({"id": list(bid), "g_vertex": blk.g_vertex, "labels": labels})
+            walls += (
+                {"parent": list(bid), "parent_comp": ci, "child": list(bid + (ci,)),
+                 "edge": labels[ci]}
+                for ci in self.child_comps(len(bid))
             )
-        walls = [
-            {
-                "parent": list(w.parent),
-                "parent_comp": w.parent_comp,
-                "child": list(w.child),
-                "edge": w.edge_id,
-            }
-            for (_, _), w in sorted(self.walls.items())
-        ]
         return {
             "spec_digest": self.spec.digest(),
             "n": self.spec.n,

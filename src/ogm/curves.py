@@ -129,7 +129,7 @@ def _build(
         return _build(cplx, ts, y, x).reversed()
 
     v = x.block
-    label = ts.labels[v]
+    label = cplx.block(v).class_label
     a_tree = hx.retract(x.base)
 
     # distance profiles of phi_c(x) and phi_c(y) on the exit line, the wall's

@@ -64,11 +64,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import hexagon as hx
-from .cover import CoverComplex, CoverError, CoverPoint
+from .cover import BlockId, CoverComplex, CoverError, CoverPoint
 from .coverings import row_blocks
-from .manifold import Permutation, class_label, path_permutation
-
-BlockId = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -194,13 +191,16 @@ def line_coords(line: Optional[hx.ComponentId], p: TcPoint) -> tuple[float, floa
 class TreeSystem:
     def __init__(self, cplx: CoverComplex):
         self.cplx = cplx
-        # composed permutation and class label per explored block
-        self.sigma: dict[BlockId, Permutation] = {}
-        self.labels: dict[BlockId, int] = {}
-        for bid in cplx.block_list:
-            self.sigma[bid] = path_permutation(cplx.spec, cplx.blocks[bid].labels)
-            self.labels[bid] = class_label(self.sigma[bid])
-        self.class_labels: tuple[int, ...] = tuple(sorted(set(self.labels.values())))
+        # the classes in the ball, breadth first by the child rule with one
+        # block per state (g_vertex, shift, sigma): below the root, the state
+        # fixes the classes of the block's subtree
+        level, seen = [cplx.block(())], {}
+        for _ in range(cplx.t0_depth):
+            kids = [cplx.child(b, ci) for b in level for ci in cplx.child_comps(len(b.id))]
+            level = [seen.setdefault(s, k) for k in kids
+                     if (s := (k.g_vertex, k.shift, k.sigma)) not in seen]
+        self.class_labels: tuple[int, ...] = tuple(
+            sorted({b.class_label for b in [cplx.block(()), *seen.values()]}))
         # line relations by component indices, and the up and down maps of
         # _walks by (class label, block id); both filled on first use
         self._relations: dict[tuple[int, int], LineRelation] = {}
@@ -221,10 +221,11 @@ class TreeSystem:
 
     def _phi_c(self, label: int, xn: CoverPoint) -> TcPoint:
         """phi_c of a normalized point."""
-        if self.labels[xn.block] == label:
+        blk = self.cplx.block(xn.block)
+        if blk.class_label == label:
             return TcPoint(owner=xn.block, tree=hx.retract(xn.base))
         # over a block outside c, phi_c reads block coordinate sigma(label)
-        return TcPoint(owner=xn.block, value=xn.fiber[self.sigma[xn.block](label) - 1])
+        return TcPoint(owner=xn.block, value=xn.fiber[blk.sigma(label) - 1])
 
     def phi(self, x: CoverPoint) -> ProductPoint:
         xn = self.cplx.normalize(x)
@@ -240,7 +241,7 @@ class TreeSystem:
         line of comp_out.  It is the identity when the two lines are one,
         and over a block outside c, where both read the same fiber
         coordinate."""
-        if self.labels[bid] != label or comp_in == comp_out:
+        if comp_in == comp_out or self.cplx.block(bid).class_label != label:
             return IDENTITY
         rel = self._relations.get((comp_in, comp_out))
         if rel is None:
@@ -280,8 +281,8 @@ class TreeSystem:
         k = hx.lcp_len(src, dst)
         up, down = len(src) > k, len(dst) > k
         comps = self.cplx.model.components
-        exit_ = comps[0 if up else dst[k]] if self.labels[src] == label else None
-        line = comps[0 if down else src[k]] if self.labels[dst] == label else None
+        exit_ = comps[0 if up else dst[k]] if self.cplx.block(src).class_label == label else None
+        line = comps[0 if down else src[k]] if self.cplx.block(dst).class_label == label else None
         rel = self._walks(label, src)[0][k] if up else IDENTITY
         if up and down:
             rel = _compose(rel, self._turn(label, src[:k], src[k], dst[k]))
@@ -300,9 +301,7 @@ class TreeSystem:
         return float(g), float(c), route.line
 
     def tc_distance(self, label: int, a: TcPoint, b: TcPoint) -> float:
-        for p in (a, b):
-            if p.owner not in self.cplx.blocks:
-                raise CoverError(f"owner {p.owner} not explored")
+        self.cplx.block(a.owner), self.cplx.block(b.owner)
         if a.owner == b.owner:
             if a.tree is not None:  # the collapsed piece metric, in grid units
                 return hx.tbin_distance(a.tree, b.tree) / hx.EDGE
@@ -325,9 +324,6 @@ class TreeSystem:
         is mirrored, and the same-owner block comes from
         hexagon.tbin_distance_matrix or fiber differences.  Columns stay in
         owner order until one row-blocked gather at the end."""
-        for p in points:
-            if p.owner not in self.cplx.blocks:
-                raise CoverError(f"owner {p.owner} not explored")
         n = len(points)
         blocks = sorted({p.owner for p in points})
         index = {b: x for x, b in enumerate(blocks)}
@@ -336,7 +332,7 @@ class TreeSystem:
         counts = np.bincount(blk, minlength=len(blocks))
         start = np.concatenate([[0], np.cumsum(counts)])
         comp0 = self.cplx.model.components[0]
-        entry = [comp0 if self.labels[b] == label else None for b in blocks]
+        entry = [comp0 if self.cplx.block(b).class_label == label else None for b in blocks]
         lam, d = np.array([line_coords(entry[blk[i]], points[i]) for i in pos]).reshape(n, 2).T
         out = np.empty((n, n))  # rows in input order, columns in owner order
         for x, a in enumerate(blocks):

@@ -19,3 +19,8 @@ def shipped_doc(name: str) -> dict:
 
 def shipped(name: str) -> GraphManifoldSpec:
     return GraphManifoldSpec.from_dict(shipped_doc(name))
+
+
+def ball_ids(cx) -> list:
+    """Every block id of a complex's ball, in lexicographic order."""
+    return [cx.block_at(i) for i in range(cx.block_count)]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import shipped
+from conftest import ball_ids, shipped
 from ogm import cover, coverings as cvg
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -145,8 +145,10 @@ def test_criterion_03_retraction_constant():
 def test_criterion_04_class_structure():
     for name in SPECS:
         spec = shipped(name)
-        ts = tr.TreeSystem(cover.explore(spec, 3, 2, wall_comp_depth=0))
-        assert len(set(ts.labels.values())) == spec.n - 1, name
+        cx = cover.explore(spec, 3, 2, wall_comp_depth=0)
+        classes = {cx.block(bid).class_label for bid in ball_ids(cx)}
+        assert len(classes) == spec.n - 1, name
+        assert tr.TreeSystem(cx).class_labels == tuple(sorted(classes)), name
     red = shipped("reducible_n4")
     rep = check_irreducible(red, 10)
     assert not rep.irreducible
@@ -248,8 +250,8 @@ def test_criterion_08_tree_system_metrics():
         assert lhs <= rhs + 1e-9
     # grid-matched identification preserves distances between c pieces
     cx3 = cover.explore(shipped("flip_n3"), t0_depth=3, hex_depth=2)
-    w1 = cx3.walls[((3,), 7)]
-    w2 = cx3.walls[((3, 7), 9)]
+    w1 = cx3.parent_wall((3, 7))
+    w2 = cx3.parent_wall((3, 7, 9))
     comp_u = cx3.wall_component(w1, child_side=False)
     comp_v = cx3.wall_component(w2, child_side=True)
     import random as _r

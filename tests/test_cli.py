@@ -133,7 +133,7 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
     )
     doc = strict_json(out.read_text())
     assert len(doc["blocks"]) == 4  # root + 3 shallow components
-    capsys.readouterr()
+    assert capsys.readouterr().err == "explored 4 blocks, 3 walls\n"
 
     cx = cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=0)
     a = cx.format_point(cx.sample_point(cover.make_stream(1, 0)))

@@ -1,13 +1,47 @@
 import json
 import math
+from dataclasses import astuple
 
 import pytest
 
-from conftest import shipped, shipped_doc
+from conftest import ball_ids, shipped, shipped_doc
 from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
-from ogm.manifold import GraphManifoldSpec
+from ogm import trees as tr
+from ogm.manifold import GraphManifoldSpec, class_label, path_permutation
+
+
+def reference_ball(cx):
+    """The whole T0 ball of cx by breadth-first exploration, the reference
+    for the complex's address arithmetic: (blocks, walls), blocks by id as
+    (labels, g_vertex, shift) and walls by (parent, component) as
+    cover.Wall."""
+    spec = cx.spec
+    wall_comps = [
+        ci
+        for ci, comp in enumerate(cx.model.components)
+        if cx.wall_comp_depth is None or len(comp.min_addr) <= cx.wall_comp_depth
+    ]
+    blocks = {(): ((), spec.root_vertex(), 0)}
+    walls = {}
+    frontier = [()]
+    for _ in range(cx.t0_depth):
+        nxt = []
+        for bid in frontier:
+            labels, g_vertex, shift = blocks[bid]
+            for ci in wall_comps:
+                if ci == 0 and bid:
+                    continue  # component 0 links upward
+                ring = spec.boundary(g_vertex)
+                edge = ring[(shift + ci) % len(ring)]
+                rev = spec.edges[edge.reverse]
+                child = bid + (ci,)
+                blocks[child] = (labels + (edge.id,), edge.to, spec.boundary(edge.to).index(rev))
+                walls[(bid, ci)] = cover.Wall(bid, ci, child, edge.id)
+                nxt.append(child)
+        frontier = nxt
+    return blocks, walls
 
 
 @pytest.fixture(scope="module")
@@ -17,27 +51,29 @@ def flip_cx():
 
 def test_depth_zero_single_block():
     cx = cover.explore(shipped("flip_n3"), t0_depth=0, hex_depth=2)
-    assert len(cx.blocks) == 1
-    assert len(cx.walls) == 0
+    assert cx.block_count == 1 and ball_ids(cx) == [()]
+    assert cx.child_comps(0) == range(0)  # no walls
 
 
 def test_flip_depth1_counts(flip_cx):
     # 3 * 2^2 = 12 boundary components at hexagon depth 2, one child each
     assert len(cx_components := flip_cx.model.components) == 12
-    assert len(flip_cx.blocks) == 1 + 12
-    assert len(flip_cx.walls) == 12
-    for w in flip_cx.walls.values():
+    assert flip_cx.block_count == 1 + 12
+    walls = [flip_cx.parent_wall(bid) for bid in ball_ids(flip_cx)[1:]]
+    assert len(walls) == 12
+    for w in walls:
         assert flip_cx.spec.edges[w.edge_id].perm.images == (1, 0)
-    assert len(cx_components) + 1 == len(flip_cx.blocks)
+    assert len(cx_components) + 1 == flip_cx.block_count
 
 
 def test_tree_property():
     cx = cover.explore(shipped("cycle_n4"), t0_depth=2, hex_depth=1)
-    assert len(cx.blocks) == len(cx.walls) + 1
+    blocks, walls = reference_ball(cx)
+    assert cx.block_count == len(blocks) == len(walls) + 1
 
 
 def test_wall_perms_inverse(flip_cx):
-    for w in flip_cx.walls.values():
+    for w in map(flip_cx.parent_wall, ball_ids(flip_cx)[1:]):
         e = flip_cx.spec.edges[w.edge_id]
         rev = flip_cx.spec.edges[e.reverse]
         assert rev.perm.after(e.perm).is_identity()
@@ -46,8 +82,8 @@ def test_wall_perms_inverse(flip_cx):
 def test_round_robin_labels():
     cx = cover.explore(shipped("two_vertex_n5"), t0_depth=1, hex_depth=1)
     ncomp = len(cx.model.components)
-    for bid in cx.block_list:
-        blk = cx.blocks[bid]
+    for bid in ball_ids(cx):
+        blk = cx.block(bid)
         ring = cx.spec.boundary(blk.g_vertex)
         labels = [cx.block_label(blk, ci).id for ci in range(ncomp)]
         for start in range(ncomp - len(ring)):
@@ -93,7 +129,7 @@ def test_wall_chain_depth3():
 
 
 def test_cross_wall_flip(flip_cx):
-    w = flip_cx.walls[((), 0)]
+    w = flip_cx.parent_wall((0,))
     comp = flip_cx.wall_component(w, False)
     t, f = 0.75, 1.5
     p = cover.CoverPoint((), flip_cx.model.boundary_point(comp, t), (f,))
@@ -110,7 +146,7 @@ def test_cross_wall_flip(flip_cx):
 
 
 def test_cross_wall_grid_corner(flip_cx):
-    w = flip_cx.walls[((), 1)]
+    w = flip_cx.parent_wall((1,))
     comp = flip_cx.wall_component(w, False)
     p = cover.CoverPoint((), flip_cx.model.boundary_point(comp, 1.0), (-2.0,))
     q = flip_cx.cross_wall(p, w)
@@ -120,7 +156,7 @@ def test_cross_wall_grid_corner(flip_cx):
 
 
 def test_normalize_wall_point(flip_cx):
-    w = flip_cx.walls[((), 4)]
+    w = flip_cx.parent_wall((4,))
     coords = (1.25, -0.5)
     child_pt = flip_cx.point_from_wall_coords(w, coords, child_side=True)
     norm = flip_cx.normalize(child_pt)
@@ -143,9 +179,9 @@ def test_sample_membership_and_coverage(flip_cx):
         p = flip_cx.sample_point(cover.make_stream(123, i))
         assert flip_cx.contains(p)
         hit.add(p.block)
-        if len(hit) == len(flip_cx.blocks):
+        if len(hit) == flip_cx.block_count:
             break
-    assert hit == set(flip_cx.block_list)
+    assert hit == set(ball_ids(flip_cx))
 
 
 def test_sample_coverage_depth2():
@@ -154,9 +190,9 @@ def test_sample_coverage_depth2():
     hit = set()
     for i in range(10_000):
         hit.add(cx.sample_point(cover.make_stream(7, i)).block)
-        if len(hit) == len(cx.blocks):
+        if len(hit) == cx.block_count:
             break
-    assert hit == set(cx.block_list)
+    assert hit == set(ball_ids(cx))
 
 
 def test_point_address_roundtrip(flip_cx):
@@ -198,3 +234,69 @@ def test_non_finite_fiber_outside_complex(flip_cx, value):
         geo.distance(flip_cx, p, bad)
     with pytest.raises(cover.CoverError, match="outside"):
         flip_cx.parse_point(flip_cx.format_point(bad))
+
+
+# every (spec, t0, wall_comp_depth), at hex depth 4, 3 and 2 for
+# wall_comp_depth 0, 1 and None, and the widest ball (48 wall components)
+REFERENCE_CASES = [
+    pytest.param(name, t0, hexd, wcd, id=f"{name}-t0{t0}-hex{hexd}-w{wcd}")
+    for name in ("flip_n3", "cycle_n4", "two_vertex_n5", "reducible_n4")
+    for t0 in range(4)
+    for wcd, hexd in ((0, 4), (1, 3), (None, 2))
+] + [pytest.param("two_vertex_n5", 2, 4, None, id="two_vertex_n5-t02-hex4-wNone")]
+
+
+@pytest.mark.parametrize("name, t0, hexd, wcd", REFERENCE_CASES)
+def test_ball_matches_reference_enumeration(name, t0, hexd, wcd):
+    cx = cover.explore(shipped(name), t0, hexd, wall_comp_depth=wcd)
+    blocks, walls = reference_ball(cx)
+    assert cx.block_count == len(blocks)
+    ids = ball_ids(cx)
+    assert ids == sorted(blocks)
+    classes = set()
+    for bid in ids:
+        blk = cx.block(bid)
+        assert (blk.labels, blk.g_vertex, blk.shift) == blocks[bid]
+        sigma = path_permutation(cx.spec, blk.labels)
+        assert (blk.sigma, blk.class_label) == (sigma, class_label(sigma))
+        classes.add(blk.class_label)
+        if bid:
+            assert cx.parent_wall(bid) == walls[(bid[:-1], bid[-1])]
+        assert [ci for b, ci in walls if b == bid] == list(cx.child_comps(len(bid)))
+    assert tr.TreeSystem(cx).class_labels == tuple(sorted(classes))
+    doc = cx.summary()
+    assert [tuple(b["id"]) for b in doc["blocks"]] == ids
+    assert [(tuple(w["parent"]), w["parent_comp"], tuple(w["child"]), w["edge"])
+            for w in doc["walls"]] == [astuple(w) for _, w in sorted(walls.items())]
+    # ids outside the ball: component 0 below the root, an unknown
+    # component, one level too deep
+    base, fiber = hx.H0Point((), hx.CENTER), (0.0,) * (cx.spec.n - 2)
+    outside = [(1, 0), (cx.wall_count,), (len(cx.model.components),), (0,) + (1,) * t0]
+    for bid in outside + ids[:: max(1, len(ids) // 50)]:
+        inside = bid in blocks
+        assert cx.in_ball(bid) is inside
+        assert cx.contains(cover.CoverPoint(bid, base, fiber)) is inside
+        if not inside:
+            with pytest.raises(cover.CoverError, match="not explored"):
+                cx.block(bid)
+
+
+def test_sampling_names_the_block_limit():
+    # hex 4 glues 48 components, so t0 12 holds about 1.2e20 blocks, more
+    # than an int64 index can draw; explicit deep points still work
+    cx = cover.explore(shipped("two_vertex_n5"), t0_depth=12, hex_depth=4)
+    assert cx.block_count > 2**63
+    with pytest.raises(cover.CoverError, match=f"{cx.block_count} blocks"):
+        cx.sample_point(cover.make_stream(1, 0))
+    u, v = (1, 2) * 6, (1, 2) * 5 + (1, 1)
+    x = cover.CoverPoint(u, hx.H0Point((1, 2), hx.CENTER), (0.5, -0.25, 1.0))
+    y = cover.CoverPoint(v, hx.H0Point((0,), hx.CENTER), (0.0, 0.75, -1.0))
+    for p in (x, y):
+        q = cx.parse_point(cx.format_point(p))
+        assert (q.block, q.base.hex, q.fiber) == (p.block, p.base.hex, p.fiber)
+    assert len(cx.wall_chain(u, v)) == 2
+    res = geo.distance(cx, x, y, tol=1e-6)
+    assert res.truncated or res.distance > 0
+    ts = tr.TreeSystem(cx)
+    assert ts.phi(x).t0 == u
+    assert ts.product_distance(ts.phi(x), ts.phi(y)) > 0

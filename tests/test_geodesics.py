@@ -66,7 +66,7 @@ def test_same_point_zero(cx):
 
 
 def test_same_wall_flat(cx):
-    w = cx.walls[((), 0)]
+    w = cx.parent_wall((0,))
     p = cx.point_from_wall_coords(w, (0.5, -1.0), child_side=False)
     q = cx.point_from_wall_coords(w, (2.5, 2.0), child_side=True)
     res = geo.distance(cx, p, q, tol=1e-9)
@@ -114,7 +114,7 @@ def test_symmetric_instance_crosses_fixed_locus(cx):
     # both endpoints perpendicular pushes at the same foot and depth with
     # equal fibers: the one-wall objective is then invariant under the flip
     # (t, f) -> (f, t), so the unique optimal crossing sits on the diagonal
-    w = cx.walls[((), 2)]
+    w = cx.parent_wall((2,))
     comp_p = cx.wall_component(w, False)
     comp_c = cx.wall_component(w, True)
     t_foot, f0, q_in = 0.7, 1.9, 0.8
@@ -139,9 +139,9 @@ def test_oracle_refinement_monotone(cx):
 def test_metric_axioms_sampled(cx_small):
     tol = 1e-5
     pts = []
-    nblocks = len(cx_small.block_list)
+    nblocks = cx_small.block_count
     for i in range(30):
-        bid = cx_small.block_list[(5 * i) % nblocks]
+        bid = cx_small.block_at((5 * i) % nblocks)
         pts.append(sample_in_block(cx_small, bid, 500 + i, spread=2.0))
     import itertools
     import random as _random

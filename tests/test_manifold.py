@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from conftest import IRREDUCIBLE_NAMES, SHIPPED_NAMES, shipped, shipped_doc
+from conftest import IRREDUCIBLE_NAMES, SHIPPED_NAMES, ball_ids, shipped, shipped_doc
 from ogm import cover
-from ogm import trees as tr
 from ogm.manifold import (
     GraphManifoldSpec,
     Permutation,
@@ -123,8 +122,7 @@ def label_paths(spec, depth):
 def explored_classes(name, depth):
     """(block, label path from the root, class) for every explored block."""
     cx = cover.explore(shipped(name), depth, 2, wall_comp_depth=0)
-    ts = tr.TreeSystem(cx)
-    return [(bid, cx.blocks[bid].labels, ts.labels[bid]) for bid in cx.block_list]
+    return [(bid, cx.block(bid).labels, cx.block(bid).class_label) for bid in ball_ids(cx)]
 
 
 def test_classes_flip_parity():

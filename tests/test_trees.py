@@ -6,12 +6,13 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import shipped
+from conftest import ball_ids, shipped
 from ogm import cover
 from ogm import coverings as cvg
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
+from ogm import verify as vf
 from ogm.cover import CoverPoint
 
 
@@ -31,14 +32,14 @@ def sample(cx, i):
 
 def test_class_labels_flip_parity(cx, ts):
     assert ts.class_labels == (0, 1)
-    for bid in cx.block_list:
-        assert ts.labels[bid] == len(bid) % 2
+    for bid in ball_ids(cx):
+        assert cx.block(bid).class_label == len(bid) % 2
 
 
 def test_phi0_interior_and_wall(cx, ts):
     x = CoverPoint((3,), hx.H0Point((1, 2), hx.CENTER), (0.5,))
     assert ts.phi(x).t0 == (3,)
-    w = cx.walls[((), 3)]
+    w = cx.parent_wall((3,))
     wp = cx.point_from_wall_coords(w, (0.5, 1.0), child_side=True)
     assert ts.phi(wp).t0 == ()  # lower rank wins on walls
 
@@ -65,12 +66,12 @@ def test_phi_c_reads_fiber_coordinate(cx, ts):
     p = ts.phi_c(0, x)  # block (3,) has label 1, so class 0 is a line there
     assert p.value == 2.25
     # brute-force the coordinate index: sigma maps class label to coordinate
-    sigma = ts.sigma[(3,)]
+    sigma = cx.block((3,)).sigma
     assert sigma(0) == 1
 
 
 def test_phi_c_well_defined_on_walls(cx, ts):
-    w = cx.walls[((), 5)]
+    w = cx.parent_wall((5,))
     for lab in ts.class_labels:
         for i in range(20):
             r = cover.make_stream(17, i)
@@ -113,7 +114,7 @@ def test_tc_line_identity_through_non_c_blocks(ts):
 
 def test_tc_one_wall_vs_brute(cx, ts):
     lab = 1
-    w = cx.walls[((), 3)]
+    w = cx.parent_wall((3,))
     comp_in = cx.wall_component(w, child_side=True)
     rng = random.Random(5)
     step = 1 / 256
@@ -178,9 +179,9 @@ def test_grid_transport_equality():
     cx3 = cover.explore(shipped("flip_n3"), t0_depth=3, hex_depth=2)
     ts3 = tr.TreeSystem(cx3)
     u, mid, v = (3,), (3, 7), (3, 7, 9)
-    assert ts3.labels[u] == 1 and ts3.labels[mid] == 0 and ts3.labels[v] == 1
-    w1 = cx3.walls[((3,), 7)]
-    w2 = cx3.walls[((3, 7), 9)]
+    assert [cx3.block(b).class_label for b in (u, mid, v)] == [1, 0, 1]
+    w1 = cx3.parent_wall((3, 7))
+    w2 = cx3.parent_wall((3, 7, 9))
     comp_u = cx3.wall_component(w1, child_side=False)
     comp_v = cx3.wall_component(w2, child_side=True)
     rng = random.Random(0)
@@ -203,7 +204,7 @@ def test_phi_product_zero_and_fiber_shift(cx, ts):
     shift = 1.375
     y = CoverPoint(x.block, x.base, (x.fiber[0] + shift,))
     py = ts.phi(y)
-    own = ts.labels[x.block]
+    own = cx.block(x.block).class_label
     other = 1 - own
     assert ts.tc_distance(own, px.coord(own), py.coord(own)) == 0.0
     assert abs(ts.tc_distance(other, px.coord(other), py.coord(other)) - shift) < 1e-12
@@ -245,13 +246,13 @@ def mixed_tc_points(cx, ts, lab, seed):
     """Sampled phi_c images (vertex, edge and fiber points) over six blocks,
     explicit vertex, edge and fiber points on each of them, and repeats."""
     rng = random.Random(seed)
-    blocks = rng.sample(cx.block_list, 6)
+    blocks = rng.sample(ball_ids(cx), 6)
     pts = []
     for i in range(36):
         x = cx.sample_point(cover.make_stream(seed, i))
         pts.append(ts.phi_c(lab, CoverPoint(rng.choice(blocks), x.base, x.fiber)))
     for bid in blocks:
-        if ts.labels[bid] == lab:
+        if cx.block(bid).class_label == lab:
             pts.append(tr.TcPoint(bid, tree=hx.tbin_vertex((0, 1))))
             pts.append(tr.TcPoint(bid, tree=hx.tbin_edge_point((2,), (2, 0), 0.3)))
         else:
@@ -315,7 +316,7 @@ def test_tc_matrix_interleaved_block_pairs():
             wall_comp_depth=wall_comp_depth,
         )
         ts = tr.TreeSystem(cx)
-        blocks = random.Random(name).sample(cx.block_list, 8)
+        blocks = random.Random(name).sample(ball_ids(cx), 8)
         for lab in ts.class_labels:
             pts = interleaved_tc_points(cx, ts, lab, blocks, rounds=8, seed=17 + lab)
             owners = [p.owner for p in pts]
@@ -347,8 +348,8 @@ def family_tc_points(cx, ts, lab, seed):
     root, two children, and children of those, so that some pairs of
     blocks are an ancestor and its descendant."""
     rng = random.Random(seed)
-    kids = rng.sample([b for b in cx.block_list if len(b) == 1], 2)
-    grand = [b for b in cx.block_list if len(b) == 2 and b[:1] in kids]
+    kids = rng.sample([b for b in ball_ids(cx) if len(b) == 1], 2)
+    grand = [b for b in ball_ids(cx) if len(b) == 2 and b[:1] in kids]
     pts = []
     for bid in [(), *kids, *rng.sample(grand, 4)]:
         for _ in range(rng.randint(1, 12)):
@@ -380,7 +381,8 @@ def test_tc_matrix_row_blocks_match_pairwise(monkeypatch, rows):
             owners = sorted({p.owner for p in pts})
             split += sum(sum(p.owner == o for p in pts) > rows for o in owners)
             toward_descendant += sum(
-                ts.labels[a] == lab and o[:len(a)] == a for a in owners for o in owners if o > a
+                cx.block(a).class_label == lab and o[:len(a)] == a
+                for a in owners for o in owners if o > a
             )
             mat = ts.tc_matrix(lab, pts)
             for i in range(n):
@@ -421,7 +423,7 @@ def test_line_profile_matches_tc_distance(cx, ts):
     for lab, src, dst in cases:
         chain = cx.wall_chain(src.owner, dst)
         assert len(chain) >= 2
-        assert ts.labels[dst] == lab
+        assert cx.block(dst).class_label == lab
         g, c, line = ts.line_profile(lab, src, dst)
         assert line == cx.wall_component(chain[-1][0], child_side=True)
         assert type(g) is float and type(c) is float
@@ -601,11 +603,11 @@ def sequential_route(ts, label, src, dst):
     def side(w, bid):
         return ts.cplx.wall_component(w, child_side=(bid == w.child))
 
-    exit_ = side(chain[0][0], src) if ts.labels[src] == label else None
+    exit_ = side(chain[0][0], src) if ts.cplx.block(src).class_label == label else None
     steps, line = [], None
     for (w, up), nxt in zip(chain, [*chain[1:], None]):
         bid = w.parent if up else w.child
-        line = side(w, bid) if ts.labels[bid] == label else None
+        line = side(w, bid) if ts.cplx.block(bid).class_label == label else None
         if line is not None and nxt is not None and side(nxt[0], bid) != line:
             steps.append(tr.line_relation(line, side(nxt[0], bid)))
     return exit_, steps, line
@@ -625,7 +627,7 @@ def test_route_matches_sequential_walk(name, wall_comp_depth):
     rng = random.Random(name)
     longest = 0
     for _ in range(300):
-        src, dst = rng.sample(cx.block_list, 2)
+        src, dst = rng.sample(ball_ids(cx), 2)
         lab = rng.choice(ts.class_labels)
         exit_, steps, line = sequential_route(ts, lab, src, dst)
         route = ts.route(lab, src, dst)
@@ -700,3 +702,21 @@ def test_tbin_distance_matrix_equals_pairwise():
             assert mat[i, j] == hx.tbin_distance(x, y), (x, y)
             shared += i != j and x.child is not None and (x.parent, x.child) == (y.parent, y.child)
     assert shared >= 18
+
+
+def test_deep_ball_without_enumeration():
+    # about 3 * 2**40 blocks: preparing, sampling, phi and T_c distances
+    # touch only the sampled blocks and their ancestors
+    cfg = vf.RunConfig(t0_depth=40, hex_depth=3, fiber_range=3.0, wall_comp_depth=0)
+    cx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
+    assert cx.block_count == 1 + 3 * (2**40 - 1)
+    assert ts.class_labels == (0, 1, 2, 3)
+    pts = [cx.sample_point(cover.make_stream(8, i)) for i in range(6)]
+    assert min(len(p.block) for p in pts) >= 30
+    for x, y in zip(pts, pts[1:]):
+        px, py = ts.phi(x), ts.phi(y)
+        assert ts.t0_distance(px.t0, py.t0) == hx.hex_tree_edges(x.block, y.block)
+        for lab in ts.class_labels:
+            d = ts.tc_distance(lab, px.coord(lab), py.coord(lab))
+            assert math.isfinite(d) and d == ts.tc_distance(lab, py.coord(lab), px.coord(lab))
+    assert len(cx._blocks) <= 1 + 40 * len(pts)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import shipped
+from conftest import ball_ids, shipped
 from ogm import cover
 from ogm import hexagon as hx
 from ogm import trees as tr
+from ogm.manifold import path_permutation
 
 
 @pytest.fixture(scope="module")
@@ -20,19 +21,20 @@ def ts4(cx4):
     return tr.TreeSystem(cx4)
 
 
-def test_three_classes_present(ts4):
+def test_three_classes_present(cx4, ts4):
     assert ts4.class_labels == (0, 1, 2)
     # depth mod 3 labeling for the 3-cycle loop
-    for bid, lab in ts4.labels.items():
-        sigma = ts4.sigma[bid]
-        assert lab == sigma.inverse()(0)
+    for bid in ball_ids(cx4):
+        blk = cx4.block(bid)
+        assert blk.sigma == path_permutation(cx4.spec, blk.labels)
+        assert blk.class_label == blk.sigma.inverse()(0)
 
 
 def test_phi_c_well_defined_on_walls_all_classes(cx4, ts4):
     # the two wall representations read different coordinate indices but the
     # cocycle makes the values match for every class
     for wall_key in [((), 0), ((), 1), ((0,), 1), ((1,), 2)]:
-        w = cx4.walls[wall_key]
+        w = cx4.parent_wall(wall_key[0] + (wall_key[1],))
         for i in range(10):
             r = cover.make_stream(13, i)
             coords = tuple(float(v) for v in r.uniform(-1.5, 1.5, 3))
@@ -46,7 +48,7 @@ def test_phi_c_well_defined_on_walls_all_classes(cx4, ts4):
 def test_fiber_shift_moves_single_class(cx4, ts4):
     x = cx4.sample_point(cover.make_stream(5, 0))
     x = cover.CoverPoint(x.block, x.base, (0.25, -0.75))
-    own_label = ts4.labels[x.block]
+    own_label = cx4.block(x.block).class_label
     for k in (1, 2):
         fib = list(x.fiber)
         fib[k - 1] += 0.5
@@ -58,7 +60,7 @@ def test_fiber_shift_moves_single_class(cx4, ts4):
             if ts4.tc_distance(lab, px.coord(lab), py.coord(lab)) > 1e-12
         ]
         # exactly the class reading coordinate k moves, and never our own
-        sigma = ts4.sigma[x.block]
+        sigma = cx4.block(x.block).sigma
         expect = sigma.inverse()(k)
         assert moved == [expect]
         assert expect != own_label
@@ -67,9 +69,9 @@ def test_fiber_shift_moves_single_class(cx4, ts4):
 
 def test_tc_one_wall_vs_brute_n4(cx4, ts4):
     # line piece value enters the c piece through the wall's own component
-    w = cx4.walls[((), 2)]
+    w = cx4.parent_wall((2,))
     child = w.child
-    lab = ts4.labels[child]
+    lab = cx4.block(child).class_label
     comp_in = cx4.wall_component(w, child_side=True)
     step = 1 / 256
     for i in range(6):
