@@ -33,6 +33,8 @@ from .manifold import GraphManifoldSpec, OrientedEdge, Permutation, class_label,
 
 BlockId = tuple[int, ...]
 
+SUMMARY_MAX_BLOCKS = 10**6  # CoverComplex.summary lists every block
+
 
 @dataclass(frozen=True)
 class Block:
@@ -305,6 +307,12 @@ class CoverComplex:
         return p
 
     def summary(self) -> dict:
+        """Every block and wall of the ball; a ball of more than
+        SUMMARY_MAX_BLOCKS blocks is refused by name, since listing it would
+        not finish."""
+        if self.block_count > SUMMARY_MAX_BLOCKS:
+            raise CoverError(f"cannot list a ball of {self.block_count} blocks "
+                             f"(at most {SUMMARY_MAX_BLOCKS})")
         comps = [
             {"index": i, "min_hex": list(c.min_addr), "side": c.side}
             for i, c in enumerate(self.model.components)

@@ -1,18 +1,23 @@
 """Constructive witness curves for the lower quasi-isometry bound.
 
-Between any two points the curve is assembled by induction on the wall
-chain: hop from x to the lifted retraction of its base (cost <= delta),
-run along the lifted dual-tree path to the exit gate of the T_c geodesic
-(c = class of x's block), hop to the wall point below the gate (cost <=
-delta), and recurse from there one wall closer to y.
+Between any two points the curve is built by a loop over the wall chain
+of their blocks, each end normalised once.  A step moves one end across
+the nearest wall of the chain: hop from the end to the lifted retraction
+of its base (cost <= delta), run along the lifted dual-tree path to the
+exit gate of the T_c geodesic (c = class of the end's block), and hop to
+the wall point x2 below the gate (cost <= delta).  x2, normalised, lies in
+the wall's parent, one wall closer to the other end, and the crossed wall
+is sliced off the chain.  When the two ends share a block a geodesic joins
+them; the steps taken from the far end are reversed into curve order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import hexagon as hx
-from .cover import CoverComplex, CoverError, CoverPoint
+from .cover import CoverComplex, CoverError, CoverPoint, Wall
 from .geodesics import block_distance
 from .trees import TreeSystem, gate_on_line
 
@@ -41,13 +46,19 @@ class BlockPath:
         return BlockPath(segs)
 
 
-def curve_length(cplx: CoverComplex, path: BlockPath) -> float:
+def curve_length(
+    cplx: CoverComplex, path: BlockPath, hops: Optional[list[float]] = None
+) -> float:
     """Sum of the block distances between consecutive points of each
-    segment (a geodesic segment is its two end points)."""
+    segment (a geodesic segment is its two end points).  When `hops` is
+    given, the length of each hop segment is appended to it, in order."""
     total = 0.0
     for seg in path.segments:
         for p, q in zip(seg.points, seg.points[1:]):
-            total += block_distance(cplx, p, q)
+            d = block_distance(cplx, p, q)
+            total += d
+            if hops is not None and seg.role == "hop":
+                hops.append(d)
     return total
 
 
@@ -97,47 +108,69 @@ def tree_path_nodes(a: hx.TbinPoint, b: hx.TbinPoint) -> list[hx.TbinPoint]:
 
 
 def build_special_curve(
-    cplx: CoverComplex, ts: TreeSystem, x: CoverPoint, y: CoverPoint
+    cplx: CoverComplex,
+    ts: TreeSystem,
+    x: CoverPoint,
+    y: CoverPoint,
+    *,
+    normalized: bool = False,
 ) -> BlockPath:
     """Curve witnessing |gamma| <= (2*delta+1)|phi(x)phi(y)| + 2*delta.
 
-    Raises CurveTruncationError when a required wall point falls beyond the
-    hexagon truncation (the ideal-space curve leaves the explored complex).
+    x and y are normalized first, unless `normalized` says they already
+    are.  Raises CurveTruncationError when a required wall point falls
+    beyond the hexagon truncation (the ideal-space curve leaves the
+    explored complex).
     """
     try:
-        return _build(cplx, ts, x, y)
+        return _build(cplx, ts, x, y, normalized)
     except hx.TruncationError as exc:
         raise CurveTruncationError(str(exc)) from exc
 
 
 def _build(
-    cplx: CoverComplex, ts: TreeSystem, x: CoverPoint, y: CoverPoint
+    cplx: CoverComplex, ts: TreeSystem, x: CoverPoint, y: CoverPoint, normalized: bool
 ) -> BlockPath:
-    x = cplx.normalize(x)
-    y = cplx.normalize(y)
-    if x.block == y.block:
-        return BlockPath((PathSegment("geodesic", x.block, (x, y), "base"),))
-    chain = cplx.wall_chain(x.block, y.block)
-    can_x = chain[0][1]  # first step ascends: x's block is the wall's child
-    can_y = not chain[-1][1]
-    assert can_x or can_y
-    if can_x and can_y:
-        operate_on_x = x.block <= y.block
-    else:
-        operate_on_x = can_x
-    if not operate_on_x:
-        return _build(cplx, ts, y, x).reversed()
+    if not normalized:
+        x, y = cplx.normalize(x), cplx.normalize(y)
+    front: list[PathSegment] = []  # built from x, in curve order
+    back: list[PathSegment] = []  # built from y, in reverse curve order
+    chain = cplx.wall_chain(x.block, y.block) if x.block != y.block else ()
+    while chain:
+        # an end can move when its first step ascends; if both can, the one
+        # in the lower block moves
+        if chain[0][1] and (chain[-1][1] or x.block < y.block):
+            x = _step(cplx, ts, x, y, chain[0][0], front)
+            chain = chain[1:]
+        else:
+            y = _step(cplx, ts, y, x, chain[-1][0], back)
+            chain = chain[:-1]
+    base = PathSegment("geodesic", x.block, (x, y), "base")
+    return BlockPath((*front, base, *BlockPath(tuple(back)).reversed().segments))
 
-    v = x.block
+
+def _step(
+    cplx: CoverComplex,
+    ts: TreeSystem,
+    p: CoverPoint,
+    q: CoverPoint,
+    wall: Wall,
+    segments: list[PathSegment],
+) -> CoverPoint:
+    """Move the normalized end p across `wall`, whose child is p's block
+    v, toward the other end q: append the hop, lift and hop segments from
+    p to the wall point x2, and return x2 normalized into the wall's
+    parent."""
+    v = p.block
     label = cplx.block(v).class_label
-    a_tree = hx.retract(x.base)
+    a_tree = hx.retract(p.base)
 
-    # distance profiles of phi_c(x) and phi_c(y) on the exit line, the wall's
-    # child-side line, through which the T0 geodesic from y enters v; the
+    # distance profiles of phi_c(p) and phi_c(q) on the exit line, the wall's
+    # child-side line, through which the T0 geodesic from q enters v; the
     # T_c geodesic splits at the smallest minimiser z* of their sum
-    g_y, _, comp_exit = ts.line_profile(label, ts.phi_c(label, y), v)
-    g_x, _ = gate_on_line(comp_exit, a_tree)
-    t_star = min(g_x, g_y)
+    g_q, _, comp_exit = ts.line_profile(label, ts.phi_c(label, q, normalized=True), v)
+    g_p, _ = gate_on_line(comp_exit, a_tree)
+    t_star = min(g_p, g_q)
     lo, hi = cplx.model.arclength_window(comp_exit)
     if not (lo <= t_star <= hi):
         raise CurveTruncationError(
@@ -145,20 +178,15 @@ def _build(
         )
     z_star = hx.line_point_at_lambda(comp_exit, hx.EDGE * t_star)
 
-    nodes = tree_path_nodes(a_tree, z_star)
     lifted = tuple(
-        CoverPoint(v, hx.embed_tree_point(n), x.fiber) for n in nodes
+        CoverPoint(v, hx.embed_tree_point(n), p.fiber) for n in tree_path_nodes(a_tree, z_star)
     )
-    x0 = lifted[0]
-    x1 = lifted[-1]
-    x2 = CoverPoint(v, cplx.model.boundary_point(comp_exit, t_star), x.fiber)
-    segments: list[PathSegment] = [PathSegment("geodesic", v, (x, x0), "hop")]
+    x2 = CoverPoint(v, cplx.model.boundary_point(comp_exit, t_star), p.fiber)
+    segments.append(PathSegment("geodesic", v, (p, lifted[0]), "hop"))
     if len(lifted) > 1:
         segments.append(PathSegment("tree_path", v, lifted, "lift"))
-    segments.append(PathSegment("geodesic", v, (x1, x2), "hop"))
-    rest = _build(cplx, ts, x2, y)
-    rest_chain = cplx.wall_chain(cplx.normalize(x2).block, y.block)
-    if len(rest_chain) >= len(chain):
-        raise RuntimeError("special-curve recursion failed to shorten the chain")
-    return BlockPath(tuple(segments) + rest.segments)
-
+    segments.append(PathSegment("geodesic", v, (lifted[-1], x2), "hop"))
+    x2 = cplx.normalize(x2)
+    if x2.block != wall.parent:
+        raise RuntimeError("special-curve step failed to cross the wall into its parent")
+    return x2

@@ -409,6 +409,8 @@ def embed_tree_point(t: TbinPoint) -> H0Point:
     if t.child is None:
         return H0Point(t.parent, CENTER)
     letter = t.child[-1]
+    if t.offset == RHO:
+        return H0Point(t.parent, _EDGE_MIDPOINTS[letter])
     if t.offset <= RHO:
         frac = t.offset / RHO
         host = t.parent
@@ -429,6 +431,11 @@ def _geodesic_point(x: Vec, y: Vec, arc: float) -> Vec:
     w = tuple((y[i] + mdot(x, y) * x[i]) / sh for i in range(3))
     c, s_ = math.cosh(arc), math.sinh(arc)
     return tuple(x[i] * c + w[i] * s_ for i in range(3))  # type: ignore[return-value]
+
+
+# the embedded midpoints of the three tree edges at the center, the
+# offset-RHO case of embed_tree_point, computed as it would compute them
+_EDGE_MIDPOINTS = tuple(_geodesic_point(CENTER, MIDPOINTS[2 * i], R_IN) for i in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,12 @@ class LineRelation(NamedTuple):
 
     def cross(self, g, c):
         """Push (g, c) through the map; the fields, g and c are floats or
-        numpy arrays that broadcast together."""
-        clipped = np.minimum(np.maximum(g, self.lo), self.hi)
+        numpy arrays that broadcast together.  A float g takes builtin
+        min/max, which clip a float exactly as numpy does."""
+        if isinstance(g, float):
+            clipped = min(max(g, self.lo), self.hi)
+        else:
+            clipped = np.minimum(np.maximum(g, self.lo), self.hi)
         return self.orient * clipped + self.shift, c + abs(g - clipped) + self.const
 
     def then(self, nxt: "LineRelation") -> "LineRelation":
@@ -214,10 +218,11 @@ class TreeSystem:
         self.cplx.block(u), self.cplx.block(v)
         return float(hx.hex_tree_edges(u, v))
 
-    def phi_c(self, label: int, x: CoverPoint) -> TcPoint:
+    def phi_c(self, label: int, x: CoverPoint, *, normalized: bool = False) -> TcPoint:
+        """x is normalized first, unless `normalized` says it already is."""
         if label not in self.class_labels:
             raise CoverError(f"class {label} not present in the explored complex")
-        return self._phi_c(label, self.cplx.normalize(x))
+        return self._phi_c(label, x if normalized else self.cplx.normalize(x))
 
     def _phi_c(self, label: int, xn: CoverPoint) -> TcPoint:
         """phi_c of a normalized point."""
@@ -227,8 +232,9 @@ class TreeSystem:
         # over a block outside c, phi_c reads block coordinate sigma(label)
         return TcPoint(owner=xn.block, value=xn.fiber[blk.sigma(label) - 1])
 
-    def phi(self, x: CoverPoint) -> ProductPoint:
-        xn = self.cplx.normalize(x)
+    def phi(self, x: CoverPoint, *, normalized: bool = False) -> ProductPoint:
+        """x is normalized first, unless `normalized` says it already is."""
+        xn = x if normalized else self.cplx.normalize(x)
         return ProductPoint(
             t0=xn.block,
             coords=tuple((lab, self._phi_c(lab, xn)) for lab in self.class_labels),

@@ -153,7 +153,8 @@ def _pair_records(indices: range) -> list[dict]:
 
 
 def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResult) -> dict:
-    """The record of sample `index`, the pair (x, y) at solved distance `res`."""
+    """The record of sample `index`, the pair (x, y) at solved distance `res`.
+    x and y are normalized once, for phi and the witness curve."""
     cplx: CoverComplex = _STATE["cplx"]
     ts: tr.TreeSystem = _STATE["ts"]
     rec: dict = {"index": index}
@@ -162,7 +163,8 @@ def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResu
         return rec
     rec["truncated"] = False
     rec["d"] = res.distance
-    px, py = ts.phi(x), ts.phi(y)
+    xn, yn = cplx.normalize(x), cplx.normalize(y)
+    px, py = ts.phi(xn, normalized=True), ts.phi(yn, normalized=True)
     rec["t0"] = ts.t0_distance(px.t0, py.t0)
     rec["tc"] = {}
     for lab in ts.class_labels:
@@ -171,16 +173,10 @@ def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResu
     rec["x"] = cplx.format_point(x)
     rec["y"] = cplx.format_point(y)
     try:
-        path = cv.build_special_curve(cplx, ts, x, y)
-        rec["curve_length"] = cv.curve_length(cplx, path)
-        rec["curve_hop_max"] = max(
-            (
-                geo.block_distance(cplx, s.points[0], s.points[1])
-                for s in path.segments
-                if s.role == "hop"
-            ),
-            default=0.0,
-        )
+        path = cv.build_special_curve(cplx, ts, xn, yn, normalized=True)
+        hops: list[float] = []
+        rec["curve_length"] = cv.curve_length(cplx, path, hops)
+        rec["curve_hop_max"] = max(hops, default=0.0)
     except cv.CurveTruncationError:
         rec["curve_length"] = None
     return rec

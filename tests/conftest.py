@@ -24,3 +24,12 @@ def shipped(name: str) -> GraphManifoldSpec:
 def ball_ids(cx) -> list:
     """Every block id of a complex's ball, in lexicographic order."""
     return [cx.block_at(i) for i in range(cx.block_count)]
+
+
+def counting(calls, name: str, fn):
+    """fn, counting each call in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper

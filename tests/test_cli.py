@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import shipped, shipped_doc
+from conftest import SPECS, shipped, shipped_doc
 from ogm import cli, cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -488,3 +488,16 @@ def test_malformed_point_names_field(spec_file, capsys, point, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+def test_deep_explore_refuses_to_list_the_ball(capsys):
+    # two_vertex_n5 at t0 40 holds about 3.3e12 blocks; listing them would
+    # not finish, so the dump is refused at once, with the count
+    argv = ["explore", "--spec", str(SPECS / "two_vertex_n5.json"), "--t0-depth", "40",
+            "--hex-depth", "2", "--wall-comp-depth", "0"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    count = cover.explore(shipped("two_vertex_n5"), 40, 2, wall_comp_depth=0).block_count
+    assert out.out == ""
+    assert out.err == (f"error: cannot list a ball of {count} blocks "
+                       f"(at most {cover.SUMMARY_MAX_BLOCKS})\n")

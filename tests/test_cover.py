@@ -300,3 +300,12 @@ def test_sampling_names_the_block_limit():
     ts = tr.TreeSystem(cx)
     assert ts.phi(x).t0 == u
     assert ts.product_distance(ts.phi(x), ts.phi(y)) > 0
+
+
+def test_summary_names_the_block_limit(monkeypatch):
+    cx = cover.explore(shipped("flip_n3"), 2, 2, wall_comp_depth=0)
+    monkeypatch.setattr(cover, "SUMMARY_MAX_BLOCKS", cx.block_count)
+    assert len(cx.summary()["blocks"]) == cx.block_count
+    monkeypatch.setattr(cover, "SUMMARY_MAX_BLOCKS", cx.block_count - 1)
+    with pytest.raises(cover.CoverError, match=f"ball of {cx.block_count} blocks"):
+        cx.summary()

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
-from conftest import shipped
+from conftest import IRREDUCIBLE_NAMES, counting, shipped
 from ogm import cover, curves as cv
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -149,3 +150,153 @@ def test_tree_path_same_edge():
     assert len(nodes) == 3  # crosses the midpoint
     c = hx.tbin_edge_point((), (0,), 0.9)
     assert cv.tree_path_nodes(a, c) == [a, c]
+
+
+# -- the curve loop against the recursive construction -----------------------
+
+
+def _recursive_build(cplx, ts, x, y):
+    """The witness curve by recursion on the wall chain, as it was built
+    before the loop: kept as the reference for curves.build_special_curve."""
+    x = cplx.normalize(x)
+    y = cplx.normalize(y)
+    if x.block == y.block:
+        return cv.BlockPath((cv.PathSegment("geodesic", x.block, (x, y), "base"),))
+    chain = cplx.wall_chain(x.block, y.block)
+    can_x = chain[0][1]
+    can_y = not chain[-1][1]
+    assert can_x or can_y
+    operate_on_x = x.block <= y.block if can_x and can_y else can_x
+    if not operate_on_x:
+        return _recursive_build(cplx, ts, y, x).reversed()
+    v = x.block
+    label = cplx.block(v).class_label
+    a_tree = hx.retract(x.base)
+    g_y, _, comp_exit = ts.line_profile(label, ts.phi_c(label, y), v)
+    g_x, _ = tr.gate_on_line(comp_exit, a_tree)
+    t_star = min(g_x, g_y)
+    lo, hi = cplx.model.arclength_window(comp_exit)
+    if not (lo <= t_star <= hi):
+        raise cv.CurveTruncationError(
+            f"curve gate at arclength {t_star} beyond the hexagon truncation"
+        )
+    z_star = hx.line_point_at_lambda(comp_exit, hx.EDGE * t_star)
+    lifted = tuple(
+        CoverPoint(v, hx.embed_tree_point(n), x.fiber) for n in cv.tree_path_nodes(a_tree, z_star)
+    )
+    x2 = CoverPoint(v, cplx.model.boundary_point(comp_exit, t_star), x.fiber)
+    segments = [cv.PathSegment("geodesic", v, (x, lifted[0]), "hop")]
+    if len(lifted) > 1:
+        segments.append(cv.PathSegment("tree_path", v, lifted, "lift"))
+    segments.append(cv.PathSegment("geodesic", v, (lifted[-1], x2), "hop"))
+    rest = _recursive_build(cplx, ts, x2, y)
+    if len(cplx.wall_chain(cplx.normalize(x2).block, y.block)) >= len(chain):
+        raise RuntimeError("special-curve recursion failed to shorten the chain")
+    return cv.BlockPath(tuple(segments) + rest.segments)
+
+
+def _reference_curve(cplx, ts, x, y):
+    try:
+        return _recursive_build(cplx, ts, x, y)
+    except hx.TruncationError as exc:
+        raise cv.CurveTruncationError(str(exc)) from exc
+
+
+# (t0 depth, hex depth, wall_comp_depth): chains of 1 to 8 walls, and at
+# wall_comp_depth None mostly truncating curves
+CURVE_CONFIGS = [(2, 4, 0), (3, 6, 0), (4, 6, 1), (2, 4, None)]
+
+
+@pytest.mark.parametrize("t0, hex_depth, wcd", CURVE_CONFIGS, ids=lambda v: f"{v}")
+@pytest.mark.parametrize("name", IRREDUCIBLE_NAMES)
+def test_loop_matches_recursive_reference(name, t0, hex_depth, wcd):
+    cplx = cover.explore(shipped(name), t0, hex_depth, fiber_range=3.0, wall_comp_depth=wcd)
+    ts = tr.TreeSystem(cplx)
+    built = truncated = 0
+    for i in range(40):
+        x = cplx.sample_point(cover.make_stream(5, 2 * i))
+        y = cplx.sample_point(cover.make_stream(5, 2 * i + 1))
+        try:
+            want = _reference_curve(cplx, ts, x, y)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                cv.build_special_curve(cplx, ts, x, y)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            truncated += 1
+            continue
+        path = cv.build_special_curve(cplx, ts, x, y)
+        assert len(path.segments) == len(want.segments)
+        for s, w in zip(path.segments, want.segments):
+            assert (s.kind, s.block, s.points, s.role) == (w.kind, w.block, w.points, w.role)
+        built += 1
+    if wcd is None:
+        assert truncated > 0
+    else:
+        assert built > 30
+
+
+# -- one normalisation per point ----------------------------------------------
+
+
+@pytest.mark.parametrize("t0, hex_depth, wcd", CURVE_CONFIGS[:3], ids=lambda v: f"{v}")
+def test_normalize_idempotent(t0, hex_depth, wcd):
+    # the curve and the records normalise each point once and then reuse it
+    cplx = cover.explore(shipped("two_vertex_n5"), t0, hex_depth, fiber_range=3.0,
+                         wall_comp_depth=wcd)
+    ts = tr.TreeSystem(cplx)
+
+    def once(p):
+        q = cplx.normalize(p)
+        assert cplx.normalize(q) == q
+        return q
+
+    points = [cplx.sample_point(cover.make_stream(9, i)) for i in range(60)]
+    hop_points = 0
+    for x, y in zip(points[::2], points[1::2]):
+        once(x), once(y)
+        try:
+            path = cv.build_special_curve(cplx, ts, x, y)
+        except cv.CurveTruncationError:
+            continue
+        for s in path.segments:
+            for p in s.points:  # the wall points x2 end or start hop segments
+                once(p)
+            hop_points += s.role == "hop"
+    assert hop_points > 0
+    # wall points at integer arclengths sit on hexagon corners, on both
+    # sides of the wall
+    corners = 0
+    fiber = (0.5,) * (cplx.spec.n - 2)
+    for bid in (cplx.block_at(i) for i in range(1, min(cplx.block_count, 40))):
+        w = cplx.parent_wall(bid)
+        for side_block, child_side in ((w.parent, False), (w.child, True)):
+            comp = cplx.wall_component(w, child_side)
+            lo, hi = cplx.model.arclength_window(comp)
+            for t in range(math.ceil(lo), math.floor(hi) + 1):
+                p = CoverPoint(side_block, cplx.model.boundary_point(comp, float(t)), fiber)
+                assert once(p).block == w.parent
+                corners += 1
+    assert corners > 0
+
+
+def test_curve_counts_one_chain_and_one_normalize_per_point(monkeypatch):
+    # machine-independent cost of a curve of k walls: one wall chain, the
+    # two ends normalised once each, and each of the k wall points x2 once
+    cplx = cover.explore(shipped("cycle_n4"), 3, 6, fiber_range=3.0, wall_comp_depth=0)
+    ts = tr.TreeSystem(cplx)
+    calls = Counter()
+    for attr in ("normalize", "wall_chain"):
+        monkeypatch.setattr(cplx, attr, counting(calls, attr, getattr(cplx, attr)))
+    walls = Counter()
+    for i in range(30):
+        x = cplx.sample_point(cover.make_stream(11, 2 * i))
+        y = cplx.sample_point(cover.make_stream(11, 2 * i + 1))
+        xn, yn = cplx.normalize(x), cplx.normalize(y)
+        k = len(cplx.wall_chain(xn.block, yn.block)) if xn.block != yn.block else 0
+        calls.clear()
+        path = cv.build_special_curve(cplx, ts, x, y)
+        hops = sum(s.role == "hop" for s in path.segments)
+        assert hops == 2 * k
+        assert calls == Counter(normalize=2 + k, wall_chain=1 if k else 0)
+        walls[k] += 1
+    assert max(walls) >= 3

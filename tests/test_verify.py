@@ -4,11 +4,14 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import shipped, shipped_doc
+from conftest import counting, shipped, shipped_doc
+from ogm import curves as cv
+from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import verify as vf
 from ogm.cover import CoverError
@@ -368,3 +371,60 @@ def test_benchmark_reads_resolve():
     assert {"verify.collect_records", "trees.TreeSystem.tc_distance",
             "cli.covering_report", "hexagon.boundary_point"} <= wrapped
     assert sorted(missing) == []
+
+
+def test_collect_records_calls_traced_entry_points(monkeypatch):
+    # the benchmark's tracer spans these names (its curves.build_ms_*
+    # metrics read the build_special_curve spans), so records must reach
+    # them through their module attributes: once per pair, and once per
+    # untruncated pair and per built curve
+    calls = Counter()
+    for owner, attr in ((vf, "_pair_record"), (cv, "build_special_curve"),
+                        (cv, "curve_length")):
+        monkeypatch.setattr(owner, attr, counting(calls, attr, getattr(owner, attr)))
+    cfg = small_cfg(samples=30)
+    records = vf.collect_records(shipped("cycle_n4"), cfg)
+    untruncated = [r for r in records if not r["truncated"]]
+    assert len(untruncated) > 20
+    assert calls == Counter(
+        _pair_record=cfg.samples,
+        build_special_curve=len(untruncated),
+        curve_length=sum(r["curve_length"] is not None for r in untruncated),
+    )
+
+
+def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch):
+    cfg = small_cfg(samples=30)
+    cplx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
+    calls, seen = Counter(), {}
+    monkeypatch.setattr(cplx, "normalize", counting(calls, "normalize", cplx.normalize))
+    monkeypatch.setattr(cv, "block_distance", counting(calls, "block_distance", cv.block_distance))
+    monkeypatch.setattr(geo, "block_distance",
+                        counting(calls, "block_distance", geo.block_distance))
+    pair_record = vf._pair_record
+
+    def record(index, x, y, res):
+        calls.clear()
+        rec = pair_record(index, x, y, res)
+        seen[index] = (x, y, +calls)
+        return rec
+
+    monkeypatch.setattr(vf, "_pair_record", record)
+    records = vf._collect_records(cplx, ts, cfg)
+    monkeypatch.undo()
+    checked = 0
+    for rec in records:
+        if rec["truncated"] or rec["curve_length"] is None:
+            continue
+        x, y, got = seen[rec["index"]]
+        xn, yn = cplx.normalize(x), cplx.normalize(y)
+        k = len(cplx.wall_chain(xn.block, yn.block)) if xn.block != yn.block else 0
+        path = cv.build_special_curve(cplx, ts, x, y)
+        # x and y once, for phi and the curve, then each wall point x2 once;
+        # each consecutive pair of curve points once, hops included
+        assert got == Counter(
+            normalize=2 + k,
+            block_distance=sum(len(s.points) - 1 for s in path.segments),
+        )
+        checked += 1
+    assert checked > 20
