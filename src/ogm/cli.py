@@ -99,7 +99,7 @@ def cmd_geodesic(args) -> int:
         "residual": res.residual,
         "chain": [
             {"parent": list(w.parent), "parent_comp": w.parent_comp, "coords": c}
-            for w, c in zip(res.config.walls, res.config.coords)
+            for w, c in zip(res.walls, res.coords)
         ],
     }
     _write_or_print(doc, args.out)
@@ -150,7 +150,7 @@ def cmd_curve(args) -> int:
         "embedded_distance": e,
         "segments": [
             {"kind": s.kind, "role": s.role, "block": list(s.block), "points": len(s.points)}
-            for s in path.segments
+            for s in path
         ],
     }
     _write_or_print(doc, args.out)

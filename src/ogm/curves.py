@@ -9,6 +9,7 @@ the wall point x2 below the gate (cost <= delta).  x2, normalised, lies in
 the wall's parent, one wall closer to the other end, and the crossed wall
 is sliced off the chain.  When the two ends share a block a geodesic joins
 them; the steps taken from the far end are reversed into curve order.
+A curve is the tuple of its segments.
 """
 
 from __future__ import annotations
@@ -34,26 +35,14 @@ class PathSegment:
     role: str = "base"  # "base" | "hop" | "lift"
 
 
-@dataclass(frozen=True)
-class BlockPath:
-    segments: tuple[PathSegment, ...]
-
-    def reversed(self) -> "BlockPath":
-        segs = tuple(
-            PathSegment(s.kind, s.block, tuple(reversed(s.points)), s.role)
-            for s in reversed(self.segments)
-        )
-        return BlockPath(segs)
-
-
 def curve_length(
-    cplx: CoverComplex, path: BlockPath, hops: Optional[list[float]] = None
+    cplx: CoverComplex, path: tuple[PathSegment, ...], hops: Optional[list[float]] = None
 ) -> float:
     """Sum of the block distances between consecutive points of each
     segment (a geodesic segment is its two end points).  When `hops` is
     given, the length of each hop segment is appended to it, in order."""
     total = 0.0
-    for seg in path.segments:
+    for seg in path:
         for p, q in zip(seg.points, seg.points[1:]):
             d = block_distance(cplx, p, q)
             total += d
@@ -78,33 +67,27 @@ def tree_path_nodes(a: hx.TbinPoint, b: hx.TbinPoint) -> list[hx.TbinPoint]:
         return [a, b]
 
     _, va, vb = hx.nearest_anchors(a, b)
-    nodes: list[hx.TbinPoint] = [a]
-    if a.child is not None:
-        # leave a's edge through va, crossing the midpoint if a sits on the
-        # far half of the edge
-        mid = hx.tbin_edge_point(a.parent, a.child, hx.RHO)
-        on_parent_half = a.offset <= hx.RHO
-        toward_parent = va == a.parent
-        if on_parent_half != toward_parent:
-            nodes.append(mid)
-        nodes.append(hx.tbin_vertex(va))
+    nodes = [a, *_to_anchor(a, va)]
     vertices = hx.tbin_path_vertices(va, vb)
     for u, v in zip(vertices, vertices[1:]):
         nodes.append(hx.tbin_edge_point(u, v, hx.RHO))
         nodes.append(hx.tbin_vertex(v))
-    if b.child is not None:
-        mid = hx.tbin_edge_point(b.parent, b.child, hx.RHO)
-        on_parent_half = b.offset <= hx.RHO
-        toward_parent = vb == b.parent
-        if on_parent_half != toward_parent:
-            nodes.append(mid)
-        nodes.append(b)
+    nodes += [*reversed(_to_anchor(b, vb)), b]
     # drop consecutive duplicates (a or b may coincide with an anchor)
     out = [nodes[0]]
     for n in nodes[1:]:
         if n != out[-1]:
             out.append(n)
     return out
+
+
+def _to_anchor(p: hx.TbinPoint, anchor: hx.Address) -> list[hx.TbinPoint]:
+    """The nodes after p on its way to its anchor vertex: the midpoint of
+    p's edge when p sits on the far half of it, then the anchor (p itself
+    when p is a vertex)."""
+    if p.child is not None and (p.offset <= hx.RHO) != (anchor == p.parent):
+        return [hx.tbin_edge_point(p.parent, p.child, hx.RHO), hx.tbin_vertex(anchor)]
+    return [hx.tbin_vertex(anchor)]
 
 
 def build_special_curve(
@@ -114,7 +97,7 @@ def build_special_curve(
     y: CoverPoint,
     *,
     normalized: bool = False,
-) -> BlockPath:
+) -> tuple[PathSegment, ...]:
     """Curve witnessing |gamma| <= (2*delta+1)|phi(x)phi(y)| + 2*delta.
 
     x and y are normalized first, unless `normalized` says they already
@@ -130,7 +113,7 @@ def build_special_curve(
 
 def _build(
     cplx: CoverComplex, ts: TreeSystem, x: CoverPoint, y: CoverPoint, normalized: bool
-) -> BlockPath:
+) -> tuple[PathSegment, ...]:
     if not normalized:
         x, y = cplx.normalize(x), cplx.normalize(y)
     front: list[PathSegment] = []  # built from x, in curve order
@@ -146,7 +129,8 @@ def _build(
             y = _step(cplx, ts, y, x, chain[-1][0], back)
             chain = chain[:-1]
     base = PathSegment("geodesic", x.block, (x, y), "base")
-    return BlockPath((*front, base, *BlockPath(tuple(back)).reversed().segments))
+    return (*front, base, *(
+        PathSegment(s.kind, s.block, s.points[::-1], s.role) for s in reversed(back)))
 
 
 def _step(

@@ -14,8 +14,9 @@ with closed-form gradient and Hessian; g is smooth through c = 1.  The
 chain length is convex (blocks are nonpositively curved, walls are flats),
 so one projected damped-Newton solve over every coordinate of the chain at
 once, with an Armijo backtracking search projected onto the arclength
-windows, finds the global minimum.  It stops on the Newton decrement and
-returns the projected-gradient norm as its optimality certificate.
+windows, finds the global minimum.  It stops on the Newton decrement, at
+most MAX_SWEEPS steps in, and returns the optimal crossings with the
+projected-gradient norm as their optimality certificate.
 
 Each Newton step factors the Hessian on the free coordinates with numpy's
 Cholesky.  While the factorisation fails, or a pivot diag(L)^2 is not above
@@ -59,6 +60,9 @@ import numpy as np
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint, Wall
 
+MAX_SWEEPS = 10_000
+
+
 class ConvergenceError(RuntimeError):
     pass
 
@@ -73,21 +77,16 @@ def block_distance(cplx: CoverComplex, p: CoverPoint, q: CoverPoint) -> float:
 
 
 @dataclass
-class ChainConfiguration:
-    """Crossing points of a wall chain in canonical wall coordinates."""
-
-    walls: list[Wall]
-    upward: list[bool]
-    coords: list[list[float]]  # one (arclength, fibers...) vector per wall
-
-
-@dataclass
 class GeodesicResult:
-    """`sweeps` counts Newton iterations; `residual` is the infinity norm of
-    the projected gradient of the chain length at the returned crossings."""
+    """The crossings of the wall chain `walls` (ascended where `upward`)
+    in canonical wall coordinates, one (arclength, fibers...) vector per
+    wall.  `sweeps` counts Newton iterations; `residual` is the infinity
+    norm of the projected gradient of the chain length at the crossings."""
 
     distance: float
-    config: ChainConfiguration
+    walls: list[Wall]
+    upward: list[bool]
+    coords: list[list[float]]
     truncated: bool
     sweeps: int
     residual: float
@@ -355,7 +354,7 @@ def _newton_steps(hs: np.ndarray, gs: np.ndarray):
     return np.linalg.solve(low.transpose(0, 2, 1), y)[..., 0], failed
 
 
-def _projected_newton(stack: _Stack, tol: float, max_sweeps: int):
+def _projected_newton(stack: _Stack, tol: float):
     """Minimize every chain of the stack over its box, all in lock-step;
     per pair (z, value, iterations, projected-gradient infinity norm), or
     the ConvergenceError it ran into.  Each pair takes exactly the steps
@@ -378,7 +377,7 @@ def _projected_newton(stack: _Stack, tol: float, max_sweeps: int):
                                                 hi[a:b].tolist()))
         out[p] = (zp, float(f[p]), sweeps, residual)
 
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         # free: not at a window edge with the gradient pointing out
         free = active[vp] & ~(((z <= lo) & (grad > 0.0)) | ((z >= hi) & (grad < 0.0)))
         fv = free.nonzero()[0]
@@ -430,8 +429,8 @@ def _projected_newton(stack: _Stack, tol: float, max_sweeps: int):
             f, grad = np.where(late, fl, f), np.where(late[vp], gl, grad)
             hess = np.where(late[np.repeat(stack.var_pair, stack.nv[stack.var_pair])], hl, hess)
     for p in active.nonzero()[0].tolist():
-        finish(p, max_sweeps,
-               f"no convergence in {max_sweeps} Newton iterations (last value {f[p]})")
+        finish(p, MAX_SWEEPS,
+               f"no convergence in {MAX_SWEEPS} Newton iterations (last value {f[p]})")
     return out
 
 
@@ -439,7 +438,6 @@ def distances(
     cplx: CoverComplex,
     pairs: list[tuple[CoverPoint, CoverPoint]],
     tol: float = 1e-6,
-    max_sweeps: int = 10_000,
 ) -> list[GeodesicResult]:
     """`distance` of every pair, solved together in one lock-step batch.
 
@@ -455,26 +453,26 @@ def distances(
                 raise CoverError("point outside the explored complex")
         x, y = cplx.normalize(x), cplx.normalize(y)
         chain = _chain_vars(cplx, x, y)
-        cfg = ChainConfiguration([wv.wall for wv in chain], [wv.upward for wv in chain], [])
         if not chain:
-            results[k] = GeodesicResult(block_distance(cplx, x, y), cfg, False, 0, 0.0)
+            results[k] = GeodesicResult(block_distance(cplx, x, y), [], [], [], False, 0, 0.0)
             continue
         bounds = [b for wv in chain for b in wv.bounds]
         problems.append((_segments(cplx.model, chain, x, y), bounds,
                          [c for wv in chain for c in wv.coords]))
-        slots.append((k, cfg))
+        slots.append((k, chain))
     if not problems:
         return results
     with np.errstate(divide="ignore", invalid="ignore"):
-        solved = _projected_newton(_Stack(problems), tol, max_sweeps)
+        solved = _projected_newton(_Stack(problems), tol)
     for sol in solved:
         if isinstance(sol, ConvergenceError):
             raise sol
     n1 = cplx.spec.n - 1
-    for (k, cfg), (_, bounds, _), (z, value, sweeps, residual) in zip(slots, problems, solved):
+    for (k, chain), (_, bounds, _), (z, value, sweeps, residual) in zip(slots, problems, solved):
         truncated = any(v - lo < 1.0 or hi - v < 1.0 for v, (lo, hi) in zip(z, bounds))
-        cfg.coords = [z[i : i + n1] for i in range(0, len(z), n1)]
-        results[k] = GeodesicResult(value, cfg, truncated, sweeps, residual)
+        results[k] = GeodesicResult(
+            value, [wv.wall for wv in chain], [wv.upward for wv in chain],
+            [z[i : i + n1] for i in range(0, len(z), n1)], truncated, sweeps, residual)
     return results
 
 
@@ -483,17 +481,15 @@ def distance(
     x: CoverPoint,
     y: CoverPoint,
     tol: float = 1e-6,
-    max_sweeps: int = 10_000,
 ) -> GeodesicResult:
-    """Distance d(x, y) with the optimal chain configuration: `distances`
-    of a batch of one.
+    """Distance d(x, y) with its optimal crossings: `distances` of a batch
+    of one.
 
-    `max_sweeps` caps the Newton iterations; a stalled line search is
-    accepted when the Newton decrement is at most tol * max(1, d).  Flags
-    TRUNCATED when any optimal crossing comes within 1 of the
-    hexagon-truncation edge of its wall window.
+    A stalled line search is accepted when the Newton decrement is at most
+    tol * max(1, d).  Flags TRUNCATED when any optimal crossing comes
+    within 1 of the hexagon-truncation edge of its wall window.
     """
-    return distances(cplx, [(x, y)], tol, max_sweeps)[0]
+    return distances(cplx, [(x, y)], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -543,25 +539,13 @@ def brute_force_distance(
             [wv.win_f, wv.win_t], value_grid, grid_step, levels, npts=npts or 33
         )
 
+    if cplx.spec.n != 3:
+        raise CoverError("two-wall oracle supports n = 3 only")
+    # with n = 3 a wall's coordinates are its jf and jt (perm(0) != 0), and
+    # the middle block's fiber reads wall 1's jf and wall 2's jt
     wv1, wv2 = chain
     tf = _targets(x.fiber, wv1.from_pos)
     tt = _targets(y.fiber, wv2.to_pos)
-    n1 = cplx.spec.n - 1
-    # middle-block pairing: side position m of wall1's to-side matches side
-    # position m of wall2's from-side
-    mid_pairs = []
-    for m in range(1, n1):
-        j1 = wv1.to_pos.index(m)
-        j2 = wv2.from_pos.index(m)
-        mid_pairs.append((j1, j2))
-    free1 = [j for j in range(n1) if j not in (wv1.jf, wv1.jt)]
-    free2 = [j for j in range(n1) if j not in (wv2.jf, wv2.jt)]
-    if free1 or free2:
-        raise CoverError("two-wall oracle supports n = 3 only")
-    # with n = 3: wall 1's free canonical index is its jf, wall 2's its jt
-    ((j1m, j2m),) = mid_pairs
-    if j1m != wv1.jf or j2m != wv2.jt:
-        raise CoverError("unexpected wall coordinate pairing")
 
     def value_grid4(a1g, b1g, a2g, b2g):
         av = profile(wv1.comp_from, x.base, a1g)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def __len__(self) -> int:
-        return len(self.images)
 
     def after(self, other: "Permutation") -> "Permutation":
         """self composed after other: (self.after(other))(i) = self(other(i))."""
@@ -179,19 +176,6 @@ def validate(spec: GraphManifoldSpec) -> list[str]:
         if not spec._boundary.get(v):
             out.append(f"vertex {v}: no adjacent edges")
     return out
-
-
-def path_permutation(spec: GraphManifoldSpec, path: Iterable[str]) -> Permutation:
-    """Composition s_{w_k} o ... o s_{w_1} along a composable edge path."""
-    acc = Permutation.identity(spec.n - 1)
-    prev_to: Optional[str] = None
-    for eid in path:
-        e = spec.edges[eid]
-        if prev_to is not None and e.frm != prev_to:
-            raise SpecError(f"path not composable at edge {eid}")
-        acc = e.perm.after(acc)
-        prev_to = e.to
-    return acc
 
 
 def class_label(sigma: Permutation) -> int:

@@ -1,11 +1,13 @@
-"""Shared test helpers: the shipped specs, read from specs/*.json."""
+"""Shared test helpers: the shipped specs, read from specs/*.json, and the
+reference gluing permutation of an edge path."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable, Optional
 
-from ogm.manifold import GraphManifoldSpec
+from ogm.manifold import GraphManifoldSpec, Permutation, SpecError
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 SHIPPED_NAMES = tuple(sorted(p.stem for p in SPECS.glob("*.json")))
@@ -33,3 +35,17 @@ def counting(calls, name: str, fn):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def path_permutation(spec: GraphManifoldSpec, path: Iterable[str]) -> Permutation:
+    """Composition s_{w_k} o ... o s_{w_1} along a composable edge path: the
+    reference for `Block.sigma`."""
+    acc = Permutation.identity(spec.n - 1)
+    prev_to: Optional[str] = None
+    for eid in path:
+        e = spec.edges[eid]
+        if prev_to is not None and e.frm != prev_to:
+            raise SpecError(f"path not composable at edge {eid}")
+        acc = e.perm.after(acc)
+        prev_to = e.to
+    return acc

@@ -4,12 +4,12 @@ from dataclasses import astuple
 
 import pytest
 
-from conftest import ball_ids, shipped, shipped_doc
+from conftest import ball_ids, path_permutation, shipped, shipped_doc
 from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
-from ogm.manifold import GraphManifoldSpec, class_label, path_permutation
+from ogm.manifold import GraphManifoldSpec, class_label
 
 
 def reference_ball(cx):

@@ -49,8 +49,8 @@ def test_same_block_single_geodesic(cx, ts):
     x, y = sample(cx, 0), sample(cx, 1)
     y = CoverPoint(x.block, y.base, y.fiber)
     path = cv.build_special_curve(cx, ts, x, y)
-    assert len(path.segments) == 1
-    assert path.segments[0].kind == "geodesic"
+    assert len(path) == 1
+    assert path[0].kind == "geodesic"
     assert cv.curve_length(cx, path) == geo.block_distance(
         cx, cx.normalize(x), cx.normalize(y)
     )
@@ -59,8 +59,8 @@ def test_same_block_single_geodesic(cx, ts):
 def test_endpoints_exact(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 100, 20):
         xn, yn = cx.normalize(x), cx.normalize(y)
-        assert path.segments[0].points[0] == xn
-        pe = path.segments[-1].points[-1]
+        assert path[0].points[0] == xn
+        pe = path[-1].points[-1]
         assert pe.block == yn.block
         assert hx.h0_distance(pe.base, yn.base) < 1e-9
         assert all(abs(a - b) < 1e-9 for a, b in zip(pe.fiber, yn.fiber))
@@ -68,11 +68,11 @@ def test_endpoints_exact(cx, ts):
 
 def test_segments_connected_and_single_block(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 200, 15):
-        for s in path.segments:
+        for s in path:
             assert cx.in_ball(s.block)
             for p in s.points:
                 assert p.block == s.block
-        for s1, s2 in zip(path.segments, path.segments[1:]):
+        for s1, s2 in zip(path, path[1:]):
             p, q = s1.points[-1], s2.points[0]
             if p.block == q.block:
                 assert hx.h0_distance(p.base, q.base) < 1e-9
@@ -84,7 +84,7 @@ def test_segments_connected_and_single_block(cx, ts):
 
 def test_hops_within_delta(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 300, 40):
-        for s in path.segments:
+        for s in path:
             if s.role == "hop":
                 d = geo.block_distance(cx, s.points[0], s.points[1])
                 assert d <= hx.DELTA + 1e-9
@@ -95,9 +95,9 @@ def test_step_decrease(cx, ts):
     # wall, so the number of "hop" segments is at most twice the chain length
     for x, y, path in usable_pairs(cx, ts, 420, 15):
         chain = cx.wall_chain(cx.normalize(x).block, cx.normalize(y).block)
-        hops = sum(1 for s in path.segments if s.role == "hop")
+        hops = sum(1 for s in path if s.role == "hop")
         assert hops <= 2 * len(chain)
-        bases = sum(1 for s in path.segments if s.role == "base")
+        bases = sum(1 for s in path if s.role == "base")
         assert bases == 1
 
 
@@ -119,12 +119,9 @@ def test_length_bound(cx, ts):
 def test_curve_length_additive(cx, ts):
     x, y, path = next(iter(usable_pairs(cx, ts, 700, 1)))
     total = cv.curve_length(cx, path)
-    parts = sum(
-        cv.curve_length(cx, cv.BlockPath((s,))) for s in path.segments
-    )
+    parts = sum(cv.curve_length(cx, (s,)) for s in path)
     assert abs(total - parts) < 1e-12
-    empty = cv.BlockPath(())
-    assert cv.curve_length(cx, empty) == 0.0
+    assert cv.curve_length(cx, ()) == 0.0
 
 
 def test_tree_path_nodes_structure():
@@ -152,6 +149,68 @@ def test_tree_path_same_edge():
     assert cv.tree_path_nodes(a, c) == [a, c]
 
 
+def _reference_tree_path_nodes(a, b):
+    """tree_path_nodes with each end's rule written out in full: kept as
+    the reference for curves.tree_path_nodes."""
+    if a == b:
+        return [a]
+    if (
+        a.child is not None
+        and b.child is not None
+        and (a.parent, a.child) == (b.parent, b.child)
+    ):
+        mid = hx.tbin_edge_point(a.parent, a.child, hx.RHO)
+        if (a.offset - hx.RHO) * (b.offset - hx.RHO) < 0:
+            return [a, mid, b]
+        return [a, b]
+
+    _, va, vb = hx.nearest_anchors(a, b)
+    nodes = [a]
+    if a.child is not None:
+        # leave a's edge through va, crossing the midpoint if a sits on the
+        # far half of the edge
+        mid = hx.tbin_edge_point(a.parent, a.child, hx.RHO)
+        on_parent_half = a.offset <= hx.RHO
+        toward_parent = va == a.parent
+        if on_parent_half != toward_parent:
+            nodes.append(mid)
+        nodes.append(hx.tbin_vertex(va))
+    vertices = hx.tbin_path_vertices(va, vb)
+    for u, v in zip(vertices, vertices[1:]):
+        nodes.append(hx.tbin_edge_point(u, v, hx.RHO))
+        nodes.append(hx.tbin_vertex(v))
+    if b.child is not None:
+        mid = hx.tbin_edge_point(b.parent, b.child, hx.RHO)
+        on_parent_half = b.offset <= hx.RHO
+        toward_parent = vb == b.parent
+        if on_parent_half != toward_parent:
+            nodes.append(mid)
+        nodes.append(b)
+    out = [nodes[0]]
+    for n in nodes[1:]:
+        if n != out[-1]:
+            out.append(n)
+    return out
+
+
+def test_tree_path_nodes_match_reference():
+    # every pair of vertices to depth 3 and points on their edges, at
+    # offsets next to the ends and on both sides of the midpoint
+    offsets = (1e-9, 0.3, hx.RHO - 1e-12, hx.RHO, hx.RHO + 1e-12, hx.EDGE - 0.3, hx.EDGE - 1e-9)
+    vertices = hx.hexagons_to_depth(3)
+    points = [hx.tbin_vertex(v) for v in vertices] + [
+        hx.tbin_edge_point(v[:-1], v, t) for v in vertices[1:] for t in offsets
+    ]
+    assert len(points) == 169
+
+    def fields(nodes):
+        return [(n.parent, n.child, n.offset.hex()) for n in nodes]
+
+    for a in points:
+        for b in points:
+            assert fields(cv.tree_path_nodes(a, b)) == fields(_reference_tree_path_nodes(a, b))
+
+
 # -- the curve loop against the recursive construction -----------------------
 
 
@@ -161,14 +220,14 @@ def _recursive_build(cplx, ts, x, y):
     x = cplx.normalize(x)
     y = cplx.normalize(y)
     if x.block == y.block:
-        return cv.BlockPath((cv.PathSegment("geodesic", x.block, (x, y), "base"),))
+        return (cv.PathSegment("geodesic", x.block, (x, y), "base"),)
     chain = cplx.wall_chain(x.block, y.block)
     can_x = chain[0][1]
     can_y = not chain[-1][1]
     assert can_x or can_y
     operate_on_x = x.block <= y.block if can_x and can_y else can_x
     if not operate_on_x:
-        return _recursive_build(cplx, ts, y, x).reversed()
+        return _reversed(_recursive_build(cplx, ts, y, x))
     v = x.block
     label = cplx.block(v).class_label
     a_tree = hx.retract(x.base)
@@ -192,7 +251,15 @@ def _recursive_build(cplx, ts, x, y):
     rest = _recursive_build(cplx, ts, x2, y)
     if len(cplx.wall_chain(cplx.normalize(x2).block, y.block)) >= len(chain):
         raise RuntimeError("special-curve recursion failed to shorten the chain")
-    return cv.BlockPath(tuple(segments) + rest.segments)
+    return tuple(segments) + rest
+
+
+def _reversed(path):
+    """The curve `path` traversed backwards."""
+    return tuple(
+        cv.PathSegment(s.kind, s.block, tuple(reversed(s.points)), s.role)
+        for s in reversed(path)
+    )
 
 
 def _reference_curve(cplx, ts, x, y):
@@ -225,8 +292,8 @@ def test_loop_matches_recursive_reference(name, t0, hex_depth, wcd):
             truncated += 1
             continue
         path = cv.build_special_curve(cplx, ts, x, y)
-        assert len(path.segments) == len(want.segments)
-        for s, w in zip(path.segments, want.segments):
+        assert len(path) == len(want)
+        for s, w in zip(path, want):
             assert (s.kind, s.block, s.points, s.role) == (w.kind, w.block, w.points, w.role)
         built += 1
     if wcd is None:
@@ -258,7 +325,7 @@ def test_normalize_idempotent(t0, hex_depth, wcd):
             path = cv.build_special_curve(cplx, ts, x, y)
         except cv.CurveTruncationError:
             continue
-        for s in path.segments:
+        for s in path:
             for p in s.points:  # the wall points x2 end or start hop segments
                 once(p)
             hop_points += s.role == "hop"
@@ -295,7 +362,7 @@ def test_curve_counts_one_chain_and_one_normalize_per_point(monkeypatch):
         k = len(cplx.wall_chain(xn.block, yn.block)) if xn.block != yn.block else 0
         calls.clear()
         path = cv.build_special_curve(cplx, ts, x, y)
-        hops = sum(s.role == "hop" for s in path.segments)
+        hops = sum(s.role == "hop" for s in path)
         assert hops == 2 * k
         assert calls == Counter(normalize=2 + k, wall_chain=1 if k else 0)
         walls[k] += 1

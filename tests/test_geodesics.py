@@ -57,7 +57,7 @@ def test_same_block_distance(cx):
     y = sample_in_block(cx, (), 1)
     res = geo.distance(cx, x, y)
     assert res.distance == geo.block_distance(cx, x, y)
-    assert res.config.walls == []
+    assert res.walls == []
 
 
 def test_same_point_zero(cx):
@@ -99,6 +99,13 @@ def test_oracle_rejects_long_chains(cx):
         geo.brute_force_distance(cx, x, y)
 
 
+def test_oracle_two_walls_needs_n3():
+    cx4 = cover.explore(shipped("cycle_n4"), t0_depth=2, hex_depth=2)
+    ((x, y),) = chain_pairs(cx4, {2}, 7)
+    with pytest.raises(cover.CoverError, match="two-wall oracle supports n = 3 only"):
+        geo.brute_force_distance(cx4, x, y)
+
+
 def perpendicular_push(cx, comp, t_foot, depth):
     """Point at perpendicular distance `depth` inward from the boundary line."""
     b = cx.model.boundary_point(comp, t_foot)
@@ -121,7 +128,7 @@ def test_symmetric_instance_crosses_fixed_locus(cx):
     x = CoverPoint((), perpendicular_push(cx, comp_p, t_foot, q_in), (f0,))
     y = CoverPoint(w.child, perpendicular_push(cx, comp_c, t_foot, q_in), (f0,))
     res = geo.distance(cx, x, y, tol=1e-9)
-    (coords,) = res.config.coords
+    (coords,) = res.coords
     assert abs(coords[0] - coords[1]) < 1e-7
     bf = geo.brute_force_distance(cx, x, y, grid_step=0.001)
     assert abs(res.distance - bf) / bf < 1e-3
@@ -198,23 +205,24 @@ def test_chain_restriction_monotone(cx):
     x = sample_in_block(cx, (3, 8), 700)
     y = sample_in_block(cx, (6,), 701)
     res = geo.distance(cx, x, y, tol=1e-8)
-    last_wall = res.config.walls[-1]
-    upward = res.config.upward[-1]
+    last_wall = res.walls[-1]
+    upward = res.upward[-1]
     zk = cx.point_from_wall_coords(
-        last_wall, tuple(res.config.coords[-1]), child_side=upward
+        last_wall, tuple(res.coords[-1]), child_side=upward
     )
     partial = geo.distance(cx, x, zk, tol=1e-8)
     assert partial.distance <= res.distance + 1e-9
 
 
-def test_solver_errors(cx):
+def test_solver_errors(cx, monkeypatch):
     outside = CoverPoint((0, 1, 2), hx.H0Point((), hx.CENTER), (0.0,))
     x = sample_in_block(cx, (), 800)
     with pytest.raises(cover.CoverError):
         geo.distance(cx, x, outside)
     y = sample_in_block(cx, (2, 11), 801)
+    monkeypatch.setattr(geo, "MAX_SWEEPS", 1)
     with pytest.raises(geo.ConvergenceError):
-        geo.distance(cx, x, y, max_sweeps=1)
+        geo.distance(cx, x, y)
 
 
 def chain_pairs(cx, lengths, seed):
@@ -298,7 +306,7 @@ def test_solver_optimal_against_boundary_point_oracle(spec, t0_depth, hex_depth,
     )
     for x, y in chain_pairs(cx, set(range(1, longest + 1)), 41):
         res = geo.distance(cx, x, y)
-        coords = res.config.coords
+        coords = res.coords
         value = boundary_point_chain_length(cx, x, y, coords)
         assert abs(value - res.distance) < 1e-9
         chain = geo._chain_vars(cx, cx.normalize(x), cx.normalize(y))

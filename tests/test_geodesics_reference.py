@@ -153,9 +153,9 @@ def ref_distance(
             raise cover.CoverError("point outside the explored complex")
     x, y = cplx.normalize(x), cplx.normalize(y)
     chain = geo._chain_vars(cplx, x, y)
-    cfg = geo.ChainConfiguration([wv.wall for wv in chain], [wv.upward for wv in chain], [])
+    walls, upward = [wv.wall for wv in chain], [wv.upward for wv in chain]
     if not chain:
-        return geo.GeodesicResult(geo.block_distance(cplx, x, y), cfg, False, 0, 0.0)
+        return geo.GeodesicResult(geo.block_distance(cplx, x, y), [], [], [], False, 0, 0.0)
 
     bounds = [b for wv in chain for b in wv.bounds]
     z, value, sweeps, residual = ref_projected_newton(
@@ -165,16 +165,16 @@ def ref_distance(
     )
     truncated = any(v - lo < 1.0 or hi - v < 1.0 for v, (lo, hi) in zip(z, bounds))
     n1 = cplx.spec.n - 1
-    cfg.coords = [z[i : i + n1] for i in range(0, len(z), n1)]
-    return geo.GeodesicResult(value, cfg, truncated, sweeps, residual)
+    coords = [z[i : i + n1] for i in range(0, len(z), n1)]
+    return geo.GeodesicResult(value, walls, upward, coords, truncated, sweeps, residual)
 
 
 def key(res):
     """Everything a solve returns, floats as their exact hex form."""
     return (
         res.distance.hex(), res.sweeps, res.residual.hex(), res.truncated,
-        [[c.hex() for c in coords] for coords in res.config.coords],
-        [w.child for w in res.config.walls], res.config.upward,
+        [[c.hex() for c in coords] for coords in res.coords],
+        [w.child for w in res.walls], res.upward,
     )
 
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import IRREDUCIBLE_NAMES, SHIPPED_NAMES, ball_ids, shipped, shipped_doc
+from conftest import (
+    IRREDUCIBLE_NAMES, SHIPPED_NAMES, ball_ids, path_permutation, shipped, shipped_doc,
+)
 from ogm import cover
 from ogm.manifold import (
     GraphManifoldSpec,
@@ -10,7 +12,6 @@ from ogm.manifold import (
     SpecError,
     check_irreducible,
     class_label,
-    path_permutation,
     validate,
 )
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import ball_ids, shipped
+from conftest import ball_ids, path_permutation, shipped
 from ogm import cover
 from ogm import hexagon as hx
 from ogm import trees as tr
-from ogm.manifold import path_permutation
 
 
 @pytest.fixture(scope="module")

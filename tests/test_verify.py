@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from conftest import counting, shipped, shipped_doc
+from ogm import cover
 from ogm import curves as cv
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import verify as vf
-from ogm.cover import CoverError
+from ogm.cover import CoverError, CoverPoint
 from ogm.manifold import GraphManifoldSpec
 
 
@@ -322,6 +323,15 @@ def test_traced_entry_points_resolve(monkeypatch):
     assert entries
     missing = [f"{owner.__name__}.{attr}" for owner, attr in entries if attr not in owner.__dict__]
     assert missing == []
+    # a span's note reads its entry point's result; a renamed result field
+    # would only zero the note's metric in traced runs
+    cplx = cover.explore(shipped("flip_n3"), t0_depth=1, hex_depth=2)
+    x, y = (CoverPoint(b, hx.H0Point((), hx.CENTER), (0.5,)) for b in ((), (0,)))
+    results = {(geo, "distance"): geo.distance(cplx, x, y)}
+    noted = [(owner, attr, note) for owner, attr, _, _, note in tracing.SPANNED if note]
+    assert [(owner, attr) for owner, attr, _ in noted] == list(results)
+    for owner, attr, note in noted:
+        assert note(results[owner, attr]) > 0
 
 
 def _resolve(expr, aliases):
@@ -424,7 +434,7 @@ def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch)
         # each consecutive pair of curve points once, hops included
         assert got == Counter(
             normalize=2 + k,
-            block_distance=sum(len(s.points) - 1 for s in path.segments),
+            block_distance=sum(len(s.points) - 1 for s in path),
         )
         checked += 1
     assert checked > 20
