@@ -145,11 +145,12 @@ def cmd_curve(args) -> int:
         return 1
     e = ts.product_distance(ts.phi(x), ts.phi(y))
     doc = {
-        "length": cv.curve_length(cplx, path),
-        "bound": (2 * hx.DELTA + 1) * e + 2 * hx.DELTA,
+        "length": cv.curve_length(cplx, path)[0],
+        "bound": cv.curve_bound(e),
         "embedded_distance": e,
         "segments": [
-            {"kind": s.kind, "role": s.role, "block": list(s.block), "points": len(s.points)}
+            {"kind": "tree_path" if s.role == "lift" else "geodesic", "role": s.role,
+             "block": list(s.points[0].block), "points": len(s.points)}
             for s in path
         ],
     }

@@ -190,20 +190,8 @@ class CoverComplex:
     # Canonical wall coordinates: (arclength on the parent-side component,
     # parent fibers).  The child reads them through the edge permutation s:
     # child_coords[s(i)] = canonical[i]; child coordinate 0 is again an
-    # arclength, of the child's gluing component.
-
-    def wall_coords(self, p: CoverPoint, w: Wall) -> tuple[float, ...]:
-        if p.block not in (w.parent, w.child):
-            raise CoverError("point belongs to neither side of the wall")
-        child_side = p.block == w.child
-        bc = hx.boundary_param(p.base)
-        if bc.component != self.wall_component(w, child_side):
-            raise CoverError("point not on this wall")
-        coords = (bc.arclength,) + p.fiber
-        if not child_side:
-            return coords
-        perm = self.spec.edges[w.edge_id].perm
-        return tuple(coords[perm(i)] for i in range(len(coords)))
+    # arclength, of the child's gluing component.  normalize crosses a
+    # child-side point in one step, canonical[i] = child_coords[s(i)].
 
     def point_from_wall_coords(
         self, w: Wall, coords: tuple[float, ...], child_side: bool
@@ -218,11 +206,6 @@ class CoverComplex:
         base = self.model.boundary_point(self.wall_component(w, True), child_coords[0])
         return CoverPoint(w.child, base, tuple(child_coords[1:]))
 
-    def cross_wall(self, p: CoverPoint, w: Wall) -> CoverPoint:
-        """Re-express a wall point in the block on the other side."""
-        coords = self.wall_coords(p, w)
-        return self.point_from_wall_coords(w, coords, child_side=(p.block == w.parent))
-
     def normalize(self, p: CoverPoint) -> CoverPoint:
         """Wall points resolve to the lower-rank block."""
         p = CoverPoint(p.block, hx.normalize_point(p.base), p.fiber)
@@ -234,7 +217,11 @@ class CoverComplex:
             return p
         if bc.component != self.model.components[0]:
             return p
-        return self.cross_wall(p, self.parent_wall(p.block))
+        w = self.parent_wall(p.block)
+        child = (bc.arclength,) + p.fiber
+        perm = self.spec.edges[w.edge_id].perm
+        canonical = tuple(child[perm(i)] for i in range(len(child)))
+        return self.point_from_wall_coords(w, canonical, child_side=False)
 
     # -- sampling -----------------------------------------------------------
 

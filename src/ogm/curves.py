@@ -9,13 +9,14 @@ the wall point x2 below the gate (cost <= delta).  x2, normalised, lies in
 the wall's parent, one wall closer to the other end, and the crossed wall
 is sliced off the chain.  When the two ends share a block a geodesic joins
 them; the steps taken from the far end are reversed into curve order.
-A curve is the tuple of its segments.
+A curve is the tuple of its segments, each a role and its points, all in
+one block: a "lift" is a tree path, a "hop" or the "base" a geodesic
+between its two points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import hexagon as hx
 from .cover import CoverComplex, CoverError, CoverPoint, Wall
@@ -29,26 +30,27 @@ class CurveTruncationError(CoverError):
 
 @dataclass(frozen=True)
 class PathSegment:
-    kind: str  # "geodesic" | "tree_path"
-    block: tuple[int, ...]
+    role: str  # "base" | "hop" | "lift"
     points: tuple[CoverPoint, ...]
-    role: str = "base"  # "base" | "hop" | "lift"
 
 
-def curve_length(
-    cplx: CoverComplex, path: tuple[PathSegment, ...], hops: Optional[list[float]] = None
-) -> float:
-    """Sum of the block distances between consecutive points of each
-    segment (a geodesic segment is its two end points).  When `hops` is
-    given, the length of each hop segment is appended to it, in order."""
-    total = 0.0
+def curve_length(cplx: CoverComplex, path: tuple[PathSegment, ...]) -> tuple[float, float]:
+    """The sum of the block distances between consecutive points of each
+    segment, and the longest hop (0.0 when there is none)."""
+    total = longest = 0.0
     for seg in path:
         for p, q in zip(seg.points, seg.points[1:]):
             d = block_distance(cplx, p, q)
             total += d
-            if hops is not None and seg.role == "hop":
-                hops.append(d)
-    return total
+            if seg.role == "hop":
+                longest = max(longest, d)
+    return total, longest
+
+
+def curve_bound(e: float) -> float:
+    """The bound (2*delta+1) e + 2*delta on the curve between two points
+    at embedded distance e."""
+    return (2.0 * hx.DELTA + 1.0) * e + 2.0 * hx.DELTA
 
 
 def tree_path_nodes(a: hx.TbinPoint, b: hx.TbinPoint) -> list[hx.TbinPoint]:
@@ -98,39 +100,32 @@ def build_special_curve(
     *,
     normalized: bool = False,
 ) -> tuple[PathSegment, ...]:
-    """Curve witnessing |gamma| <= (2*delta+1)|phi(x)phi(y)| + 2*delta.
+    """Curve witnessing |gamma| <= curve_bound(|phi(x)phi(y)|).
 
     x and y are normalized first, unless `normalized` says they already
     are.  Raises CurveTruncationError when a required wall point falls
     beyond the hexagon truncation (the ideal-space curve leaves the
     explored complex).
     """
-    try:
-        return _build(cplx, ts, x, y, normalized)
-    except hx.TruncationError as exc:
-        raise CurveTruncationError(str(exc)) from exc
-
-
-def _build(
-    cplx: CoverComplex, ts: TreeSystem, x: CoverPoint, y: CoverPoint, normalized: bool
-) -> tuple[PathSegment, ...]:
-    if not normalized:
-        x, y = cplx.normalize(x), cplx.normalize(y)
     front: list[PathSegment] = []  # built from x, in curve order
     back: list[PathSegment] = []  # built from y, in reverse curve order
-    chain = cplx.wall_chain(x.block, y.block) if x.block != y.block else ()
-    while chain:
-        # an end can move when its first step ascends; if both can, the one
-        # in the lower block moves
-        if chain[0][1] and (chain[-1][1] or x.block < y.block):
-            x = _step(cplx, ts, x, y, chain[0][0], front)
-            chain = chain[1:]
-        else:
-            y = _step(cplx, ts, y, x, chain[-1][0], back)
-            chain = chain[:-1]
-    base = PathSegment("geodesic", x.block, (x, y), "base")
-    return (*front, base, *(
-        PathSegment(s.kind, s.block, s.points[::-1], s.role) for s in reversed(back)))
+    try:
+        if not normalized:
+            x, y = cplx.normalize(x), cplx.normalize(y)
+        chain = cplx.wall_chain(x.block, y.block) if x.block != y.block else ()
+        while chain:
+            # an end can move when its first step ascends; if both can, the
+            # one in the lower block moves
+            if chain[0][1] and (chain[-1][1] or x.block < y.block):
+                x = _step(cplx, ts, x, y, chain[0][0], front)
+                chain = chain[1:]
+            else:
+                y = _step(cplx, ts, y, x, chain[-1][0], back)
+                chain = chain[:-1]
+    except hx.TruncationError as exc:
+        raise CurveTruncationError(str(exc)) from exc
+    return (*front, PathSegment("base", (x, y)),
+            *(PathSegment(s.role, s.points[::-1]) for s in reversed(back)))
 
 
 def _step(
@@ -166,10 +161,10 @@ def _step(
         CoverPoint(v, hx.embed_tree_point(n), p.fiber) for n in tree_path_nodes(a_tree, z_star)
     )
     x2 = CoverPoint(v, cplx.model.boundary_point(comp_exit, t_star), p.fiber)
-    segments.append(PathSegment("geodesic", v, (p, lifted[0]), "hop"))
+    segments.append(PathSegment("hop", (p, lifted[0])))
     if len(lifted) > 1:
-        segments.append(PathSegment("tree_path", v, lifted, "lift"))
-    segments.append(PathSegment("geodesic", v, (lifted[-1], x2), "hop"))
+        segments.append(PathSegment("lift", lifted))
+    segments.append(PathSegment("hop", (lifted[-1], x2)))
     x2 = cplx.normalize(x2)
     if x2.block != wall.parent:
         raise RuntimeError("special-curve step failed to cross the wall into its parent")

@@ -81,7 +81,8 @@ class GeodesicResult:
     """The crossings of the wall chain `walls` (ascended where `upward`)
     in canonical wall coordinates, one (arclength, fibers...) vector per
     wall.  `sweeps` counts Newton iterations; `residual` is the infinity
-    norm of the projected gradient of the chain length at the crossings."""
+    norm of the projected gradient of the chain length at the crossings.
+    `ends` is the pair, normalized."""
 
     distance: float
     walls: list[Wall]
@@ -90,6 +91,7 @@ class GeodesicResult:
     truncated: bool
     sweeps: int
     residual: float
+    ends: tuple[CoverPoint, CoverPoint]
 
 
 class _WallVars:
@@ -454,12 +456,13 @@ def distances(
         x, y = cplx.normalize(x), cplx.normalize(y)
         chain = _chain_vars(cplx, x, y)
         if not chain:
-            results[k] = GeodesicResult(block_distance(cplx, x, y), [], [], [], False, 0, 0.0)
+            results[k] = GeodesicResult(
+                block_distance(cplx, x, y), [], [], [], False, 0, 0.0, (x, y))
             continue
         bounds = [b for wv in chain for b in wv.bounds]
         problems.append((_segments(cplx.model, chain, x, y), bounds,
                          [c for wv in chain for c in wv.coords]))
-        slots.append((k, chain))
+        slots.append((k, chain, bounds, (x, y)))
     if not problems:
         return results
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -468,11 +471,11 @@ def distances(
         if isinstance(sol, ConvergenceError):
             raise sol
     n1 = cplx.spec.n - 1
-    for (k, chain), (_, bounds, _), (z, value, sweeps, residual) in zip(slots, problems, solved):
+    for (k, chain, bounds, ends), (z, value, sweeps, residual) in zip(slots, solved):
         truncated = any(v - lo < 1.0 or hi - v < 1.0 for v, (lo, hi) in zip(z, bounds))
         results[k] = GeodesicResult(
             value, [wv.wall for wv in chain], [wv.upward for wv in chain],
-            [z[i : i + n1] for i in range(0, len(z), n1)], truncated, sweeps, residual)
+            [z[i : i + n1] for i in range(0, len(z), n1)], truncated, sweeps, residual, ends)
     return results
 
 

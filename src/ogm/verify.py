@@ -153,8 +153,8 @@ def _pair_records(indices: range) -> list[dict]:
 
 
 def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResult) -> dict:
-    """The record of sample `index`, the pair (x, y) at solved distance `res`.
-    x and y are normalized once, for phi and the witness curve."""
+    """The record of sample `index`, the pair (x, y) at solved distance `res`,
+    whose normalized ends serve phi and the witness curve."""
     cplx: CoverComplex = _STATE["cplx"]
     ts: tr.TreeSystem = _STATE["ts"]
     rec: dict = {"index": index}
@@ -163,7 +163,7 @@ def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResu
         return rec
     rec["truncated"] = False
     rec["d"] = res.distance
-    xn, yn = cplx.normalize(x), cplx.normalize(y)
+    xn, yn = res.ends
     px, py = ts.phi(xn, normalized=True), ts.phi(yn, normalized=True)
     rec["t0"] = ts.t0_distance(px.t0, py.t0)
     rec["tc"] = {}
@@ -174,9 +174,7 @@ def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResu
     rec["y"] = cplx.format_point(y)
     try:
         path = cv.build_special_curve(cplx, ts, xn, yn, normalized=True)
-        hops: list[float] = []
-        rec["curve_length"] = cv.curve_length(cplx, path, hops)
-        rec["curve_hop_max"] = max(hops, default=0.0)
+        rec["curve_length"], rec["curve_hop_max"] = cv.curve_length(cplx, path)
     except cv.CurveTruncationError:
         rec["curve_length"] = None
     return rec
@@ -357,14 +355,14 @@ def verify_lipschitz(
 def verify_curves(
     spec: GraphManifoldSpec, cfg: RunConfig, records: list[dict]
 ) -> VerificationReport:
-    """Witness-curve bound: length within [d - tol, (2*delta+1) e + 2*delta + eps]
+    """Witness-curve bound: length within [d - tol, curve_bound(e) + eps]
     and every inductive hop within delta."""
     delta, eps = hx.DELTA, cfg.epsilon()
 
     def checks(rec):
         d, e, length = rec["d"], rec["e"], rec["curve_length"]
         wit = {"index": rec["index"], "d": d, "e": e, "length": length}
-        yield "curve_upper", length - ((2.0 * delta + 1.0) * e + 2.0 * delta + eps), wit
+        yield "curve_upper", length - (cv.curve_bound(e) + eps), wit
         yield "curve_dominates_distance", d - (length + 10.0 * cfg.tol), wit
         yield "curve_hops_delta", rec["curve_hop_max"] - (delta + 1e-9), wit
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SPECS, shipped, shipped_doc
 from ogm import cli, cover
+from ogm import curves as cv
 from ogm import geodesics as geo
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -225,6 +226,47 @@ def test_curve_cli(spec_file, capsys):
         assert out["length"] <= out["bound"] + 1e-6
     else:
         assert out["error"] == "truncated"
+
+
+def _curve_cli(spec_file, cx, index):
+    """`ogm curve` on the sampled pair `index` (stream 3) of the flip_n3
+    complex cx: the exit code and the pair as the command parsed it."""
+    p = cx.format_point(cx.sample_point(cover.make_stream(3, 2 * index)))
+    q = cx.format_point(cx.sample_point(cover.make_stream(3, 2 * index + 1)))
+    argv = ["curve", "--spec", spec_file, "--t0-depth", str(cx.t0_depth),
+            "--hex-depth", str(cx.hex_depth), "--from", p, "--to", q]
+    if cx.wall_comp_depth is not None:
+        argv += ["--wall-comp-depth", str(cx.wall_comp_depth)]
+    return main(argv), (cx.parse_point(p), cx.parse_point(q))
+
+
+def test_curve_cli_segments(spec_file, capsys):
+    # a curve of four walls, with steps from both ends
+    cx = cover.explore(shipped("flip_n3"), 2, 4, fiber_range=3.0, wall_comp_depth=0)
+    code, (x, y) = _curve_cli(spec_file, cx, 1)
+    assert code == 0
+    out = strict_json(capsys.readouterr().out)
+    ts = tr.TreeSystem(cx)
+    path = cv.build_special_curve(cx, ts, x, y)
+    assert out["length"] == cv.curve_length(cx, path)[0]
+    assert out["bound"] == cv.curve_bound(out["embedded_distance"])
+    assert len(out["segments"]) == len(path) == 12
+    for seg, s in zip(out["segments"], path):
+        kind = "tree_path" if s.role == "lift" else "geodesic"
+        assert seg == {"kind": kind, "role": s.role, "block": list(s.points[0].block),
+                       "points": len(s.points)}
+    assert {seg["role"] for seg in out["segments"]} == {"hop", "lift", "base"}
+    assert len({tuple(seg["block"]) for seg in out["segments"]}) == 5
+
+
+def test_curve_cli_truncated_exits_1(spec_file, capsys):
+    # with every component glued, the curve's first gate leaves the hexagons
+    cx = cover.explore(shipped("flip_n3"), 2, 4, fiber_range=3.0)
+    code, _ = _curve_cli(spec_file, cx, 0)
+    assert code == 1
+    out = strict_json(capsys.readouterr().out)
+    assert out["error"] == "truncated"
+    assert "leaves hexagon depth 4" in out["detail"]
 
 
 def test_verify_qi_deterministic(spec_file, tmp_path, capsys):

@@ -133,26 +133,32 @@ def test_cross_wall_flip(flip_cx):
     comp = flip_cx.wall_component(w, False)
     t, f = 0.75, 1.5
     p = cover.CoverPoint((), flip_cx.model.boundary_point(comp, t), (f,))
-    q = flip_cx.cross_wall(p, w)
+    q = flip_cx.point_from_wall_coords(w, (t, f), child_side=True)
     assert q.block == w.child
     # transposition: child arclength reads the fiber, child fiber the arclength
     bc = hx.boundary_param(q.base)
+    assert bc.component == flip_cx.wall_component(w, True)
     assert abs(bc.arclength - f) < 1e-10
     assert abs(q.fiber[0] - t) < 1e-10
-    back = flip_cx.cross_wall(q, w)
+    back = flip_cx.normalize(q)
     assert back.block == ()
     assert hx.h0_distance(back.base, p.base) < 1e-10
     assert abs(back.fiber[0] - p.fiber[0]) < 1e-10
 
 
 def test_cross_wall_grid_corner(flip_cx):
+    # a grid corner of the parent side is a grid corner of the child side,
+    # and normalize takes it back to the same corner
     w = flip_cx.parent_wall((1,))
-    comp = flip_cx.wall_component(w, False)
-    p = cover.CoverPoint((), flip_cx.model.boundary_point(comp, 1.0), (-2.0,))
-    q = flip_cx.cross_wall(p, w)
+    q = flip_cx.point_from_wall_coords(w, (1.0, -2.0), child_side=True)
     bc = hx.boundary_param(q.base)
     assert abs(bc.arclength - round(bc.arclength)) < 1e-10
     assert abs(q.fiber[0] - round(q.fiber[0])) < 1e-10
+    back = flip_cx.normalize(q)
+    assert back.block == ()
+    bc = hx.boundary_param(back.base)
+    assert bc.component == flip_cx.wall_component(w, False)
+    assert abs(bc.arclength - 1.0) < 1e-10 and abs(back.fiber[0] + 2.0) < 1e-10
 
 
 def test_normalize_wall_point(flip_cx):

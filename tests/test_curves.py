@@ -50,10 +50,9 @@ def test_same_block_single_geodesic(cx, ts):
     y = CoverPoint(x.block, y.base, y.fiber)
     path = cv.build_special_curve(cx, ts, x, y)
     assert len(path) == 1
-    assert path[0].kind == "geodesic"
-    assert cv.curve_length(cx, path) == geo.block_distance(
-        cx, cx.normalize(x), cx.normalize(y)
-    )
+    assert path[0].role == "base"
+    assert cv.curve_length(cx, path) == (
+        geo.block_distance(cx, cx.normalize(x), cx.normalize(y)), 0.0)
 
 
 def test_endpoints_exact(cx, ts):
@@ -69,9 +68,10 @@ def test_endpoints_exact(cx, ts):
 def test_segments_connected_and_single_block(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 200, 15):
         for s in path:
-            assert cx.in_ball(s.block)
+            block = s.points[0].block
+            assert cx.in_ball(block)
             for p in s.points:
-                assert p.block == s.block
+                assert p.block == block
         for s1, s2 in zip(path, path[1:]):
             p, q = s1.points[-1], s2.points[0]
             if p.block == q.block:
@@ -103,7 +103,7 @@ def test_step_decrease(cx, ts):
 
 def test_witness_dominates_distance(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 500, 30):
-        L = cv.curve_length(cx, path)
+        L, _ = cv.curve_length(cx, path)
         res = geo.distance(cx, x, y, tol=1e-6)
         assert res.distance <= L + 1e-9
 
@@ -111,17 +111,19 @@ def test_witness_dominates_distance(cx, ts):
 def test_length_bound(cx, ts):
     eps = 10 * 1e-6
     for x, y, path in usable_pairs(cx, ts, 600, 60):
-        L = cv.curve_length(cx, path)
+        L, _ = cv.curve_length(cx, path)
         e = ts.product_distance(ts.phi(x), ts.phi(y))
-        assert L <= (2 * hx.DELTA + 1) * e + 2 * hx.DELTA + eps
+        assert cv.curve_bound(e) == (2 * hx.DELTA + 1) * e + 2 * hx.DELTA
+        assert L <= cv.curve_bound(e) + eps
 
 
 def test_curve_length_additive(cx, ts):
     x, y, path = next(iter(usable_pairs(cx, ts, 700, 1)))
-    total = cv.curve_length(cx, path)
-    parts = sum(cv.curve_length(cx, (s,)) for s in path)
-    assert abs(total - parts) < 1e-12
-    assert cv.curve_length(cx, ()) == 0.0
+    total, longest = cv.curve_length(cx, path)
+    parts = [cv.curve_length(cx, (s,)) for s in path]
+    assert abs(total - sum(length for length, _ in parts)) < 1e-12
+    assert longest == max(hop for _, hop in parts) > 0.0
+    assert cv.curve_length(cx, ()) == (0.0, 0.0)
 
 
 def test_tree_path_nodes_structure():
@@ -220,7 +222,7 @@ def _recursive_build(cplx, ts, x, y):
     x = cplx.normalize(x)
     y = cplx.normalize(y)
     if x.block == y.block:
-        return (cv.PathSegment("geodesic", x.block, (x, y), "base"),)
+        return (cv.PathSegment("base", (x, y)),)
     chain = cplx.wall_chain(x.block, y.block)
     can_x = chain[0][1]
     can_y = not chain[-1][1]
@@ -244,10 +246,10 @@ def _recursive_build(cplx, ts, x, y):
         CoverPoint(v, hx.embed_tree_point(n), x.fiber) for n in cv.tree_path_nodes(a_tree, z_star)
     )
     x2 = CoverPoint(v, cplx.model.boundary_point(comp_exit, t_star), x.fiber)
-    segments = [cv.PathSegment("geodesic", v, (x, lifted[0]), "hop")]
+    segments = [cv.PathSegment("hop", (x, lifted[0]))]
     if len(lifted) > 1:
-        segments.append(cv.PathSegment("tree_path", v, lifted, "lift"))
-    segments.append(cv.PathSegment("geodesic", v, (lifted[-1], x2), "hop"))
+        segments.append(cv.PathSegment("lift", lifted))
+    segments.append(cv.PathSegment("hop", (lifted[-1], x2)))
     rest = _recursive_build(cplx, ts, x2, y)
     if len(cplx.wall_chain(cplx.normalize(x2).block, y.block)) >= len(chain):
         raise RuntimeError("special-curve recursion failed to shorten the chain")
@@ -257,7 +259,7 @@ def _recursive_build(cplx, ts, x, y):
 def _reversed(path):
     """The curve `path` traversed backwards."""
     return tuple(
-        cv.PathSegment(s.kind, s.block, tuple(reversed(s.points)), s.role)
+        cv.PathSegment(s.role, tuple(reversed(s.points)))
         for s in reversed(path)
     )
 
@@ -294,7 +296,7 @@ def test_loop_matches_recursive_reference(name, t0, hex_depth, wcd):
         path = cv.build_special_curve(cplx, ts, x, y)
         assert len(path) == len(want)
         for s, w in zip(path, want):
-            assert (s.kind, s.block, s.points, s.role) == (w.kind, w.block, w.points, w.role)
+            assert (s.role, s.points) == (w.role, w.points)
         built += 1
     if wcd is None:
         assert truncated > 0

@@ -155,7 +155,8 @@ def ref_distance(
     chain = geo._chain_vars(cplx, x, y)
     walls, upward = [wv.wall for wv in chain], [wv.upward for wv in chain]
     if not chain:
-        return geo.GeodesicResult(geo.block_distance(cplx, x, y), [], [], [], False, 0, 0.0)
+        return geo.GeodesicResult(
+            geo.block_distance(cplx, x, y), [], [], [], False, 0, 0.0, (x, y))
 
     bounds = [b for wv in chain for b in wv.bounds]
     z, value, sweeps, residual = ref_projected_newton(
@@ -166,7 +167,7 @@ def ref_distance(
     truncated = any(v - lo < 1.0 or hi - v < 1.0 for v, (lo, hi) in zip(z, bounds))
     n1 = cplx.spec.n - 1
     coords = [z[i : i + n1] for i in range(0, len(z), n1)]
-    return geo.GeodesicResult(value, walls, upward, coords, truncated, sweeps, residual)
+    return geo.GeodesicResult(value, walls, upward, coords, truncated, sweeps, residual, (x, y))
 
 
 def key(res):
@@ -174,7 +175,7 @@ def key(res):
     return (
         res.distance.hex(), res.sweeps, res.residual.hex(), res.truncated,
         [[c.hex() for c in coords] for coords in res.coords],
-        [w.child for w in res.walls], res.upward,
+        [w.child for w in res.walls], res.upward, res.ends,
     )
 
 

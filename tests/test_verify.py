@@ -408,6 +408,8 @@ def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch)
     cplx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
     calls, seen = Counter(), {}
     monkeypatch.setattr(cplx, "normalize", counting(calls, "normalize", cplx.normalize))
+    monkeypatch.setattr(hx, "boundary_param",
+                        counting(calls, "boundary_param", hx.boundary_param))
     monkeypatch.setattr(cv, "block_distance", counting(calls, "block_distance", cv.block_distance))
     monkeypatch.setattr(geo, "block_distance",
                         counting(calls, "block_distance", geo.block_distance))
@@ -430,10 +432,12 @@ def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch)
         xn, yn = cplx.normalize(x), cplx.normalize(y)
         k = len(cplx.wall_chain(xn.block, yn.block)) if xn.block != yn.block else 0
         path = cv.build_special_curve(cplx, ts, x, y)
-        # x and y once, for phi and the curve, then each wall point x2 once;
-        # each consecutive pair of curve points once, hops included
+        # x and y come normalized from the solver; each wall point x2 is
+        # normalized once, crossing its wall with one boundary lookup; each
+        # consecutive pair of curve points is measured once, hops included
         assert got == Counter(
-            normalize=2 + k,
+            normalize=k,
+            boundary_param=k,
             block_distance=sum(len(s.points) - 1 for s in path),
         )
         checked += 1
