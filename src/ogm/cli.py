@@ -205,7 +205,7 @@ def cmd_report(args) -> int:
 def _add_complex_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True)
     p.add_argument("--out")
-    p.add_argument("--complex", help="complex summary JSON to rebuild from")
+    p.add_argument("--complex", help="an `ogm explore` dump to rebuild the complex from")
     p.add_argument("--t0-depth", type=int, default=2, dest="t0_depth")
     p.add_argument("--hex-depth", type=int, default=4, dest="hex_depth")
     p.add_argument("--fiber-range", type=float, default=8.0, dest="fiber_range")
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="hexagon constants as JSON")
     p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("explore", help="build and dump a cover complex")
+    p = sub.add_parser("explore", help="dump a cover complex's parameters, size and components")
     p.add_argument("--spec", required=True)
     p.add_argument("--t0-depth", type=int, required=True, dest="t0_depth")
     p.add_argument("--hex-depth", type=int, required=True, dest="hex_depth")

@@ -16,7 +16,9 @@ label.
 Nothing is explored up front: a block is a function of its id, computed
 from the root by this child rule on first use and cached per complex, and
 the caches never change an answer.  The ball is a regular tree, so its size
-and its lexicographic order (a preorder) are address arithmetic too.
+and its lexicographic order (a preorder) are address arithmetic too, and
+summary(), the ball's description that `ogm explore` dumps, lists no block:
+a dump of any depth is its parameters, block count and component table.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from . import hexagon as hx
 from .manifold import GraphManifoldSpec, OrientedEdge, Permutation, class_label, validate
 
 BlockId = tuple[int, ...]
-
-SUMMARY_MAX_BLOCKS = 10**6  # CoverComplex.summary lists every block
 
 
 @dataclass(frozen=True)
@@ -193,18 +193,10 @@ class CoverComplex:
     # arclength, of the child's gluing component.  normalize crosses a
     # child-side point in one step, canonical[i] = child_coords[s(i)].
 
-    def point_from_wall_coords(
-        self, w: Wall, coords: tuple[float, ...], child_side: bool
-    ) -> CoverPoint:
-        if not child_side:
-            base = self.model.boundary_point(self.wall_component(w, False), coords[0])
-            return CoverPoint(w.parent, base, tuple(coords[1:]))
-        perm = self.spec.edges[w.edge_id].perm
-        child_coords = [0.0] * len(coords)
-        for i, c in enumerate(coords):
-            child_coords[perm(i)] = c
-        base = self.model.boundary_point(self.wall_component(w, True), child_coords[0])
-        return CoverPoint(w.child, base, tuple(child_coords[1:]))
+    def point_from_wall_coords(self, w: Wall, coords: tuple[float, ...]) -> CoverPoint:
+        """The parent-side point of wall w at canonical coordinates coords."""
+        base = self.model.boundary_point(self.wall_component(w, False), coords[0])
+        return CoverPoint(w.parent, base, tuple(coords[1:]))
 
     def normalize(self, p: CoverPoint) -> CoverPoint:
         """Wall points resolve to the lower-rank block."""
@@ -221,7 +213,7 @@ class CoverComplex:
         child = (bc.arclength,) + p.fiber
         perm = self.spec.edges[w.edge_id].perm
         canonical = tuple(child[perm(i)] for i in range(len(child)))
-        return self.point_from_wall_coords(w, canonical, child_side=False)
+        return self.point_from_wall_coords(w, canonical)
 
     # -- sampling -----------------------------------------------------------
 
@@ -294,27 +286,10 @@ class CoverComplex:
         return p
 
     def summary(self) -> dict:
-        """Every block and wall of the ball; a ball of more than
-        SUMMARY_MAX_BLOCKS blocks is refused by name, since listing it would
-        not finish."""
-        if self.block_count > SUMMARY_MAX_BLOCKS:
-            raise CoverError(f"cannot list a ball of {self.block_count} blocks "
-                             f"(at most {SUMMARY_MAX_BLOCKS})")
-        comps = [
-            {"index": i, "min_hex": list(c.min_addr), "side": c.side}
-            for i, c in enumerate(self.model.components)
-        ]
-        blocks, walls = [], []
-        for i in range(self.block_count):  # walls in (parent, component) order
-            bid = self.block_at(i)
-            blk = self.block(bid)
-            labels = [self.block_label(blk, ci).id for ci in range(len(comps))]
-            blocks.append({"id": list(bid), "g_vertex": blk.g_vertex, "labels": labels})
-            walls += (
-                {"parent": list(bid), "parent_comp": ci, "child": list(bid + (ci,)),
-                 "edge": labels[ci]}
-                for ci in self.child_comps(len(bid))
-            )
+        """The ball's description: the spec digest, n, the parameters that
+        rebuild the ball (read_summary), its block count and the component
+        table.  No block or wall is listed, so a ball of any depth dumps at
+        once; block_at and parent_wall name each of them."""
         return {
             "spec_digest": self.spec.digest(),
             "n": self.spec.n,
@@ -322,9 +297,11 @@ class CoverComplex:
             "hex_depth": self.hex_depth,
             "fiber_range": self.fiber_range,
             "wall_comp_depth": self.wall_comp_depth,
-            "components": comps,
-            "blocks": blocks,
-            "walls": walls,
+            "block_count": self.block_count,
+            "components": [
+                {"index": i, "min_hex": list(c.min_addr), "side": c.side}
+                for i, c in enumerate(self.model.components)
+            ],
         }
 
 
@@ -340,7 +317,8 @@ def explore(
 
 def read_summary(spec: GraphManifoldSpec, path: str) -> CoverComplex:
     """Rebuild the complex whose summary() was dumped as JSON to `path`,
-    from its depths, fiber range and wall component depth."""
+    from its depths, fiber range and wall component depth.  Other keys, such
+    as the block and wall listing of older dumps, are not read."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -1,5 +1,5 @@
-"""Shared test helpers: the shipped specs, read from specs/*.json, and the
-reference gluing permutation of an edge path."""
+"""Shared test helpers: the shipped specs, read from specs/*.json, the
+reference gluing permutation of an edge path, and child-side wall points."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Optional
 
+from ogm.cover import CoverPoint
 from ogm.manifold import GraphManifoldSpec, Permutation, SpecError
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -26,6 +27,19 @@ def shipped(name: str) -> GraphManifoldSpec:
 def ball_ids(cx) -> list:
     """Every block id of a complex's ball, in lexicographic order."""
     return [cx.block_at(i) for i in range(cx.block_count)]
+
+
+def child_wall_point(cx, w, coords) -> CoverPoint:
+    """The point of wall w at canonical coordinates coords (parent-side
+    arclength, parent fibers), on the child side: the child reads them
+    through the edge permutation s, child[s(i)] = coords[i], and child
+    coordinate 0 is an arclength on its component 0."""
+    perm = cx.spec.edges[w.edge_id].perm
+    child = [0.0] * len(coords)
+    for i, c in enumerate(coords):
+        child[perm(i)] = c
+    base = cx.model.boundary_point(cx.model.components[0], child[0])
+    return CoverPoint(w.child, base, tuple(child[1:]))
 
 
 def counting(calls, name: str, fn):

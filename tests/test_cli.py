@@ -133,7 +133,7 @@ def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
         == 0
     )
     doc = strict_json(out.read_text())
-    assert len(doc["blocks"]) == 4  # root + 3 shallow components
+    assert doc["block_count"] == 4  # root + 3 shallow components
     assert capsys.readouterr().err == "explored 4 blocks, 3 walls\n"
 
     cx = cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=0)
@@ -532,14 +532,49 @@ def test_malformed_point_names_field(spec_file, capsys, point, field):
     assert err.startswith("error:") and field in err
 
 
-def test_deep_explore_refuses_to_list_the_ball(capsys):
-    # two_vertex_n5 at t0 40 holds about 3.3e12 blocks; listing them would
-    # not finish, so the dump is refused at once, with the count
-    argv = ["explore", "--spec", str(SPECS / "two_vertex_n5.json"), "--t0-depth", "40",
-            "--hex-depth", "2", "--wall-comp-depth", "0"]
-    assert main(argv) == 1
-    out = capsys.readouterr()
-    count = cover.explore(shipped("two_vertex_n5"), 40, 2, wall_comp_depth=0).block_count
-    assert out.out == ""
-    assert out.err == (f"error: cannot list a ball of {count} blocks "
-                       f"(at most {cover.SUMMARY_MAX_BLOCKS})\n")
+def test_deep_explore_dumps_the_ball(tmp_path, capsys):
+    # two_vertex_n5 at t0 40 holds about 3.3e12 blocks; the dump lists none
+    # of them, and a command rebuilt from it prints what the flags print
+    spec, dump = str(SPECS / "two_vertex_n5.json"), tmp_path / "deep.json"
+    flags = ["--t0-depth", "40", "--hex-depth", "2", "--wall-comp-depth", "0"]
+    assert main(["explore", "--spec", spec, *flags, "--out", str(dump)]) == 0
+    cx = cover.explore(shipped("two_vertex_n5"), 40, 2, wall_comp_depth=0)
+    assert strict_json(dump.read_text())["block_count"] == cx.block_count > 10**12
+    capsys.readouterr()
+    u, v = (1, 2) * 20, (1, 2) * 19 + (2, 1)
+    x = cx.format_point(cover.CoverPoint(u, hx.H0Point((1,), hx.CENTER), (0.5, -0.25, 1.0)))
+    y = cx.format_point(cover.CoverPoint(v, hx.H0Point((0,), hx.CENTER), (0.0, 0.75, -1.0)))
+    for command in (["phi", "--point", x], ["geodesic", "--from", x, "--to", y]):
+        printed = []
+        for source in (flags, ["--complex", str(dump)]):
+            assert main([command[0], "--spec", spec, *source, *command[1:]]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+
+
+def test_dump_with_block_listing_still_reads(tmp_path):
+    # `ogm explore` once listed every block and wall; such dumps rebuild the
+    # same complex, since only the parameters are read
+    doc = {
+        "spec_digest": shipped("flip_n3").digest(), "n": 3, "t0_depth": 1, "hex_depth": 1,
+        "fiber_range": 8.0, "wall_comp_depth": 0,
+        "components": [{"index": 0, "min_hex": [], "side": 1},
+                       {"index": 1, "min_hex": [], "side": 3},
+                       {"index": 2, "min_hex": [], "side": 5},
+                       {"index": 3, "min_hex": [0], "side": 3},
+                       {"index": 4, "min_hex": [1], "side": 5},
+                       {"index": 5, "min_hex": [2], "side": 1}],
+        "blocks": [{"g_vertex": "v", "id": [], "labels": ["w1", "w2"] * 3},
+                   {"g_vertex": "v", "id": [0], "labels": ["w2", "w1"] * 3},
+                   {"g_vertex": "v", "id": [1], "labels": ["w1", "w2"] * 3},
+                   {"g_vertex": "v", "id": [2], "labels": ["w2", "w1"] * 3}],
+        "walls": [{"child": [0], "edge": "w1", "parent": [], "parent_comp": 0},
+                  {"child": [1], "edge": "w2", "parent": [], "parent_comp": 1},
+                  {"child": [2], "edge": "w1", "parent": [], "parent_comp": 2}],
+    }
+    dump = tmp_path / "listed.json"
+    dump.write_text(json.dumps(doc))
+    cx = cover.read_summary(shipped("flip_n3"), str(dump))
+    assert cx.summary() == cover.explore(shipped("flip_n3"), 1, 1, wall_comp_depth=0).summary()
+    assert cx.summary() == {**{k: doc[k] for k in doc if k not in ("blocks", "walls")},
+                            "block_count": len(doc["blocks"])}

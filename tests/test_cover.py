@@ -1,10 +1,9 @@
 import json
 import math
-from dataclasses import astuple
 
 import pytest
 
-from conftest import ball_ids, path_permutation, shipped, shipped_doc
+from conftest import ball_ids, child_wall_point, path_permutation, shipped, shipped_doc
 from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -133,7 +132,7 @@ def test_cross_wall_flip(flip_cx):
     comp = flip_cx.wall_component(w, False)
     t, f = 0.75, 1.5
     p = cover.CoverPoint((), flip_cx.model.boundary_point(comp, t), (f,))
-    q = flip_cx.point_from_wall_coords(w, (t, f), child_side=True)
+    q = child_wall_point(flip_cx, w, (t, f))
     assert q.block == w.child
     # transposition: child arclength reads the fiber, child fiber the arclength
     bc = hx.boundary_param(q.base)
@@ -150,7 +149,7 @@ def test_cross_wall_grid_corner(flip_cx):
     # a grid corner of the parent side is a grid corner of the child side,
     # and normalize takes it back to the same corner
     w = flip_cx.parent_wall((1,))
-    q = flip_cx.point_from_wall_coords(w, (1.0, -2.0), child_side=True)
+    q = child_wall_point(flip_cx, w, (1.0, -2.0))
     bc = hx.boundary_param(q.base)
     assert abs(bc.arclength - round(bc.arclength)) < 1e-10
     assert abs(q.fiber[0] - round(q.fiber[0])) < 1e-10
@@ -161,10 +160,25 @@ def test_cross_wall_grid_corner(flip_cx):
     assert abs(bc.arclength - 1.0) < 1e-10 and abs(back.fiber[0] + 2.0) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["flip_n3", "cycle_n4"])
+def test_normalize_crosses_every_wall(name):
+    # the one wall-point constructor is the parent side; normalize reaches it
+    # from the child side of every wall of the ball
+    cx = cover.explore(shipped(name), t0_depth=2, hex_depth=4)
+    for i, bid in enumerate(ball_ids(cx)[1:]):
+        w = cx.parent_wall(bid)
+        coords = tuple(float(v) for v in cover.make_stream(31, i).uniform(0, 1, cx.spec.n - 1))
+        got = cx.normalize(child_wall_point(cx, w, coords))
+        want = cx.point_from_wall_coords(w, coords)
+        assert got.block == want.block == w.parent
+        assert hx.h0_distance(got.base, want.base) < 1e-12
+        assert max(abs(a - b) for a, b in zip(got.fiber, want.fiber)) < 1e-12
+
+
 def test_normalize_wall_point(flip_cx):
     w = flip_cx.parent_wall((4,))
     coords = (1.25, -0.5)
-    child_pt = flip_cx.point_from_wall_coords(w, coords, child_side=True)
+    child_pt = child_wall_point(flip_cx, w, coords)
     norm = flip_cx.normalize(child_pt)
     assert norm.block == ()
     again = flip_cx.normalize(norm)
@@ -271,9 +285,12 @@ def test_ball_matches_reference_enumeration(name, t0, hexd, wcd):
         assert [ci for b, ci in walls if b == bid] == list(cx.child_comps(len(bid)))
     assert tr.TreeSystem(cx).class_labels == tuple(sorted(classes))
     doc = cx.summary()
-    assert [tuple(b["id"]) for b in doc["blocks"]] == ids
-    assert [(tuple(w["parent"]), w["parent_comp"], tuple(w["child"]), w["edge"])
-            for w in doc["walls"]] == [astuple(w) for _, w in sorted(walls.items())]
+    assert doc["block_count"] == len(blocks)
+    table = [(c["index"], tuple(c["min_hex"]), c["side"]) for c in doc["components"]]
+    assert table == [(i, c.min_addr, c.side) for i, c in enumerate(cx.model.components)]
+    if t0:  # the table's wall components are those the reference glues at the root
+        root_walls = [ci for b, ci in walls if b == ()]
+        assert [i for i, hexes, _ in table if wcd is None or len(hexes) <= wcd] == root_walls
     # ids outside the ball: component 0 below the root, an unknown
     # component, one level too deep
     base, fiber = hx.H0Point((), hx.CENTER), (0.0,) * (cx.spec.n - 2)
@@ -306,12 +323,3 @@ def test_sampling_names_the_block_limit():
     ts = tr.TreeSystem(cx)
     assert ts.phi(x).t0 == u
     assert ts.product_distance(ts.phi(x), ts.phi(y)) > 0
-
-
-def test_summary_names_the_block_limit(monkeypatch):
-    cx = cover.explore(shipped("flip_n3"), 2, 2, wall_comp_depth=0)
-    monkeypatch.setattr(cover, "SUMMARY_MAX_BLOCKS", cx.block_count)
-    assert len(cx.summary()["blocks"]) == cx.block_count
-    monkeypatch.setattr(cover, "SUMMARY_MAX_BLOCKS", cx.block_count - 1)
-    with pytest.raises(cover.CoverError, match=f"ball of {cx.block_count} blocks"):
-        cx.summary()

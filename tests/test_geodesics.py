@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import shipped
+from conftest import child_wall_point, shipped
 from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -67,8 +67,8 @@ def test_same_point_zero(cx):
 
 def test_same_wall_flat(cx):
     w = cx.parent_wall((0,))
-    p = cx.point_from_wall_coords(w, (0.5, -1.0), child_side=False)
-    q = cx.point_from_wall_coords(w, (2.5, 2.0), child_side=True)
+    p = cx.point_from_wall_coords(w, (0.5, -1.0))
+    q = child_wall_point(cx, w, (2.5, 2.0))
     res = geo.distance(cx, p, q, tol=1e-9)
     expect = math.hypot(2.5 - 0.5, 2.0 - (-1.0))
     assert abs(res.distance - expect) < 1e-9
@@ -205,11 +205,9 @@ def test_chain_restriction_monotone(cx):
     x = sample_in_block(cx, (3, 8), 700)
     y = sample_in_block(cx, (6,), 701)
     res = geo.distance(cx, x, y, tol=1e-8)
-    last_wall = res.walls[-1]
-    upward = res.upward[-1]
-    zk = cx.point_from_wall_coords(
-        last_wall, tuple(res.coords[-1]), child_side=upward
-    )
+    w, coords = res.walls[-1], tuple(res.coords[-1])
+    zk = (child_wall_point(cx, w, coords) if res.upward[-1]
+          else cx.point_from_wall_coords(w, coords))
     partial = geo.distance(cx, x, zk, tol=1e-8)
     assert partial.distance <= res.distance + 1e-9
 

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import ball_ids, shipped
+from conftest import ball_ids, child_wall_point, shipped
 from ogm import cover
 from ogm import coverings as cvg
 from ogm import geodesics as geo
@@ -40,7 +40,7 @@ def test_phi0_interior_and_wall(cx, ts):
     x = CoverPoint((3,), hx.H0Point((1, 2), hx.CENTER), (0.5,))
     assert ts.phi(x).t0 == (3,)
     w = cx.parent_wall((3,))
-    wp = cx.point_from_wall_coords(w, (0.5, 1.0), child_side=True)
+    wp = child_wall_point(cx, w, (0.5, 1.0))
     assert ts.phi(wp).t0 == ()  # lower rank wins on walls
 
 
@@ -76,8 +76,8 @@ def test_phi_c_well_defined_on_walls(cx, ts):
         for i in range(20):
             r = cover.make_stream(17, i)
             coords = (float(r.uniform(-2, 3)), float(r.uniform(-4, 4)))
-            p1 = cx.point_from_wall_coords(w, coords, child_side=False)
-            p2 = cx.point_from_wall_coords(w, coords, child_side=True)
+            p1 = cx.point_from_wall_coords(w, coords)
+            p2 = child_wall_point(cx, w, coords)
             a, b = ts.phi_c(lab, p1), ts.phi_c(lab, p2)
             assert ts.tc_distance(lab, a, b) < 1e-9
 

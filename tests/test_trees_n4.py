@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ball_ids, path_permutation, shipped
+from conftest import ball_ids, child_wall_point, path_permutation, shipped
 from ogm import cover
 from ogm import hexagon as hx
 from ogm import trees as tr
@@ -37,8 +37,8 @@ def test_phi_c_well_defined_on_walls_all_classes(cx4, ts4):
         for i in range(10):
             r = cover.make_stream(13, i)
             coords = tuple(float(v) for v in r.uniform(-1.5, 1.5, 3))
-            p1 = cx4.point_from_wall_coords(w, coords, child_side=False)
-            p2 = cx4.point_from_wall_coords(w, coords, child_side=True)
+            p1 = cx4.point_from_wall_coords(w, coords)
+            p2 = child_wall_point(cx4, w, coords)
             for lab in ts4.class_labels:
                 a, b = ts4.phi_c(lab, p1), ts4.phi_c(lab, p2)
                 assert ts4.tc_distance(lab, a, b) < 1e-9, (wall_key, lab)
