@@ -18,7 +18,7 @@ from . import geodesics as geo
 from . import hexagon as hx
 from . import trees as tr
 from . import verify as vf
-from .cover import CoverComplex, CoverError, explore, read_summary
+from .cover import CoverComplex, CoverError, explore
 from .manifold import GraphManifoldSpec, validate
 from .verify import covering_report
 
@@ -38,15 +38,7 @@ def _write_or_print(doc: dict, out: Optional[str]) -> None:
 
 def _complex_from_args(args) -> CoverComplex:
     spec = GraphManifoldSpec.from_json_file(args.spec)
-    if getattr(args, "complex", None):
-        return read_summary(spec, args.complex)
-    return explore(
-        spec,
-        args.t0_depth,
-        args.hex_depth,
-        fiber_range=args.fiber_range,
-        wall_comp_depth=args.wall_comp_depth,
-    )
+    return explore(spec, args.t0_depth, args.hex_depth, wall_comp_depth=args.wall_comp_depth)
 
 
 def _tc_point_doc(p: tr.TcPoint) -> dict:
@@ -203,15 +195,12 @@ def cmd_report(args) -> int:
 
 
 def _add_complex_args(p: argparse.ArgumentParser) -> None:
+    """The flags that name a ball of the cover, one set for every command."""
     p.add_argument("--spec", required=True)
     p.add_argument("--out")
-    p.add_argument("--complex", help="an `ogm explore` dump to rebuild the complex from")
     p.add_argument("--t0-depth", type=int, default=2, dest="t0_depth")
     p.add_argument("--hex-depth", type=int, default=4, dest="hex_depth")
-    p.add_argument("--fiber-range", type=float, default=8.0, dest="fiber_range")
-    p.add_argument(
-        "--wall-comp-depth", type=int, default=None, dest="wall_comp_depth"
-    )
+    p.add_argument("--wall-comp-depth", type=int, default=None, dest="wall_comp_depth")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -235,13 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="hexagon constants as JSON")
     p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("explore", help="dump a cover complex's parameters, size and components")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--t0-depth", type=int, required=True, dest="t0_depth")
-    p.add_argument("--hex-depth", type=int, required=True, dest="hex_depth")
-    p.add_argument("--fiber-range", type=float, default=8.0, dest="fiber_range")
-    p.add_argument("--wall-comp-depth", type=int, default=None, dest="wall_comp_depth")
-    p.add_argument("--out")
+    p = sub.add_parser("explore", help="a ball's parameters, block count and components")
+    _add_complex_args(p)
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("geodesic", help="distance between two point addresses")

@@ -17,13 +17,12 @@ Nothing is explored up front: a block is a function of its id, computed
 from the root by this child rule on first use and cached per complex, and
 the caches never change an answer.  The ball is a regular tree, so its size
 and its lexicographic order (a preorder) are address arithmetic too, and
-summary(), the ball's description that `ogm explore` dumps, lists no block:
-a dump of any depth is its parameters, block count and component table.
+summary(), the ball's description that `ogm explore` prints, lists no block:
+it is the depths that name the ball, its block count and component table.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -286,16 +285,17 @@ class CoverComplex:
         return p
 
     def summary(self) -> dict:
-        """The ball's description: the spec digest, n, the parameters that
-        rebuild the ball (read_summary), its block count and the component
-        table.  No block or wall is listed, so a ball of any depth dumps at
-        once; block_at and parent_wall name each of them."""
+        """The ball's description: the spec digest, n, the three depths that
+        name the ball (explore's arguments), its block count and the
+        component table.  No block or wall is listed, so a ball of any depth
+        is described at once; block_at and parent_wall name each of them.
+        fiber_range is not listed: it bounds sample_point's draws, not the
+        ball."""
         return {
             "spec_digest": self.spec.digest(),
             "n": self.spec.n,
             "t0_depth": self.t0_depth,
             "hex_depth": self.hex_depth,
-            "fiber_range": self.fiber_range,
             "wall_comp_depth": self.wall_comp_depth,
             "block_count": self.block_count,
             "components": [
@@ -313,36 +313,6 @@ def explore(
     wall_comp_depth: Optional[int] = None,
 ) -> CoverComplex:
     return CoverComplex(spec, t0_depth, hex_depth, fiber_range, wall_comp_depth)
-
-
-def read_summary(spec: GraphManifoldSpec, path: str) -> CoverComplex:
-    """Rebuild the complex whose summary() was dumped as JSON to `path`,
-    from its depths, fiber range and wall component depth.  Other keys, such
-    as the block and wall listing of older dumps, are not read."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise CoverError("complex dump is not a JSON object")
-    if doc.get("spec_digest") != spec.digest():
-        raise CoverError("complex dump was built from a different spec")
-
-    def field(key: str, kind: type):
-        """A JSON number: int() would read 1.9 as 1, float() "nan" as NaN."""
-        if key not in doc:
-            raise CoverError(f"complex dump has no {key} field")
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            raise CoverError(f"complex dump has a malformed {key} field")
-        return kind(value)
-
-    wall_comp_depth = doc.get("wall_comp_depth")  # absent or null: every component
-    return explore(
-        spec,
-        field("t0_depth", int),
-        field("hex_depth", int),
-        fiber_range=field("fiber_range", float),
-        wall_comp_depth=None if wall_comp_depth is None else field("wall_comp_depth", int),
-    )
 
 
 def make_stream(seed: int, index: int) -> np.random.Generator:

@@ -378,7 +378,8 @@ class TreeSystem:
         return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:
-        total = self.t0_distance(p.t0, q.t0)
-        for lab, pc in p.coords:
-            total += self.tc_distance(lab, pc, q.coord(lab))
-        return total
+        """The l1 sum t0 + (tc_0 + tc_1 + ...), added in the order that
+        gives the records' e bit for bit."""
+        return self.t0_distance(p.t0, q.t0) + sum(
+            self.tc_distance(lab, pc, q.coord(lab)) for lab, pc in p.coords
+        )

@@ -215,6 +215,26 @@ def test_criterion_07_special_curves(records_by_spec):
         report(7, f"special curves {name}", f"{checked} pairs within bounds, hops <= delta")
 
 
+def test_product_distance_is_the_records_e(records_by_spec):
+    # `ogm curve` prints product_distance as e; on the sampled points it is
+    # the record's e bit for bit (a left-to-right sum t0 + tc_0 + tc_1 + ...
+    # was one ulp off on some pairs)
+    for name in SPECS:
+        spec, cfg, records, _ = records_by_spec[name]
+        cx = cover.explore(spec, cfg.t0_depth, cfg.hex_depth, fiber_range=cfg.fiber_range,
+                           wall_comp_depth=cfg.wall_comp_depth)
+        ts = tr.TreeSystem(cx)
+        off = []
+        for r in records:
+            if r["truncated"]:
+                continue
+            i = r["index"]
+            x, y = (cx.sample_point(cover.make_stream(cfg.seed, 2 * i + k)) for k in (0, 1))
+            if ts.product_distance(ts.phi(x), ts.phi(y)) != r["e"]:
+                off.append(i)
+        assert off == [], name
+
+
 def test_criterion_08_tree_system_metrics():
     cx = cover.explore(
         shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0

@@ -113,53 +113,48 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_explore_and_geodesic_roundtrip(spec_file, tmp_path, capsys):
+    # explore and geodesic name the same ball by the same flags
+    flags = ["--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2", "--wall-comp-depth", "0"]
     out = tmp_path / "complex.json"
-    assert (
-        main(
-            [
-                "explore",
-                "--spec",
-                spec_file,
-                "--t0-depth",
-                "1",
-                "--hex-depth",
-                "2",
-                "--wall-comp-depth",
-                "0",
-                "--out",
-                str(out),
-            ]
-        )
-        == 0
-    )
+    assert main(["explore", *flags, "--out", str(out)]) == 0
     doc = strict_json(out.read_text())
     assert doc["block_count"] == 4  # root + 3 shallow components
+    assert "fiber_range" not in doc
     assert capsys.readouterr().err == "explored 4 blocks, 3 walls\n"
 
     cx = cover.explore(shipped("flip_n3"), 1, 2, wall_comp_depth=0)
+    assert doc == cx.summary()
     a = cx.format_point(cx.sample_point(cover.make_stream(1, 0)))
     b = cx.format_point(cx.sample_point(cover.make_stream(1, 1)))
-    assert (
-        main(
-            [
-                "geodesic",
-                "--spec",
-                spec_file,
-                "--complex",
-                str(out),
-                "--from",
-                a,
-                "--to",
-                b,
-            ]
-        )
-        == 0
-    )
+    assert main(["geodesic", *flags, "--from", a, "--to", b]) == 0
     res = strict_json(capsys.readouterr().out)
     assert res["distance"] > 0
     assert "truncated" in res
     assert res["sweeps"] >= 1
     assert 0.0 <= res["residual"] < 1e-3
+
+
+def test_explore_defaults_to_the_default_ball(spec_file, capsys):
+    # with no depth flags explore describes the ball every command builds
+    assert main(["explore", "--spec", spec_file]) == 0
+    default_ball = cover.explore(shipped("flip_n3"), 2, 4)
+    assert strict_json(capsys.readouterr().out) == default_ball.summary()
+
+
+def test_complex_commands_share_one_flag_set():
+    # no command names a complex another way (a dump, a fiber range)
+    shared = {"-h", "--help", "--spec", "--out", "--t0-depth", "--hex-depth", "--wall-comp-depth"}
+    own = {
+        "explore": set(),
+        "geodesic": {"--from", "--to", "--tol"},
+        "phi": {"--point"},
+        "tree-dist": {"--a", "--b", "--class-label"},
+        "curve": {"--from", "--to"},
+    }
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    for name, extra in own.items():
+        options = {o for action in commands[name]._actions for o in action.option_strings}
+        assert options == shared | extra, name
 
 
 def test_convergence_error_exits_1(spec_file, monkeypatch, capsys):
@@ -417,48 +412,6 @@ def test_point_just_outside_exits_1(spec_file, capsys, command):
     assert err.startswith("error:") and "outside" in err
 
 
-@pytest.mark.parametrize(
-    "fields, word",
-    [
-        ({}, "t0_depth"),
-        (None, "object"),  # a JSON list, not a dump
-        ({"t0_depth": [1]}, "t0_depth"),
-        ({"wall_comp_depth": "x"}, "wall_comp_depth"),
-        # int() read 1.9 as depth 1, float() read "nan" as NaN and True as 1.0
-        ({"t0_depth": 1.9}, "t0_depth"),
-        ({"fiber_range": "nan"}, "fiber_range"),
-        ({"fiber_range": True}, "fiber_range"),
-        ({"fiber_range": math.nan}, "fiber_range"),
-    ],
-    ids=[
-        "no-depth", "list", "t0-depth-list", "wall-comp-depth-str", "t0-depth-float",
-        "fiber-range-str", "fiber-range-bool", "fiber-range-nan",
-    ],
-)
-def test_complex_dump_without_depth_exits_1(spec_file, tmp_path, capsys, fields, word):
-    dump = tmp_path / "dump.json"
-    doc = {"spec_digest": shipped("flip_n3").digest()}
-    if fields:
-        doc.update({"t0_depth": 1, "hex_depth": 2, "fiber_range": 8.0, "wall_comp_depth": 0})
-        doc.update(fields)
-    dump.write_text(json.dumps([doc] if fields is None else doc))
-    argv = ["phi", "--spec", spec_file, "--complex", str(dump), "--point", "hex=;pos=0,0;fiber=0"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and word in err
-
-
-@pytest.mark.parametrize("fiber_range", ["nan", "inf", "-1"])
-def test_explore_rejects_bad_fiber_range(spec_file, capsys, fiber_range):
-    # NaN printed "fiber_range": NaN, which is not JSON, and exited 0
-    argv = ["explore", "--spec", spec_file, "--t0-depth", "1", "--hex-depth", "2",
-            "--fiber-range", fiber_range]
-    assert main(argv) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error:") and "fiber_range" in out.err
-
-
 def test_report_prepares_once(spec_file, tmp_path, monkeypatch):
     # one validate, irreducibility check, explore and tree system serve the
     # records, which the three verify reports share, and the covering report
@@ -532,49 +485,29 @@ def test_malformed_point_names_field(spec_file, capsys, point, field):
     assert err.startswith("error:") and field in err
 
 
-def test_deep_explore_dumps_the_ball(tmp_path, capsys):
-    # two_vertex_n5 at t0 40 holds about 3.3e12 blocks; the dump lists none
-    # of them, and a command rebuilt from it prints what the flags print
-    spec, dump = str(SPECS / "two_vertex_n5.json"), tmp_path / "deep.json"
-    flags = ["--t0-depth", "40", "--hex-depth", "2", "--wall-comp-depth", "0"]
-    assert main(["explore", "--spec", spec, *flags, "--out", str(dump)]) == 0
+def test_deep_explore_dumps_the_ball(capsys):
+    # two_vertex_n5 at t0 40 holds about 3.3e12 blocks; explore lists none
+    # of them, and phi and geodesic print what the library computes there
+    spec = str(SPECS / "two_vertex_n5.json")
+    argv = ["--spec", spec, "--t0-depth", "40", "--hex-depth", "2", "--wall-comp-depth", "0"]
+    assert main(["explore", *argv]) == 0
     cx = cover.explore(shipped("two_vertex_n5"), 40, 2, wall_comp_depth=0)
-    assert strict_json(dump.read_text())["block_count"] == cx.block_count > 10**12
-    capsys.readouterr()
+    assert strict_json(capsys.readouterr().out)["block_count"] == cx.block_count > 10**12
     u, v = (1, 2) * 20, (1, 2) * 19 + (2, 1)
     x = cx.format_point(cover.CoverPoint(u, hx.H0Point((1,), hx.CENTER), (0.5, -0.25, 1.0)))
     y = cx.format_point(cover.CoverPoint(v, hx.H0Point((0,), hx.CENTER), (0.0, 0.75, -1.0)))
-    for command in (["phi", "--point", x], ["geodesic", "--from", x, "--to", y]):
-        printed = []
-        for source in (flags, ["--complex", str(dump)]):
-            assert main([command[0], "--spec", spec, *source, *command[1:]]) == 0
-            printed.append(capsys.readouterr())
-        assert printed[0] == printed[1]
+    xp, yp = cx.parse_point(x), cx.parse_point(y)
 
+    assert main(["phi", *argv, "--point", x]) == 0
+    prod = tr.TreeSystem(cx).phi(xp)
+    assert strict_json(capsys.readouterr().out) == {
+        "t0": list(u), "classes": {str(lab): cli._tc_point_doc(pt) for lab, pt in prod.coords}}
+    assert prod.t0 == u
 
-def test_dump_with_block_listing_still_reads(tmp_path):
-    # `ogm explore` once listed every block and wall; such dumps rebuild the
-    # same complex, since only the parameters are read
-    doc = {
-        "spec_digest": shipped("flip_n3").digest(), "n": 3, "t0_depth": 1, "hex_depth": 1,
-        "fiber_range": 8.0, "wall_comp_depth": 0,
-        "components": [{"index": 0, "min_hex": [], "side": 1},
-                       {"index": 1, "min_hex": [], "side": 3},
-                       {"index": 2, "min_hex": [], "side": 5},
-                       {"index": 3, "min_hex": [0], "side": 3},
-                       {"index": 4, "min_hex": [1], "side": 5},
-                       {"index": 5, "min_hex": [2], "side": 1}],
-        "blocks": [{"g_vertex": "v", "id": [], "labels": ["w1", "w2"] * 3},
-                   {"g_vertex": "v", "id": [0], "labels": ["w2", "w1"] * 3},
-                   {"g_vertex": "v", "id": [1], "labels": ["w1", "w2"] * 3},
-                   {"g_vertex": "v", "id": [2], "labels": ["w2", "w1"] * 3}],
-        "walls": [{"child": [0], "edge": "w1", "parent": [], "parent_comp": 0},
-                  {"child": [1], "edge": "w2", "parent": [], "parent_comp": 1},
-                  {"child": [2], "edge": "w1", "parent": [], "parent_comp": 2}],
-    }
-    dump = tmp_path / "listed.json"
-    dump.write_text(json.dumps(doc))
-    cx = cover.read_summary(shipped("flip_n3"), str(dump))
-    assert cx.summary() == cover.explore(shipped("flip_n3"), 1, 1, wall_comp_depth=0).summary()
-    assert cx.summary() == {**{k: doc[k] for k in doc if k not in ("blocks", "walls")},
-                            "block_count": len(doc["blocks"])}
+    assert main(["geodesic", *argv, "--from", x, "--to", y]) == 0
+    res = geo.distance(cx, xp, yp, tol=1e-6)
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["distance"] == res.distance > 0
+    assert (doc["truncated"], doc["sweeps"]) == (res.truncated, res.sweeps)
+    assert doc["chain"] == [{"parent": list(w.parent), "parent_comp": w.parent_comp, "coords": c}
+                            for w, c in zip(res.walls, res.coords)]

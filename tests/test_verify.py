@@ -116,7 +116,8 @@ def test_lipschitz_report():
     assert rep.inequalities["retraction_2rho"].violations == 0
     assert rep.inequalities["retraction_2delta"].violations == 0
     assert "phi0_plus_one" in rep.inequalities
-    assert rep.notes == []  # no embedded half-edge warning
+    assert hx.HALF_EDGE_EMBEDDED < hx.RHO  # so an embedded half-edge never exceeds rho
+    assert rep.to_dict()["notes"] == []
 
 
 def test_curves_report():
