@@ -402,6 +402,88 @@ def retract(p: H0Point) -> TbinPoint:
     return tbin_vertex(p.hex)
 
 
+# --- the same over rows of points ------------------------------------------
+#
+# Row forms of reflection, dist_chart, retract and tbin_distance, equal to the
+# scalar forms entry for entry: each does the scalar float operations in the
+# same order, and asinh goes through math, since numpy's vectorised arcsinh
+# need not round as libm does.  A retracted point is described from its own
+# hexagon h: its two anchors, parent then child as tbin_anchors lists them,
+# each a marked letter (the neighbour across it) or -1 (h itself), and their
+# distances.  Every vertex retract returns is h itself, so a vertex is both
+# its anchors at distance 0.
+
+_REFLECTION_ROWS = np.array(REFLECTIONS)
+_MARKED_NORMALS = np.array([SIDE_NORMALS[s] for s in MARKED_SIDES]).T
+
+
+def _asinh_rows(v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.asinh, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def reflect_rows(letters: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat_vec(REFLECTIONS[letter], x) per row of x, or x where letter is -1."""
+    m = _REFLECTION_ROWS[letters]
+    y = m[:, :, 0] * x[:, :1] + m[:, :, 1] * x[:, 1:2] + m[:, :, 2] * x[:, 2:]
+    return np.where(letters[:, None] < 0, x, y)
+
+
+def dist_chart_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dist_chart per row pair of x and y."""
+    dx = x - y
+    q = -dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1] + dx[:, 2] * dx[:, 2]
+    # clamped, q <= 0 gives 0.0, as in dist_chart
+    return 2.0 * _asinh_rows(0.5 * np.sqrt(np.maximum(q, 0.0)))
+
+
+def retract_rows(last: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """retract per row of local points x in hexagons whose last letters are
+    `last` (-1 at the root), as (anchors, distances), both n x 2.
+
+    The edge across marked side i leads toward the parent exactly when i is
+    the hexagon's last letter; tbin_edge_point then measures the offset
+    from the far end, and an offset rounding to EDGE lands on the vertex.
+    """
+    v = -(-x[:, :1] * _MARKED_NORMALS[0] + x[:, 1:2] * _MARKED_NORMALS[1]
+          + x[:, 2:] * _MARKED_NORMALS[2])
+    sides = np.where(v > 1e-12, _asinh_rows(v) / S, 0.0)
+    i = sides.argmin(axis=1)  # the first of equals, as in retract
+    d = sides.min(axis=1)
+    f = RHO * (1.0 - 2.0 * d)
+    toward = last == i
+    off = np.where(toward, EDGE - f, f)
+    edge = (d < 0.5) & (off < EDGE)
+    across = np.stack([toward, ~toward], axis=1)  # which anchor is the neighbour across i
+    anchors = np.where(edge[:, None] & across, i[:, None], -1)
+    dist = np.where(edge[:, None], np.stack([off, EDGE - off], axis=1), 0.0)
+    return anchors, dist
+
+
+def tbin_distance_rows(x: tuple[np.ndarray, np.ndarray], steps: np.ndarray,
+                       y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """tbin_distance per row between retract_rows images x, from hexagons
+    h, and y, from hexagons extend(h, step) (h itself where step is -1).
+
+    T_bin is 3-regular, each vertex meeting one edge of each letter, so a
+    vertex near h is a reduced word w of letters from h, and all four
+    anchors are within two letters of h.  An edge count then needs no
+    prefix walk: from h itself to w it is len(w), and from h's neighbour
+    across u it is len(w) - 1 when w starts with u, len(w) + 1 otherwise.
+    The distance is the least of the four anchor sums, added as
+    nearest_anchors adds them, or the offset difference on a shared edge."""
+    (xa, xd), (ya, yd) = x, y
+    s = steps[:, None]
+    # y's anchors as words from h: the step, then the anchor's letter
+    first = np.where(s < 0, ya, np.where(ya == s, -1, s))
+    length = (s >= 0).astype(int) + (ya >= 0) - 2 * ((s >= 0) & (ya == s))
+    edges = length[:, None, :] + (xa[:, :, None] >= 0) * np.where(
+        first[:, None, :] == xa[:, :, None], -1, 1)
+    best = (xd[:, :, None] + yd[:, None, :] + EDGE * edges).min(axis=(1, 2))
+    shared = (xa.max(axis=1) >= 0) & (ya.max(axis=1) >= 0) & (edges[:, 0, 0] == 0) \
+        & (edges[:, 1, 1] == 0)
+    return np.where(shared, np.abs(xd[:, 0] - yd[:, 0]), best)
+
+
 def embed_tree_point(t: TbinPoint) -> H0Point:
     """Embedded position of a tree point: vertices at hexagon centers, edges
     along center -> shared-marked-side-midpoint geodesics (proportional

@@ -228,6 +228,11 @@ def _prepare(spec: GraphManifoldSpec, cfg: RunConfig):
     return _build(spec, cfg)
 
 
+# pairs drawn before the geometry runs over them as arrays: the arrays of a
+# chunk, not of the whole sample, bound the sample's memory
+RETRACTION_CHUNK = 1024
+
+
 def measure_retraction_lipschitz(
     model: hx.HexModel, pairs: int = 100_000, seed: int = 1
 ) -> float:
@@ -239,30 +244,34 @@ def measure_retraction_lipschitz(
     Pair i draws, in this order: the hexagon a, the point p
     (HexModel.sample_local), for odd i the letter of q's hexagon, and q.
     That order of RNG calls is part of the reproducibility contract: every
-    lipschitz report quotes this value bit for bit.  The loop therefore
-    stays scalar.  A numpy version would have to draw the stream in blocks,
-    in another order, and so would change the reports; it waits for a
-    benchmark whose memory does not grow with the number of passes it makes.
+    lipschitz report quotes this value bit for bit.  So the draws stay a
+    scalar loop, which only records each pair.  Every RETRACTION_CHUNK
+    pairs, the reflection, dist_chart, retract and tbin_distance run over
+    the recorded pairs in their row forms (hexagon.reflect_rows and the
+    rest), which equal the scalar forms entry for entry; the hexagons enter
+    them only through their last letters, tabled once per call.
     """
     rng = make_stream(seed, 0)
-    worst = 0.0
     nhex = len(model.hexagons)
-    for i in range(pairs):
-        a = b = model.hexagons[int(rng.integers(0, nhex))]
-        p = model.sample_local(rng)
-        if i % 2 == 0:
-            q = q_here = model.sample_local(rng)
-        else:
-            letter = int(rng.integers(0, 3))
-            b = hx.extend(a, letter)
-            q = model.sample_local(rng)
-            q_here = hx.mat_vec(hx.REFLECTIONS[letter], q)  # q in p's chart
-        d = hx.dist_chart(p, q_here) / hx.S
-        if d < 1e-9:
-            continue
-        ratio = hx.tbin_distance(hx.retract(hx.H0Point(a, p)), hx.retract(hx.H0Point(b, q))) / d
-        if ratio > worst:
-            worst = ratio
+    # last letters of each hexagon (column 0) and of its neighbour across
+    # each marked letter (columns 1-3), -1 at the root
+    tails = np.array([[(h[-1] if h else -1) for h in (a, *(hx.extend(a, s) for s in range(3)))]
+                      for a in model.hexagons])
+    worst = 0.0
+    for start in range(0, pairs, RETRACTION_CHUNK):
+        hexes, letters, ps, qs = [], [], [], []
+        for i in range(start, min(start + RETRACTION_CHUNK, pairs)):
+            hexes.append(int(rng.integers(0, nhex)))
+            ps.append(model.sample_local(rng))
+            letters.append(-1 if i % 2 == 0 else int(rng.integers(0, 3)))
+            qs.append(model.sample_local(rng))
+        hexes, letters, p, q = map(np.array, (hexes, letters, ps, qs))
+        d = hx.dist_chart_rows(p, hx.reflect_rows(letters, q)) / hx.S  # q in p's chart
+        dt = hx.tbin_distance_rows(hx.retract_rows(tails[hexes, 0], p), letters,
+                                   hx.retract_rows(tails[hexes, letters + 1], q))
+        keep = d >= 1e-9
+        if keep.any():
+            worst = max(worst, float((dt[keep] / d[keep]).max()))
     return worst
 
 
