@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -227,6 +227,23 @@ class CoverComplex:
         )
         return CoverPoint(bid, hx.H0Point(addr, local), fiber)
 
+    def sample_points(self, seed: int, indices: Sequence[int]) -> list[CoverPoint]:
+        """[sample_point(make_stream(seed, i)) for i in indices], bit for
+        bit, without a SeedSequence per point: every stream's seed is hashed
+        in one numpy pass, and one reused Generator is set to each stream's
+        PCG64 state in turn.  Indices must lie in [0, 2**32)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and not (idx.min() >= 0 and idx.max() < 2**32):
+            raise ValueError("sample indices must lie in [0, 2**32)")
+        bitgen = np.random.PCG64(0)
+        rng = np.random.Generator(bitgen)
+        points = []
+        for state, inc in _stream_seeds(seed, idx):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            points.append(self.sample_point(rng))
+        return points
+
     def contains(self, p: CoverPoint) -> bool:
         if not self.in_ball(p.block) or len(p.fiber) != self.spec.n - 2:
             return False
@@ -316,5 +333,70 @@ def explore(
 
 
 def make_stream(seed: int, index: int) -> np.random.Generator:
-    """Deterministic per-sample stream; order and worker independent."""
+    """Deterministic per-sample stream; order and worker independent.  The
+    one-stream reference: CoverComplex.sample_points seeds many streams at
+    once and draws the same points."""
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+# numpy's SeedSequence pool hash and PCG64's setseq seeding, whose output
+# numpy keeps fixed across versions (NEP 19).  The hash constants are Python
+# ints masked to 32 bits: numpy scalar arithmetic would warn on overflow,
+# while uint32 array arithmetic wraps silently.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's word hash, whose multiplier advances on every call."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> 16)
+
+
+def _stream_seeds(seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of the PCG64 that make_stream(seed, i) seeds, for each
+    index i < 2**32 (one entropy word): SeedSequence((seed, i)) mixes the
+    32-bit words of seed, least significant first, then i, into its pool;
+    generate_state(4, uint64) hashes the pool into the 128-bit initstate
+    and initseq; the setseq rule turns those into (state, inc)."""
+    words = [seed >> (32 * k) & _MASK32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+    m = len(indices)
+    entropy = [np.full(m, w, np.uint32) for w in words] + [indices.astype(np.uint32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(m, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)  # generate_state's hash
+    state = [out(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    # little-endian uint32 pairs -> uint64 words: initstate, then initseq,
+    # each high word first
+    w = [state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(4)]
+    seeds = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*(x.tolist() for x in w)):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds

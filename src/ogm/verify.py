@@ -145,8 +145,8 @@ def _pair_records(indices: range) -> list[dict]:
     one batch."""
     cplx: CoverComplex = _STATE["cplx"]
     cfg: RunConfig = _STATE["cfg"]
-    pairs = [(cplx.sample_point(make_stream(cfg.seed, 2 * i)),
-              cplx.sample_point(make_stream(cfg.seed, 2 * i + 1))) for i in indices]
+    pts = cplx.sample_points(cfg.seed, [2 * i + k for i in indices for k in (0, 1)])
+    pairs = list(zip(pts[0::2], pts[1::2]))
     results = geo.distances(cplx, pairs, tol=cfg.tol)
     return [_pair_record(i, x, y, res) for i, (x, y), res in zip(indices, pairs, results)]
 
@@ -187,9 +187,10 @@ def _collect_records(
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     )
     workers = min(workers, cfg.samples)  # a pool no larger than the work
-    # chunks of at most 16 pairs, and at least one chunk per worker; each
-    # chunk's distances are one batch solve
-    size = max(1, min(16, math.ceil(cfg.samples / workers)))
+    # chunks of at most 64 pairs, and at least one chunk per worker; each
+    # chunk's distances are one batch solve, which pays the solver's
+    # per-sweep numpy cost once per chunk
+    size = max(1, min(64, math.ceil(cfg.samples / workers)))
     chunks = [range(i, min(i + size, cfg.samples)) for i in range(0, cfg.samples, size)]
     if workers > 1 and hasattr(os, "fork"):
         import multiprocessing
@@ -389,19 +390,19 @@ def _covering(
 ) -> dict:
     """The covering report on a prepared complex and its tree system."""
     spec = cplx.spec
-    pts = [cplx.sample_point(make_stream(cfg.seed, i)) for i in range(cfg.samples)]
-    phis = [ts.phi(p) for p in pts]
+    pts = cplx.sample_points(cfg.seed, range(cfg.samples))
+    norm = [cplx.normalize(p) for p in pts]  # phi's T0 point is the block
     n = len(pts)
     # T0 distances by prefix arithmetic on block ids, tabled over the blocks
-    index = {b: k for k, b in enumerate(sorted({p.t0 for p in phis}))}
-    row = [index[p.t0] for p in phis]
+    index = {b: k for k, b in enumerate(sorted({p.block for p in norm}))}
+    row = [index[p.block] for p in norm]
     t0_d = hx.prefix_edges(list(index), list(index)).astype(float)[np.ix_(row, row)]
     factors = [cvg.tree_covering(t0_d, t0_d[0], scale)]
     factor_checks = [cvg.check_covering(factors[0], t0_d)]
     sum_d = t0_d  # summed in place: the T0 factor is done with it
     # one T_c matrix alive at a time keeps the report's peak memory down
     for lab in ts.class_labels:
-        tc_d = ts.tc_matrix(lab, [p.coord(lab) for p in phis])
+        tc_d = ts.tc_matrix(lab, [ts.phi_c(lab, p, normalized=True) for p in norm])
         cov = cvg.tree_covering(tc_d, tc_d[0], scale)
         factors.append(cov)
         factor_checks.append(cvg.check_covering(cov, tc_d))

@@ -193,6 +193,23 @@ def test_sample_determinism(flip_cx):
     assert c != a
 
 
+@pytest.mark.parametrize("name", ["flip_n3", "two_vertex_n5"])
+def test_sample_points_match_make_stream(name):
+    # seeds of one to four 32-bit words: only a four-word seed such as 10**30
+    # has entropy past SeedSequence's 4-word pool
+    cx = cover.explore(shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0)
+    idx = [*range(300), 2**31, 2**32 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30):
+        assert cx.sample_points(seed, idx) == [cx.sample_point(cover.make_stream(seed, i)) for i in idx]
+
+
+def test_sample_points_index_range(flip_cx):
+    assert flip_cx.sample_points(3, []) == []
+    for bad in ([-1], [2**32]):
+        with pytest.raises(ValueError):
+            flip_cx.sample_points(3, bad)
+
+
 def test_sample_membership_and_coverage(flip_cx):
     hit = set()
     for i in range(10_000):

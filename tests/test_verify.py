@@ -204,7 +204,7 @@ def test_pool_size_capped_by_samples(monkeypatch, workers, cpus, sizes):
     "samples, workers, chunksize",
     [
         (20, 4, 5),  # chunks of 16 fed 2 of the 4 workers
-        (40, 2, 16),
+        (40, 2, 20),
         (33, 3, 11),
         (5, 8, 1),  # the pool is capped at 5
     ],
