@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -333,21 +333,41 @@ def tbin_distance(x: TbinPoint, y: TbinPoint) -> float:
     return nearest_anchors(x, y)[0]
 
 
-def tbin_distance_matrix(points: Sequence[TbinPoint]) -> np.ndarray:
-    """Matrix of tbin_distance over points, entry for entry equal to it: the
-    least anchor sum da + db + EDGE * edges in nearest_anchors' order (a
-    vertex is both its anchors), or |offset difference| on a shared edge."""
-    ends = [tbin_anchors(p) for p in points]
-    anchors = [e[0] for e in ends] + [e[-1] for e in ends]  # slot-major: 2x2 quarters
-    dist = np.array([d for _, d in anchors])
-    edges = prefix_edges([v for v, _ in anchors], [v for v, _ in anchors])
-    n = len(points)
-    best = (dist[:, None] + dist + EDGE * edges).reshape(2, n, 2, n).min(axis=(0, 2))
+class TbinTable(NamedTuple):
+    """Points of T_bin as arrays (see tbin_table)."""
+
+    vertex: np.ndarray  # n x 2 anchor vertex ids, parent then child (a vertex twice)
+    dist: np.ndarray  # n x 2 distances to them
+    edge: np.ndarray  # id of an edge point's edge, -1 - i for a vertex point i
+    offset: np.ndarray
+    edges: np.ndarray  # hex_tree_edges between the anchor vertices, by id
+
+
+def tbin_table(points: Sequence[TbinPoint]) -> TbinTable:
+    """The anchors of every point in tbin_anchors order, with an id per
+    distinct anchor vertex and one prefix_edges over those vertices."""
+    ids: dict[Address, int] = {}
     edge_ids: dict[tuple[Address, Address], int] = {}
-    key = np.array([-1 - i if p.child is None else edge_ids.setdefault((p.parent, p.child), i)
-                    for i, p in enumerate(points)])
-    off = np.array([p.offset for p in points])
-    return np.where(key[:, None] == key, np.abs(off[:, None] - off), best)
+    vertex, dist, edge = [], [], []
+    for i, p in enumerate(points):
+        ends = tbin_anchors(p)
+        vertex.append([ids.setdefault(v, len(ids)) for v, _ in (ends[0], ends[-1])])
+        dist.append([ends[0][1], ends[-1][1]])
+        edge.append(-1 - i if p.child is None else edge_ids.setdefault((p.parent, p.child), i))
+    n = len(points)
+    return TbinTable(np.array(vertex, dtype=np.intp).reshape(n, 2), np.array(dist).reshape(n, 2),
+                     np.array(edge, dtype=np.intp), np.array([p.offset for p in points]),
+                     prefix_edges(list(ids), list(ids)))
+
+
+def tbin_pair_distances(t: TbinTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """tbin_distance(points[i[k]], points[j[k]]) per k, entry for entry equal
+    to it: the least anchor sum da + db + EDGE * edges, added as
+    nearest_anchors adds it (a vertex is both its anchors), or |offset
+    difference| on a shared edge."""
+    best = np.min([t.dist[i, a] + t.dist[j, b] + EDGE * t.edges[t.vertex[i, a], t.vertex[j, b]]
+                   for a in (0, 1) for b in (0, 1)], axis=0)
+    return np.where(t.edge[i] == t.edge[j], np.abs(t.offset[i] - t.offset[j]), best)
 
 
 def tbin_path_vertices(a: Address, b: Address) -> list[Address]:

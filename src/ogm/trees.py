@@ -35,8 +35,10 @@ A shared segment clips to itself, a bridge is lo == hi, and the identity
 clips to the whole line.  Two maps compose into one, since gate projections
 onto the lines of a tree compose: clipping to I1 and then to the preimage J
 of I2 is clipping to I1 & J, or, when that is empty, a bridge from the end
-of I1 nearest J that adds the gap to const.  tc_distance, line_profile and
-tc_matrix all push points through the composed map.
+of I1 nearest J that adds the gap to const.  tc_distance and line_profile
+push one point through the composed map; tc_matrix pushes the points of a
+sample, embedded once for every class (TreeSystem.embed: the owners, one
+retraction per point with its gates, the fibers), through arrays of maps.
 
 Routes through T0.  Block ids are prefix addresses, so the T0 geodesic from
 block a to block o climbs from a to the meet a[:k] (k the common prefix
@@ -53,6 +55,22 @@ an integer) far below 2**52, so every operation in `then` is exact, and
 the numbers are fixed by the map itself and the product of the
 orientations.  Routes, and so tc_matrix and tc_distance, are therefore
 bit for bit those of the wall-by-wall walk.
+
+Routes in bulk.  route composes up . turn . down and skips identities;
+tc_matrix gathers the three maps of many block pairs into arrays and
+composes them with the array form of `then`, IDENTITY included.  That
+gives the same five numbers up to the sign of a zero.  IDENTITY is a unit
+on both sides: IDENTITY.then(m) has j = (m.lo, m.hi) (y - 0.0 is y) and
+so the interval of m, no gap, shift 0.0 * o + m.shift + 0.0 and const
+0.0 + 0.0 + m.const; m.then(IDENTITY) has j the whole line and so the
+interval of m, shift m.shift + 0.0 + 0.0 and const m.const + 0.0 + 0.0.
+Adding a zero changes no value but can turn -0.0 into 0.0.  And every
+operation in `then` and `cross` (+, -, * by +-1, min, max, abs and the
+comparisons, which see -0.0 == 0.0) maps operands equal as numbers to
+results equal as numbers, so a zero's sign never moves another value.  It
+never reaches a distance either: g enters only |lam - g|, and c is
+c0 + |g - clip| + const with c0 >= 0, which is +0.0 whatever const's
+zero.  So every entry of tc_matrix is bit for bit that of tc_distance.
 """
 
 from __future__ import annotations
@@ -115,15 +133,29 @@ class LineRelation(NamedTuple):
         return self.orient * clipped + self.shift, c + abs(g - clipped) + self.const
 
     def then(self, nxt: "LineRelation") -> "LineRelation":
-        """This map followed by nxt, as one map (see the module docstring)."""
-        j_lo, j_hi = sorted(self.orient * (y - self.shift) for y in (nxt.lo, nxt.hi))
-        lo, hi, gap = max(self.lo, j_lo), min(self.hi, j_hi), 0.0
-        if lo > hi:
-            lo = hi = self.hi if self.hi < j_lo else self.lo
-            gap = (j_lo if lo < j_lo else j_hi) - lo
+        """This map followed by nxt, as one map (see the module docstring).
+        Float fields take builtin arithmetic; array fields, which broadcast
+        together, take the same operations elementwise in numpy."""
+        if isinstance(self.lo, float) and isinstance(nxt.lo, float):
+            j_lo, j_hi = sorted(self.orient * (y - self.shift) for y in (nxt.lo, nxt.hi))
+            lo, hi, gap = max(self.lo, j_lo), min(self.hi, j_hi), 0.0
+            if lo > hi:
+                lo = hi = self.hi if self.hi < j_lo else self.lo
+                gap = (j_lo if lo < j_lo else j_hi) - lo
+            orient = self.orient * nxt.orient
+            shift = nxt.orient * self.shift + nxt.shift + orient * gap
+            return LineRelation(lo, hi, orient, shift, self.const + abs(gap) + nxt.const)
+        a, b = (self.orient * (y - self.shift) for y in (nxt.lo, nxt.hi))
+        j_lo, j_hi = np.minimum(a, b), np.maximum(a, b)
+        lo, hi = np.maximum(self.lo, j_lo), np.minimum(self.hi, j_hi)
+        empty = lo > hi
+        # an empty meet has finite ends; elsewhere end is 0 and so is the gap
+        end = np.where(empty, np.where(self.hi < j_lo, self.hi, self.lo), 0.0)
+        gap = np.where(empty, np.where(end < j_lo, j_lo, j_hi), end) - end
         orient = self.orient * nxt.orient
         shift = nxt.orient * self.shift + nxt.shift + orient * gap
-        return LineRelation(lo, hi, orient, shift, self.const + abs(gap) + nxt.const)
+        return LineRelation(np.where(empty, end, lo), np.where(empty, end, hi), orient, shift,
+                            self.const + np.abs(gap) + nxt.const)
 
 
 IDENTITY = LineRelation()
@@ -188,6 +220,50 @@ def line_coords(line: Optional[hx.ComponentId], p: TcPoint) -> tuple[float, floa
     return (p.value, 0.0) if line is None else gate_on_line(line, p.tree)
 
 
+class SampleEmbedding(NamedTuple):
+    """A normalised sample as every class's T_c matrix reads it (see
+    TreeSystem.embed).  Per-point arrays are in owner order, in which the
+    points of a block are one slice; `order` gives each slot's input index."""
+
+    order: np.ndarray
+    blocks: list[BlockId]  # the owners, sorted
+    blk: np.ndarray  # owner index per slot
+    start: np.ndarray  # slots start[x]..start[x + 1] belong to owner x
+    depth: np.ndarray  # len(blocks[x])
+    meet: np.ndarray  # common prefix length of blocks[x - 1] and blocks[x]; 0 at x = 0
+    ids: np.ndarray  # the owner ids, padded with -1 to one column past the deepest
+    prefix_class: np.ndarray  # class label of blocks[x][:k] at [x, k], k <= depth
+    sigma: np.ndarray  # sigma(label) - 1 at [x, label]: the fiber a class reads
+    gate: np.ndarray  # (gate, distance) on component 0 per slot
+    kid_col: np.ndarray  # kid_gate column of a component index, -1 if none
+    kid_gate: np.ndarray  # (gate, distance) on the child components toward owners below
+    fiber: np.ndarray
+    turn_codes: np.ndarray  # comp_in * components + comp_out of the turns, -1 first
+    turns: np.ndarray  # their relations, field by field, IDENTITY first
+    own: np.ndarray  # T_bin distances / EDGE of the same-owner pairs (_owner_pairs)
+
+
+def _owner_pairs(blk: np.ndarray, start: np.ndarray, lo: int, hi: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Slot pairs (i, j) with i in lo..hi and j in i's owner, i-major."""
+    cnt = np.diff(start)[blk[lo:hi]]
+    i = np.repeat(np.arange(lo, hi), cnt)
+    return i, np.arange(len(i)) + np.repeat(start[blk[lo:hi]] - np.cumsum(cnt) + cnt, cnt)
+
+
+def _row_width(n: int, nb: int) -> int:
+    """The row width by which tc_matrix blocks its rows over n points and
+    nb owners.  A row's temporaries peak at about 3 n + 32 nb floats (the
+    pair table, its composition and cross, the strip and a gathered
+    column); eight times that keeps a block of rows within an eighth of
+    _BLOCK_ENTRIES (1 MB), about the matrix itself at a few hundred points."""
+    return 8 * (3 * n + 32 * nb)
+
+
+def _row_blocks(n: int, nb: int) -> list[tuple[int, int]]:
+    return row_blocks(_row_width(n, nb), 0, n)
+
+
 # ---------------------------------------------------------------------------
 # the tree system over a frozen complex
 
@@ -249,6 +325,10 @@ class TreeSystem:
         coordinate."""
         if comp_in == comp_out or self.cplx.block(bid).class_label != label:
             return IDENTITY
+        return self._relation(comp_in, comp_out)
+
+    def _relation(self, comp_in: int, comp_out: int) -> LineRelation:
+        """line_relation of two components by index, computed once."""
         rel = self._relations.get((comp_in, comp_out))
         if rel is None:
             comps = self.cplx.model.components
@@ -318,63 +398,163 @@ class TreeSystem:
         lam, d = line_coords(line, b)
         return abs(lam - g) + c + d
 
-    def tc_matrix(self, label: int, points: Sequence[TcPoint]) -> np.ndarray:
-        """Symmetric matrix of tc_distance(label, points[i], points[j]),
-        entry for entry equal to it.  In owner order the points of a block
-        are one slice.  Each pair of blocks is walked from the lower block,
-        as tc_distance walks it, and every route from an earlier block ends
-        on the later block's entry line (component 0 over a block in c, else
-        the fiber), so each point's column coordinates are read once.  A
-        block's rows go, in row blocks, through the stacked maps of its
-        routes to all later blocks at once; that strict upper block triangle
-        is mirrored, and the same-owner block comes from
-        hexagon.tbin_distance_matrix or fiber differences.  Columns stay in
-        owner order until one row-blocked gather at the end."""
-        n = len(points)
-        blocks = sorted({p.owner for p in points})
+    # -- T_c matrices of a sample ----------------------------------------------
+
+    def embed(self, xs: Sequence[CoverPoint], *, normalized: bool = False) -> SampleEmbedding:
+        """The per-point data that every class's tc_matrix reads: owners,
+        one retraction per point with its gates, fibers, the turns between
+        sibling subtrees and the same-owner T_bin distances.  xs are
+        normalized first, unless `normalized` says they already are.  An
+        owner outside the ball raises CoverError."""
+        pts = list(xs) if normalized else [self.cplx.normalize(x) for x in xs]
+        n = len(pts)
+        blocks = sorted({p.block for p in pts})
         index = {b: x for x, b in enumerate(blocks)}
-        blk = np.array([index[p.owner] for p in points], dtype=np.intp)
-        pos = np.argsort(blk, kind="stable")  # input index of each owner-order slot
-        counts = np.bincount(blk, minlength=len(blocks))
-        start = np.concatenate([[0], np.cumsum(counts)])
-        comp0 = self.cplx.model.components[0]
-        entry = [comp0 if self.cplx.block(b).class_label == label else None for b in blocks]
-        lam, d = np.array([line_coords(entry[blk[i]], points[i]) for i in pos]).reshape(n, 2).T
+        owner = np.array([index[p.block] for p in pts], dtype=np.intp)
+        order = np.argsort(owner, kind="stable")
+        pts, blk = [pts[i] for i in order], owner[order]
+        start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(blocks)))])
+        width = 1 + max(map(len, blocks), default=0)
+        ids = np.full((len(blocks), width), -1, dtype=np.int64)
+        prefix_class = np.full((len(blocks), width), -1)
+        # one preorder walk: along the current owner's id, each prefix with
+        # its owner index (or -1) and the child components seen below it; a
+        # route from an owner in c down to an owner below it leaves through
+        # the child toward it, and a route from a lower owner turns, inside
+        # the meet, from a lower child to a higher one
+        w = len(self.cplx.model.components)
+        levels: list[tuple[int, list[int]]] = [(-1, [])]
+        kids, codes, prev = set(), set(), ()
+        meet = np.zeros(len(blocks), dtype=np.intp)
+        for x, b in enumerate(blocks):
+            k = meet[x] = hx.lcp_len(prev, b)
+            del levels[k + 1:]
+            ids[x, :len(b)] = b
+            prefix_class[x, :k + 1] = prefix_class[x - 1, :k + 1] if x else \
+                self.cplx.block(()).class_label
+            prefix_class[x, k + 1:len(b) + 1] = [self.cplx.block(b[:j]).class_label
+                                                 for j in range(k + 1, len(b) + 1)]
+            if not b:
+                levels[0] = (x, [])
+            for j in range(k, len(b)):
+                above, seen = levels[j]
+                if above >= 0:
+                    kids.add((above, b[j]))
+                codes.update(c * w + b[j] for c in seen)
+                seen.append(b[j])
+                levels.append((x if j + 1 == len(b) else -1, []))
+            prev = b
+        dim = self.cplx.spec.n
+        sigma = np.array([self.cplx.block(b).sigma.images for b in blocks],
+                         dtype=np.intp).reshape(len(blocks), dim - 1) - 1
+        trees = [hx.retract(p.base) for p in pts]
+        comps = self.cplx.model.components
+        gate = np.array([gate_on_line(comps[0], t) for t in trees]).reshape(n, 2)
+        kid_comps = sorted({c for _, c in kids})
+        kid_col = np.full(len(comps), -1, dtype=np.intp)
+        kid_col[kid_comps] = np.arange(len(kid_comps))
+        kid_gate = np.zeros((n, max(len(kid_comps), 1), 2))
+        for x, c in kids:
+            for i in range(start[x], start[x + 1]):
+                kid_gate[i, kid_col[c]] = gate_on_line(comps[c], trees[i])
+        codes = sorted(codes)
+        turns = np.array([IDENTITY, *(self._relation(*divmod(c, w)) for c in codes)], dtype=float)
+        own = hx.tbin_pair_distances(hx.tbin_table(trees), *_owner_pairs(blk, start, 0, n))
+        return SampleEmbedding(
+            order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
+            prefix_class, sigma, gate, kid_col, kid_gate,
+            np.array([p.fiber for p in pts], dtype=float).reshape(n, dim - 2),
+            np.array([-1, *codes], dtype=np.int64), turns.T, own / hx.EDGE)
+
+    def _walk_tables(self, label: int, emb: SampleEmbedding) -> tuple[np.ndarray, np.ndarray]:
+        """The up and down maps of _walks for every owner, as 5 x owners x
+        (depth + 1) arrays, field by field; past an owner's own depth they
+        hold IDENTITY."""
+        width = emb.ids.shape[1]
+        pad = (IDENTITY,) * width
+        maps = [self._walks(label, b) for b in emb.blocks]
+        return tuple(np.array([(m[s] + pad)[:width] for m in maps], dtype=float)
+                     .reshape(len(maps), width, 5).transpose(2, 0, 1) for s in (0, 1))
+
+    def _pair_table(self, label: int, emb: SampleEmbedding, x0: int, x1: int,
+                    walks: tuple[np.ndarray, np.ndarray]) -> tuple[LineRelation, np.ndarray]:
+        """route(label, a, o).relation for every owner a = blocks[x],
+        x0 <= x < x1, and every later owner o = blocks[y], x0 < y, as one
+        LineRelation of (x1 - x0) x (owners - x0 - 1) arrays, with the
+        kid_gate column of the child component toward o where o lies below
+        a (else -1).  Entries with y <= x are finite and unused.  The owners
+        are sorted, so the meet depth k of a and o is the least of the
+        neighbours' common prefix lengths (`meet`) from a to o; the relation
+        is up[a][k] . turn . down[o][k], with identities composed in."""
+        x, y = np.arange(x0, x1)[:, None], np.arange(x0 + 1, len(emb.blocks))
+        last = emb.ids.shape[1] - 1  # a padding column: no owner is that deep
+        k = np.minimum.accumulate(np.where(y > x, emb.meet[y], last), axis=1)
+        up, down = emb.depth[x] > k, emb.depth[y] > k
+        turn = np.where(up & down & (emb.prefix_class[x, k] == label),
+                        emb.ids[x, k] * len(self.cplx.model.components) + emb.ids[y, k], -1)
+        rel = LineRelation(*walks[0][:, x, k]).then(
+            LineRelation(*emb.turns[:, np.searchsorted(emb.turn_codes, turn)])).then(
+            LineRelation(*walks[1][:, y, k]))
+        kid = np.where(down & ~up, emb.kid_col[emb.ids[y, emb.depth[x]]], -1)
+        return rel, kid
+
+    def tc_matrix(self, label: int, emb: SampleEmbedding) -> np.ndarray:
+        """Symmetric matrix of the T_c distances between the points of an
+        embedding, entry for entry equal to tc_distance of their phi_c
+        images.  Each pair of owners is walked from the lower one, as
+        tc_distance walks it.  A point's entry coordinates, on the line
+        through which a route from a lower owner enters its block, are its
+        gate on component 0 over a block in c, else its fiber.  Per row
+        block (in owner order), the pair table of its owners goes through
+        one cross with each row's exit coordinates, which gives (g, c) for
+        every row and later owner; the strip |lam - g| + c + d over the
+        columns of later owners is mirrored, and the same-owner pairs of
+        the rows are the embedding's T_bin distances or fiber differences.
+        Columns stay in owner order until one row-blocked gather at the end."""
+        if label not in self.class_labels:
+            raise CoverError(f"class {label} not present in the explored complex")
+        n, nb, blk, slot = len(emb.blk), len(emb.blocks), emb.blk, emb.order
+        tree = (emb.prefix_class[np.arange(nb), emb.depth] == label)[blk]
+        lam = np.where(tree, emb.gate[:, 0], emb.fiber[np.arange(n), emb.sigma[blk, label]])
+        d = np.where(tree, emb.gate[:, 1], 0.0)
+        walks = self._walk_tables(label, emb)
+        # where each row's same-owner pairs start in emb.own
+        first = np.concatenate([[0], np.cumsum(np.diff(emb.start)[blk])])
         out = np.empty((n, n))  # rows in input order, columns in owner order
-        for x, a in enumerate(blocks):
-            s, e = start[x], start[x + 1]
-            if entry[x] is None:
-                own = np.abs(lam[s:e, None] - lam[s:e])
-            else:
-                own = hx.tbin_distance_matrix([points[i].tree for i in pos[s:e]]) / hx.EDGE
-            routes = [self.route(label, a, o) for o in blocks[x + 1:]]
-            if routes:
-                rel = LineRelation(*np.array([r.relation for r in routes]).T[:, :, None])
-                # a route leaves through the entry line but toward descendants
-                exits = [(y, r.exit) for y, r in enumerate(routes) if r.exit is not entry[x]]
-            for lo, hi in row_blocks(n, s, e):
-                rows = pos[lo:hi]
-                out[rows, s:e] = own[lo - s:hi - s]
-                if not routes:
-                    continue
-                gc = np.empty((len(routes), 2, hi - lo))
-                gc[:] = lam[lo:hi], d[lo:hi]
-                coords: dict[hx.ComponentId, np.ndarray] = {}
-                for y, line in exits:
-                    if line not in coords:
-                        coords[line] = np.array([line_coords(line, points[i]) for i in rows]).T
-                    gc[y] = coords[line]
-                g, c = rel.cross(gc[:, 0], gc[:, 1])  # one row per later block
-                strip = lam[e:] - np.repeat(g, counts[x + 1:], axis=0).T
-                np.abs(strip, out=strip)
-                strip += np.repeat(c, counts[x + 1:], axis=0).T
-                strip += d[e:]
-                out[rows, e:] = strip
-                out[pos[e:], lo:hi] = strip.T
-        slot = np.empty(n, dtype=np.intp)
-        slot[pos] = np.arange(n)
-        for lo, hi in row_blocks(n):
-            out[lo:hi] = out[lo:hi, slot]
+        blocks = _row_blocks(n, nb)
+        for lo, hi in blocks:
+            x0 = blk[lo]
+            rel, kid = self._pair_table(label, emb, x0, blk[hi - 1] + 1, walks)
+            # exit coordinates: on the child component toward an owner below,
+            # else the entry coordinates (component 0 going up, or the fiber)
+            xl = blk[lo:hi] - x0
+            kid = kid[xl]
+            down = (kid >= 0) & tree[lo:hi, None]
+            ex = emb.kid_gate[np.arange(lo, hi)[:, None], kid]  # kid -1: unused
+            g, c = LineRelation(*(f[xl] for f in rel)).cross(
+                np.where(down, ex[..., 0], lam[lo:hi, None]),
+                np.where(down, ex[..., 1], d[lo:hi, None]))
+            e0 = emb.start[x0 + 1]  # the first column of a later owner
+            later = blk[e0:] - x0 - 1
+            strip = g[:, later]
+            np.subtract(lam[e0:], strip, out=strip)
+            np.abs(strip, out=strip)
+            strip += c[:, later]
+            strip += d[e0:]
+            if e0 < hi:  # rows of several owners: the lower owner's row holds each pair
+                b = blk[e0:hi]
+                sq = strip[e0 - lo:, :hi - e0]
+                sq[...] = np.where(b[:, None] > b, sq.T, sq)
+            out[slot[lo:hi], e0:] = strip
+            out[slot[e0:], lo:hi] = strip.T
+            # the same-owner pairs last, over what the strips left there
+            i, j = _owner_pairs(blk, emb.start, lo, hi)
+            own = emb.own[first[lo]:first[hi]]
+            out[slot[i], j] = np.where(tree[i], own, np.abs(lam[i] - lam[j]))
+        inv = np.empty(n, dtype=np.intp)
+        inv[slot] = np.arange(n)
+        for lo, hi in blocks:
+            out[lo:hi] = out[lo:hi, inv]
         return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:

@@ -391,18 +391,19 @@ def _covering(
     """The covering report on a prepared complex and its tree system."""
     spec = cplx.spec
     pts = cplx.sample_points(cfg.seed, range(cfg.samples))
-    norm = [cplx.normalize(p) for p in pts]  # phi's T0 point is the block
     n = len(pts)
-    # T0 distances by prefix arithmetic on block ids, tabled over the blocks
-    index = {b: k for k, b in enumerate(sorted({p.block for p in norm}))}
-    row = [index[p.block] for p in norm]
-    t0_d = hx.prefix_edges(list(index), list(index)).astype(float)[np.ix_(row, row)]
+    emb = ts.embed(pts)  # every class reads this one embedding of the sample
+    # T0 distances by prefix arithmetic on block ids (phi's T0 point is the
+    # owner block), tabled over the owners
+    owner = np.empty(n, dtype=np.intp)
+    owner[emb.order] = emb.blk
+    t0_d = hx.prefix_edges(emb.blocks, emb.blocks).astype(float)[np.ix_(owner, owner)]
     factors = [cvg.tree_covering(t0_d, t0_d[0], scale)]
     factor_checks = [cvg.check_covering(factors[0], t0_d)]
     sum_d = t0_d  # summed in place: the T0 factor is done with it
     # one T_c matrix alive at a time keeps the report's peak memory down
     for lab in ts.class_labels:
-        tc_d = ts.tc_matrix(lab, [ts.phi_c(lab, p, normalized=True) for p in norm])
+        tc_d = ts.tc_matrix(lab, emb)
         cov = cvg.tree_covering(tc_d, tc_d[0], scale)
         factors.append(cov)
         factor_checks.append(cvg.check_covering(cov, tc_d))

@@ -450,7 +450,7 @@ def test_covering_report_matches_pairwise_reference(
     for got, lab in zip(seen[1:], ts.class_labels):
         assert np.array_equal(got, tc_d[lab]), lab
     # the report built on the pairwise T_c matrices is byte-identical
-    monkeypatch.setattr(tr.TreeSystem, "tc_matrix", lambda self, lab, points: tc_d[lab].copy())
+    monkeypatch.setattr(tr.TreeSystem, "tc_matrix", lambda self, lab, emb: tc_d[lab].copy())
     ref = json.dumps(vf.covering_report(spec, cfg, scale, binding_pairs), sort_keys=True)
     assert doc == ref
 
@@ -484,35 +484,31 @@ def test_covering_report_builds_each_wall_chain_once(monkeypatch):
 
 @pytest.mark.parametrize("wall_comp_depth", [0, None])
 def test_covering_report_routes_once_per_block_pair(monkeypatch, wall_comp_depth):
-    # same-owner tree blocks come from tbin_distance_matrix, and every
-    # other pair from one route per class and unordered pair of owners
+    # the T_c matrices come from one embedding of the sample and route
+    # tables gathered in bulk: no scalar route, phi_c or T_bin distance
     spec = shipped("two_vertex_n5")
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=60, seed=5, fiber_range=3.0,
         wall_comp_depth=wall_comp_depth, workers=1,
     )
-    calls = {"tbin_distance": 0, "route": 0}
+    calls = {"tbin_distance": 0, "route": 0, "phi_c": 0, "tc_matrix": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    counting(hx, "tbin_distance")
-    counting(tr.TreeSystem, "route")
+    for owner, name in ((hx, "tbin_distance"), (tr.TreeSystem, "route"),
+                        (tr.TreeSystem, "phi_c"), (tr.TreeSystem, "tc_matrix")):
+        counting(owner, name)
     vf.covering_report(spec, cfg, 8.0, 1)
     cx = cover.explore(spec, 2, 4, fiber_range=3.0, wall_comp_depth=wall_comp_depth)
-    blocks = {
-        cx.normalize(cx.sample_point(cover.make_stream(cfg.seed, i))).block
-        for i in range(cfg.samples)
-    }
-    classes = len(tr.TreeSystem(cx).class_labels)
-    assert calls["tbin_distance"] == 0
-    assert 0 < calls["route"] <= classes * math.comb(len(blocks), 2)
+    assert calls == {"tbin_distance": 0, "route": 0, "phi_c": 0,
+                     "tc_matrix": len(tr.TreeSystem(cx).class_labels)}
 
 
 def test_covering_report_computes_each_line_relation_once(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -238,28 +239,39 @@ def test_phi_c_lipschitz_sampled(cx, ts):
 def test_unexplored_owner_rejected(ts):
     with pytest.raises(cover.CoverError):
         ts.tc_distance(1, tr.TcPoint(owner=(0, 1, 2), value=0.0), tr.TcPoint(owner=(), value=0.0))
+    base = hx.H0Point((), hx.CENTER)
     with pytest.raises(cover.CoverError):
-        ts.tc_matrix(1, [tr.TcPoint(owner=(), value=0.0), tr.TcPoint(owner=(0, 1, 2), value=0.0)])
+        ts.embed([CoverPoint((), base, (0.0,)), CoverPoint((0, 1, 2), base, (0.0,))])
+    with pytest.raises(cover.CoverError):
+        ts.tc_matrix(2, ts.embed([CoverPoint((), base, (0.0,))]))
 
 
-def mixed_tc_points(cx, ts, lab, seed):
-    """Sampled phi_c images (vertex, edge and fiber points) over six blocks,
-    explicit vertex, edge and fiber points on each of them, and repeats."""
+def pairwise_tc(ts, lab, xs):
+    """tc_distance of the phi_c images of xs, one pair at a time."""
+    pts = [ts.phi_c(lab, x) for x in xs]
+    mat = np.zeros((len(pts), len(pts)))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            mat[i, j] = mat[j, i] = ts.tc_distance(lab, pts[i], pts[j])
+    return mat
+
+
+def mixed_points(cx, seed):
+    """Sampled points over six blocks; on each of them a point retracting
+    to a vertex and one retracting to an edge point, both at fibers 1.25;
+    and repeats."""
     rng = random.Random(seed)
     blocks = rng.sample(ball_ids(cx), 6)
-    pts = []
-    for i in range(36):
-        x = cx.sample_point(cover.make_stream(seed, i))
-        pts.append(ts.phi_c(lab, CoverPoint(rng.choice(blocks), x.base, x.fiber)))
+    fiber = (1.25,) * (cx.spec.n - 2)
+    near_side = hx.embed_tree_point(hx.tbin_edge_point((2,), (2, 0), 1.0))
+    xs = [CoverPoint(rng.choice(blocks), x.base, x.fiber)
+          for x in cx.sample_points(seed, range(36))]
     for bid in blocks:
-        if cx.block(bid).class_label == lab:
-            pts.append(tr.TcPoint(bid, tree=hx.tbin_vertex((0, 1))))
-            pts.append(tr.TcPoint(bid, tree=hx.tbin_edge_point((2,), (2, 0), 0.3)))
-        else:
-            pts.append(tr.TcPoint(bid, value=1.25))
-    pts += [pts[3], pts[10], pts[-1]]
-    rng.shuffle(pts)
-    return pts
+        xs += [CoverPoint(bid, hx.H0Point((0, 1), hx.CENTER), fiber),
+               CoverPoint(bid, near_side, fiber)]
+    xs += [xs[3], xs[10], xs[-1]]
+    rng.shuffle(xs)
+    return xs
 
 
 @pytest.mark.parametrize(
@@ -272,34 +284,34 @@ def test_tc_matrix_equals_pairwise_tc_distance(name, wall_comp_depth):
         wall_comp_depth=wall_comp_depth,
     )
     ts = tr.TreeSystem(cx)
+    xs = mixed_points(cx, seed=31)
+    emb = ts.embed(xs)
     kinds = set()
     for lab in ts.class_labels:
-        pts = mixed_tc_points(cx, ts, lab, seed=31 + lab)
+        pts = [ts.phi_c(lab, x) for x in xs]
         kinds |= {
             "fiber" if p.tree is None else "vertex" if p.tree.child is None else "edge"
             for p in pts
         }
         assert len(set(pts)) < len(pts)  # repeated points
         assert len({p.owner for p in pts}) < len(set(pts))  # same-owner pairs
-        mat = ts.tc_matrix(lab, pts)
+        mat = ts.tc_matrix(lab, emb)
         assert mat.shape == (len(pts), len(pts))
         assert (mat == mat.T).all()
         assert (np.diag(mat) == 0.0).all()
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert mat[i, j] == ts.tc_distance(lab, pts[i], pts[j]), (lab, i, j)
+        assert ts.tc_matrix(lab, ts.embed([])).shape == (0, 0)
+        assert ts.tc_matrix(lab, ts.embed(xs[:1])).tolist() == [[0.0]]
     assert kinds == {"fiber", "vertex", "edge"}
 
 
-def interleaved_tc_points(cx, ts, lab, blocks, rounds, seed):
-    """One sampled phi_c image per block in each round, so that every pair
-    of blocks holds points in both index orders."""
-    pts = []
-    for r in range(rounds):
-        for k, bid in enumerate(blocks):
-            x = cx.sample_point(cover.make_stream(seed, r * len(blocks) + k))
-            pts.append(ts.phi_c(lab, CoverPoint(bid, x.base, x.fiber)))
-    return pts
+def interleaved_points(cx, blocks, rounds, seed):
+    """One sampled point per block in each round, so that every pair of
+    blocks holds points in both index orders."""
+    xs = cx.sample_points(seed, range(rounds * len(blocks)))
+    return [CoverPoint(blocks[k % len(blocks)], x.base, x.fiber) for k, x in enumerate(xs)]
 
 
 def relation_kind(rel):
@@ -317,10 +329,14 @@ def test_tc_matrix_interleaved_block_pairs():
         )
         ts = tr.TreeSystem(cx)
         blocks = random.Random(name).sample(ball_ids(cx), 8)
+        xs = interleaved_points(cx, blocks, rounds=8, seed=17)
+        owners = [x.block for x in xs]
+        assert len(xs) >= 60 and len(set(owners)) >= 6
+        emb = ts.embed(xs)
+        perm = np.random.default_rng(len(name)).permutation(len(xs))
+        permuted = ts.embed([xs[k] for k in perm])
         for lab in ts.class_labels:
-            pts = interleaved_tc_points(cx, ts, lab, blocks, rounds=8, seed=17 + lab)
-            owners = [p.owner for p in pts]
-            assert len(pts) >= 60 and len(set(owners)) >= 6
+            pts = [ts.phi_c(lab, x) for x in xs]
             for a in set(owners):
                 for o in set(owners) - {a}:
                     ia = [i for i, q in enumerate(owners) if q == a]
@@ -329,68 +345,124 @@ def test_tc_matrix_interleaved_block_pairs():
                     route = ts.route(lab, a, o)
                     relation_kinds.add(relation_kind(route.relation))
                     fiber_only += route.exit is None and route.line is None
-            mat = ts.tc_matrix(lab, pts)
+            mat = ts.tc_matrix(lab, emb)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     d = ts.tc_distance(lab, pts[i], pts[j])
                     assert type(d) is float and mat[i, j] == mat[j, i] == d, (name, lab, i, j)
                     assert ts.tc_distance(lab, pts[j], pts[i]) == d, (name, lab, j, i)
             # permuting the input permutes the matrix exactly
-            perm = np.random.default_rng(lab).permutation(len(pts))
-            permuted = ts.tc_matrix(lab, [pts[k] for k in perm])
-            assert (permuted == mat[np.ix_(perm, perm)]).all()
+            assert (ts.tc_matrix(lab, permuted) == mat[np.ix_(perm, perm)]).all()
     assert relation_kinds == {"bridge", "overlap", "identity"}
     assert fiber_only > 0
 
 
-def family_tc_points(cx, ts, lab, seed):
-    """Sampled phi_c images on a family of blocks, 1 to 12 points each: the
-    root, two children, and children of those, so that some pairs of
-    blocks are an ancestor and its descendant."""
+def family_points(cx, seed, size=12, grand=4):
+    """Sampled points on a family of blocks, 1 to `size` points each: the
+    root, two children, and `grand` children of those, so that some pairs
+    of blocks are an ancestor and its descendant."""
     rng = random.Random(seed)
     kids = rng.sample([b for b in ball_ids(cx) if len(b) == 1], 2)
-    grand = [b for b in ball_ids(cx) if len(b) == 2 and b[:1] in kids]
-    pts = []
-    for bid in [(), *kids, *rng.sample(grand, 4)]:
-        for _ in range(rng.randint(1, 12)):
-            x = cx.sample_point(cover.make_stream(seed, len(pts)))
-            pts.append(ts.phi_c(lab, CoverPoint(bid, x.base, x.fiber)))
-    rng.shuffle(pts)
-    return pts
+    grandkids = [b for b in ball_ids(cx) if len(b) == 2 and b[:1] in kids]
+    owners = [bid for bid in [(), *kids, *rng.sample(grandkids, grand)]
+              for _ in range(rng.randint(1, size))]
+    xs = [CoverPoint(bid, x.base, x.fiber)
+          for bid, x in zip(owners, cx.sample_points(seed, range(len(owners))))]
+    rng.shuffle(xs)
+    return xs
+
+
+def split_rows(emb):
+    """Row blocks of tc_matrix that start inside an owner, and those that
+    hold the rows of several owners."""
+    blocks = tr._row_blocks(len(emb.blk), len(emb.blocks))
+    inside = sum(emb.blk[lo - 1] == emb.blk[lo] for lo, _ in blocks[1:])
+    return inside, sum(emb.blk[lo] != emb.blk[hi - 1] for lo, hi in blocks)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
 def test_tc_matrix_row_blocks_match_pairwise(monkeypatch, rows):
-    # a block's rows go through its routes in row blocks of
-    # _BLOCK_ENTRIES // n rows; n is no multiple of 7, so blocks split and
-    # the last row block is short
-    toward_descendant = split = 0
+    # the fill goes in row blocks of _BLOCK_ENTRIES // _row_width rows; n is
+    # no multiple of 7, so blocks split owners and the last one is short
+    toward_descendant = inside = 0
     for name, wall_comp_depth in (("flip_n3", None), ("cycle_n4", 1), ("two_vertex_n5", 0)):
         cx = cover.explore(
             shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0,
             wall_comp_depth=wall_comp_depth,
         )
         ts = tr.TreeSystem(cx)
+        xs = family_points(cx, seed=len(name))
+        if len(xs) % 7 == 0:
+            xs.pop()
+        n, emb = len(xs), ts.embed(xs)
+        width = tr._row_width(n, len(emb.blocks))
+        monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * width + width - 1)
+        assert len(tr._row_blocks(n, len(emb.blocks))) == -(-n // rows)
+        inside += split_rows(emb)[0]
         for lab in ts.class_labels:
-            pts = family_tc_points(cx, ts, lab, seed=lab)
-            if len(pts) % 7 == 0:
-                pts.pop()
-            n = len(pts)
-            monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * n + n - 1)
-            assert len(cvg.row_blocks(n)) == -(-n // rows)
-            owners = sorted({p.owner for p in pts})
-            split += sum(sum(p.owner == o for p in pts) > rows for o in owners)
             toward_descendant += sum(
                 cx.block(a).class_label == lab and o[:len(a)] == a
-                for a in owners for o in owners if o > a
+                for a in emb.blocks for o in emb.blocks if o > a
             )
-            mat = ts.tc_matrix(lab, pts)
+            mat = ts.tc_matrix(lab, emb)
+            pts = [ts.phi_c(lab, x) for x in xs]
             for i in range(n):
                 assert mat[i, i] == 0.0
                 for j in range(i + 1, n):
                     d = ts.tc_distance(lab, pts[i], pts[j])
                     assert mat[i, j] == mat[j, i] == d, (name, lab, i, j)
-    assert toward_descendant > 0 and split > 0
+    assert toward_descendant > 0 and inside > 0
+
+
+@pytest.mark.parametrize(
+    "name, t0_depth, wall_comp_depth",
+    [("two_vertex_n5", 5, 0), ("two_vertex_n5", 5, None), ("flip_n3", 4, None)],
+)
+@pytest.mark.parametrize("rows", [3, 13])
+def test_chunked_fill_matches_pairwise(monkeypatch, name, t0_depth, wall_comp_depth, rows):
+    # deep owners with several points each, some below others; row blocks
+    # (and so the pair tables of their owners) split owners and hold
+    # several owners
+    cx = cover.explore(
+        shipped(name), t0_depth=t0_depth, hex_depth=4, fiber_range=3.0,
+        wall_comp_depth=wall_comp_depth,
+    )
+    ts = tr.TreeSystem(cx)
+    rng = random.Random(t0_depth)
+    deep = [cx.block_at(rng.randrange(cx.block_count)) for _ in range(10)]
+    family = sorted({b[:k] for b in deep for k in (len(b) // 2, len(b))})
+    owners = [b for b in family for _ in range(rng.randint(1, 6))]
+    xs = [CoverPoint(b, x.base, x.fiber)
+          for b, x in zip(owners, cx.sample_points(5, range(len(owners))))]
+    rng.shuffle(xs)
+    emb = ts.embed(xs)
+    width = tr._row_width(len(xs), len(emb.blocks))
+    monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * width)
+    inside, several = split_rows(emb)
+    assert inside > 0 and several > 0
+    assert any(o[:len(a)] == a for a in emb.blocks for o in emb.blocks if o > a)
+    for lab in ts.class_labels:
+        assert np.array_equal(ts.tc_matrix(lab, emb), pairwise_tc(ts, lab, xs)), lab
+
+
+def test_tc_matrix_memory_stays_near_the_result():
+    # about 1500 points on a deep ball, nearly one owner per point: a
+    # temporary of n x n or owners x owners floats would pass 1.5 n^2 * 8
+    cfg = vf.RunConfig(t0_depth=12, hex_depth=4, fiber_range=3.0, wall_comp_depth=0)
+    cx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
+    emb = ts.embed(cx.sample_points(0, range(1500)))
+    n, nb = len(emb.blk), len(emb.blocks)
+    assert nb > 0.9 * n
+    ts._walk_tables(1, emb)  # the walk maps are cached, as in a report's later classes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mat = ts.tc_matrix(1, emb)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert mat.nbytes == n * n * 8
+    assert peak < 1.5 * mat.nbytes, peak / mat.nbytes
 
 
 def test_tc_matrix_walks_no_wall_chain(monkeypatch):
@@ -405,9 +477,10 @@ def test_tc_matrix_walks_no_wall_chain(monkeypatch):
         return wall_chain(self, u, v)
 
     monkeypatch.setattr(cover.CoverComplex, "wall_chain", counting)
+    xs = family_points(cx, seed=3)
+    emb = ts.embed(xs)
     for lab in ts.class_labels:
-        pts = family_tc_points(cx, ts, lab, seed=3)
-        assert ts.tc_matrix(lab, pts).shape == (len(pts), len(pts))
+        assert ts.tc_matrix(lab, emb).shape == (len(xs), len(xs))
     assert calls == []
 
 
@@ -642,9 +715,10 @@ def test_route_matches_sequential_walk(name, wall_comp_depth):
     assert longest >= 2
 
 
-def test_composition_law_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def step_lists(st):
+    """Hypothesis strategy: lists of one to four relations as line_relation
+    makes them, half-integer positions, bridges and overlaps of either
+    orientation."""
     half = st.integers(-8, 8).map(lambda k: k + 0.5)
     bridge = st.builds(
         lambda lo, mu, b: StepRelation("bridge", lam_gate=lo, mu_gate=mu, bridge=float(b)),
@@ -654,15 +728,113 @@ def test_composition_law_property():
         lambda lo, w, mu, o: StepRelation("overlap", lam_lo=lo, lam_hi=lo + w, mu_lo=mu, orient=o),
         half, st.integers(0, 4), half, st.sampled_from((1, -1)),
     )
-    steps = st.lists(st.one_of(bridge, overlap), min_size=1, max_size=4)
+    return st.lists(st.one_of(bridge, overlap), min_size=1, max_size=4)
+
+
+def test_composition_law_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    steps = step_lists(hypothesis.strategies)
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(a=steps, b=steps, g=st.floats(-12, 12), c=st.floats(0, 5))
+    @hypothesis.given(a=steps, b=steps, g=hypothesis.strategies.floats(-12, 12),
+                      c=hypothesis.strategies.floats(0, 5))
     def law(a, b, g, c):
         ab = compose([s.as_map() for s in a]).then(compose([s.as_map() for s in b]))
         want = walk(a + b, g, c)
         got = ab.cross(g, c)
         assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+
+    law()
+
+
+# -- the array form of then against the scalar form ---------------------------
+
+
+def stacked(rels):
+    """Relations as one LineRelation of arrays, field by field."""
+    return tr.LineRelation(*np.array(rels, dtype=float).reshape(len(rels), 5).T)
+
+
+def assert_rows_equal(got, want):
+    """Field for field with ==: each row of the array relation got against
+    the scalar relation want[k]."""
+    fields = [np.broadcast_to(f, (len(want),)) for f in got]
+    for k, rel in enumerate(want):
+        assert tuple(float(f[k]) for f in fields) == tuple(rel), (k, rel)
+
+
+def test_array_then_matches_scalar_on_route_triples():
+    # every (up, turn, down) triple a route composes at t0 3, every class
+    count = 0
+    for name in ("flip_n3", "cycle_n4", "two_vertex_n5"):
+        cx = cover.explore(shipped(name), t0_depth=3, hex_depth=4, fiber_range=3.0,
+                           wall_comp_depth=0)
+        ts = tr.TreeSystem(cx)
+        ids = ball_ids(cx)
+        for lab in ts.class_labels:
+            triples, routes = [], []
+            for a in ids:
+                for o in ids:
+                    if o <= a:
+                        continue
+                    k = hx.lcp_len(a, o)
+                    up = len(a) > k
+                    triples.append((
+                        ts._walks(lab, a)[0][k] if up else tr.IDENTITY,
+                        ts._turn(lab, a[:k], a[k], o[k]) if up else tr.IDENTITY,
+                        ts._walks(lab, o)[1][k],
+                    ))
+                    routes.append(ts.route(lab, a, o).relation)
+            u, t, d = (stacked(list(col)) for col in zip(*triples))
+            got = u.then(t).then(d)
+            assert_rows_equal(got, [x.then(y).then(z) for x, y, z in triples])
+            assert_rows_equal(got, routes)
+            assert_rows_equal(u.then(t), [x.then(y) for x, y, _ in triples])
+            assert_rows_equal(t.then(d), [y.then(z) for _, y, z in triples])
+            count += len(triples)
+    assert count > 1000
+
+
+def test_array_then_identity_and_empty_meets():
+    rng = random.Random(3)
+    maps = [compose([s.as_map() for s in [random_step(rng) for _ in range(rng.randint(1, 3))]])
+            for _ in range(200)]
+    # the two empty meets: the next interval beyond self.hi, and before
+    # self.lo, where the gap is negative
+    seg = tr.LineRelation(0.5, 1.5, 1, 2.0, 1.0)
+    flip = tr.LineRelation(0.5, 2.5, -1, 4.0, 0.0)
+    beyond, before = tr.LineRelation(5.5, 5.5, 1, 1.0, 2.0), tr.LineRelation(-2.5, -2.5, -1, 3.0, 1.0)
+    cases = [(seg, beyond), (seg, before), (flip, beyond), (flip, before), *zip(maps, maps[1:])]
+    assert {meeting(a, b) for a, b in cases} == {"empty", "point", "segment"}
+    assert {-1.0, 1.0} <= {float(a.orient) for a, _ in cases}
+    branches = set()
+    for a in (seg, flip):
+        for b in (beyond, before):
+            j_lo, j_hi = sorted(a.orient * (y - a.shift) for y in (b.lo, b.hi))
+            assert max(a.lo, j_lo) > min(a.hi, j_hi)
+            branches.add("above" if a.hi < j_lo else "below")
+    assert branches == {"above", "below"}
+    first, second = (stacked(list(col)) for col in zip(*cases))
+    assert_rows_equal(first.then(second), [a.then(b) for a, b in cases])
+    assert_rows_equal(second.then(first), [b.then(a) for a, b in cases])
+    for side in (first, second):
+        rels = [tuple(float(v) for v in row) for row in zip(*side)]
+        assert_rows_equal(side.then(tr.IDENTITY), [tr.LineRelation(*r).then(tr.IDENTITY) for r in rels])
+        assert_rows_equal(tr.IDENTITY.then(side), [tr.IDENTITY.then(tr.LineRelation(*r)) for r in rels])
+        assert_rows_equal(side.then(tr.IDENTITY), rels)
+        assert_rows_equal(tr.IDENTITY.then(side), rels)
+
+
+def test_array_then_matches_scalar_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    steps = step_lists(hypothesis.strategies)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(a=steps, b=steps)
+    def law(a, b):
+        x, y = compose([s.as_map() for s in a]), compose([s.as_map() for s in b])
+        assert_rows_equal(stacked([x]).then(stacked([y])), [x.then(y)])
+        assert_rows_equal(stacked([y]).then(stacked([x])), [y.then(x)])
 
     law()
 
@@ -682,7 +854,7 @@ def test_prefix_edges_matches_hex_tree_edges():
     assert hx.prefix_edges([()], [()]).tolist() == [[0]]
 
 
-def test_tbin_distance_matrix_equals_pairwise():
+def test_tbin_pair_distances_equal_pairwise():
     rng = random.Random(6)
     hexes = hx.hexagons_to_depth(5)[1:]
     pts = [hx.tbin_vertex(rng.choice(hexes)) for _ in range(20)] + [hx.tbin_vertex(())]
@@ -695,13 +867,15 @@ def test_tbin_distance_matrix_equals_pairwise():
         pts += [hx.tbin_vertex(child[:-1]), hx.tbin_vertex(child)]
     pts += [pts[2], pts[25]]
     rng.shuffle(pts)
-    mat = hx.tbin_distance_matrix(pts)
+    i, j = (k.ravel() for k in np.indices((len(pts), len(pts))))
+    dist = hx.tbin_pair_distances(hx.tbin_table(pts), i, j)
     shared = 0
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            assert mat[i, j] == hx.tbin_distance(x, y), (x, y)
-            shared += i != j and x.child is not None and (x.parent, x.child) == (y.parent, y.child)
+    for x, y, d in zip(i, j, dist):
+        assert d == hx.tbin_distance(pts[x], pts[y]), (pts[x], pts[y])
+        p, q = pts[x], pts[y]
+        shared += x != y and p.child is not None and (p.parent, p.child) == (q.parent, q.child)
     assert shared >= 18
+    assert hx.tbin_pair_distances(hx.tbin_table([]), i[:0], j[:0]).shape == (0,)
 
 
 def test_deep_ball_without_enumeration():
