@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -286,19 +286,14 @@ def prefix_edges(a: Sequence[Address], b: Sequence[Address]) -> np.ndarray:
     return np.array([len(x) for x in a])[:, None] + [len(x) for x in b] - 2 * lcp
 
 
-def tbin_anchors(p: TbinPoint) -> list[tuple[Address, float]]:
-    """(vertex, distance) for the vertex p is, or both ends of p's edge."""
-    if p.child is None:
-        return [(p.parent, 0.0)]
-    return [(p.parent, p.offset), (p.child, EDGE - p.offset)]
-
-
 def nearest_anchors(x: TbinPoint, y: TbinPoint) -> tuple[float, Address, Address]:
     """(length, va, vb) of the shortest route from x out through anchor va
     and into y through anchor vb; the first minimal pair wins ties.  The
     length adds da + db first, so it is symmetric in x and y bit for bit.
 
-    Anchor pairs go in tbin_anchors order, parent before child.  Only the
+    A point's anchors are the vertex it is, at distance 0, or both ends of
+    its edge: the parent at `offset`, the child at EDGE - offset.  Anchor
+    pairs go parent before child.  Only the
     parents' edge count takes a prefix walk: a child c of parent p is one
     edge nearer than p to the vertices below c, one edge farther from all
     others."""
@@ -333,41 +328,37 @@ def tbin_distance(x: TbinPoint, y: TbinPoint) -> float:
     return nearest_anchors(x, y)[0]
 
 
-class TbinTable(NamedTuple):
-    """Points of T_bin as arrays (see tbin_table)."""
-
-    vertex: np.ndarray  # n x 2 anchor vertex ids, parent then child (a vertex twice)
-    dist: np.ndarray  # n x 2 distances to them
-    edge: np.ndarray  # id of an edge point's edge, -1 - i for a vertex point i
-    offset: np.ndarray
-    edges: np.ndarray  # hex_tree_edges between the anchor vertices, by id
-
-
-def tbin_table(points: Sequence[TbinPoint]) -> TbinTable:
-    """The anchors of every point in tbin_anchors order, with an id per
-    distinct anchor vertex and one prefix_edges over those vertices."""
-    ids: dict[Address, int] = {}
-    edge_ids: dict[tuple[Address, Address], int] = {}
-    vertex, dist, edge = [], [], []
-    for i, p in enumerate(points):
-        ends = tbin_anchors(p)
-        vertex.append([ids.setdefault(v, len(ids)) for v, _ in (ends[0], ends[-1])])
-        dist.append([ends[0][1], ends[-1][1]])
-        edge.append(-1 - i if p.child is None else edge_ids.setdefault((p.parent, p.child), i))
-    n = len(points)
-    return TbinTable(np.array(vertex, dtype=np.intp).reshape(n, 2), np.array(dist).reshape(n, 2),
-                     np.array(edge, dtype=np.intp), np.array([p.offset for p in points]),
-                     prefix_edges(list(ids), list(ids)))
-
-
-def tbin_pair_distances(t: TbinTable, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def tbin_pair_distances(points: Sequence[TbinPoint], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """tbin_distance(points[i[k]], points[j[k]]) per k, entry for entry equal
     to it: the least anchor sum da + db + EDGE * edges, added as
     nearest_anchors adds it (a vertex is both its anchors), or |offset
-    difference| on a shared edge."""
-    best = np.min([t.dist[i, a] + t.dist[j, b] + EDGE * t.edges[t.vertex[i, a], t.vertex[j, b]]
-                   for a in (0, 1) for b in (0, 1)], axis=0)
-    return np.where(t.edge[i] == t.edge[j], np.abs(t.offset[i] - t.offset[j]), best)
+    difference| on a shared edge.  Only the requested pairs are counted:
+    both anchors of a point are prefixes of its deepest one, so two
+    anchors' common prefix is that of the deepest ones, capped at the
+    anchors' lengths, and one prefix walk per pair serves all four."""
+    deep = [p.parent if p.child is None else p.child for p in points]
+    n, width = len(deep), max(map(len, deep), default=0)
+    addr = np.array([a + (-1,) * (width - len(a)) for a in deep], dtype=np.int64).reshape(n, width)
+    on_edge = np.array([p.child is not None for p in points], dtype=bool)
+    offset = np.array([p.offset for p in points], dtype=float)
+    depth = np.array([len(a) for a in deep], dtype=np.int64)
+    # anchors in nearest_anchors' order, parent then child (a vertex twice)
+    length = (depth - on_edge, depth)
+    dist = (np.where(on_edge, offset, 0.0), np.where(on_edge, EDGE - offset, 0.0))
+    lcp = np.zeros(len(i), dtype=np.int64)
+    same = np.ones(len(i), dtype=bool)
+    for k in range(width):  # padding only meets padding, beyond both caps
+        same &= addr[i, k] == addr[j, k]
+        lcp += same
+    best = None
+    for a in (0, 1):
+        for b in (0, 1):
+            la, lb = length[a][i], length[b][j]
+            edges = la + lb - 2 * np.minimum(lcp, np.minimum(la, lb))
+            tot = dist[a][i] + dist[b][j] + EDGE * edges
+            best = tot if best is None else np.minimum(best, tot, out=best)
+    shared = on_edge[i] & on_edge[j] & (depth[i] == depth[j]) & (lcp >= depth[i])
+    return np.where(shared, np.abs(offset[i] - offset[j]), best)
 
 
 def tbin_path_vertices(a: Address, b: Address) -> list[Address]:
@@ -428,7 +419,7 @@ def retract(p: H0Point) -> TbinPoint:
 # scalar forms entry for entry: each does the scalar float operations in the
 # same order, and asinh goes through math, since numpy's vectorised arcsinh
 # need not round as libm does.  A retracted point is described from its own
-# hexagon h: its two anchors, parent then child as tbin_anchors lists them,
+# hexagon h: its two anchors, parent then child as nearest_anchors takes them,
 # each a marked letter (the neighbour across it) or -1 (h itself), and their
 # distances.  Every vertex retract returns is h itself, so a vertex is both
 # its anchors at distance 0.

@@ -400,13 +400,12 @@ class TreeSystem:
 
     # -- T_c matrices of a sample ----------------------------------------------
 
-    def embed(self, xs: Sequence[CoverPoint], *, normalized: bool = False) -> SampleEmbedding:
+    def embed(self, xs: Sequence[CoverPoint]) -> SampleEmbedding:
         """The per-point data that every class's tc_matrix reads: owners,
         one retraction per point with its gates, fibers, the turns between
         sibling subtrees and the same-owner T_bin distances.  xs are
-        normalized first, unless `normalized` says they already are.  An
-        owner outside the ball raises CoverError."""
-        pts = list(xs) if normalized else [self.cplx.normalize(x) for x in xs]
+        normalized first.  An owner outside the ball raises CoverError."""
+        pts = [self.cplx.normalize(x) for x in xs]
         n = len(pts)
         blocks = sorted({p.block for p in pts})
         index = {b: x for x, b in enumerate(blocks)}
@@ -459,7 +458,7 @@ class TreeSystem:
                 kid_gate[i, kid_col[c]] = gate_on_line(comps[c], trees[i])
         codes = sorted(codes)
         turns = np.array([IDENTITY, *(self._relation(*divmod(c, w)) for c in codes)], dtype=float)
-        own = hx.tbin_pair_distances(hx.tbin_table(trees), *_owner_pairs(blk, start, 0, n))
+        own = hx.tbin_pair_distances(trees, *_owner_pairs(blk, start, 0, n))
         return SampleEmbedding(
             order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
             prefix_class, sigma, gate, kid_col, kid_gate,

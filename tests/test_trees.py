@@ -445,23 +445,30 @@ def test_chunked_fill_matches_pairwise(monkeypatch, name, t0_depth, wall_comp_de
         assert np.array_equal(ts.tc_matrix(lab, emb), pairwise_tc(ts, lab, xs)), lab
 
 
-def test_tc_matrix_memory_stays_near_the_result():
-    # about 1500 points on a deep ball, nearly one owner per point: a
-    # temporary of n x n or owners x owners floats would pass 1.5 n^2 * 8
-    cfg = vf.RunConfig(t0_depth=12, hex_depth=4, fiber_range=3.0, wall_comp_depth=0)
+def test_embed_and_tc_matrix_memory_stay_near_the_result():
+    # about 1500 points on a deep ball, nearly one owner per point, at hex
+    # depth 8 (about 1000 distinct T_bin anchor vertices): a temporary of
+    # n x n or owners x owners floats in tc_matrix would pass 1.5 n^2 * 8,
+    # and one over all pairs of anchor vertices in embed would pass half of it
+    cfg = vf.RunConfig(t0_depth=12, hex_depth=8, fiber_range=3.0, wall_comp_depth=0)
     cx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
-    emb = ts.embed(cx.sample_points(0, range(1500)))
-    n, nb = len(emb.blk), len(emb.blocks)
-    assert nb > 0.9 * n
-    ts._walk_tables(1, emb)  # the walk maps are cached, as in a report's later classes
+    xs = cx.sample_points(0, range(1500))
+    n = len(xs)
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        emb = ts.embed(xs)
+        embed_peak = tracemalloc.get_traced_memory()[1] - base
+        ts._walk_tables(1, emb)  # the walk maps are cached, as in a report's later classes
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         mat = ts.tc_matrix(1, emb)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert len(emb.blocks) > 0.9 * n
     assert mat.nbytes == n * n * 8
+    assert embed_peak < 0.5 * mat.nbytes, embed_peak / mat.nbytes
     assert peak < 1.5 * mat.nbytes, peak / mat.nbytes
 
 
@@ -868,14 +875,14 @@ def test_tbin_pair_distances_equal_pairwise():
     pts += [pts[2], pts[25]]
     rng.shuffle(pts)
     i, j = (k.ravel() for k in np.indices((len(pts), len(pts))))
-    dist = hx.tbin_pair_distances(hx.tbin_table(pts), i, j)
+    dist = hx.tbin_pair_distances(pts, i, j)
     shared = 0
     for x, y, d in zip(i, j, dist):
         assert d == hx.tbin_distance(pts[x], pts[y]), (pts[x], pts[y])
         p, q = pts[x], pts[y]
         shared += x != y and p.child is not None and (p.parent, p.child) == (q.parent, q.child)
     assert shared >= 18
-    assert hx.tbin_pair_distances(hx.tbin_table([]), i[:0], j[:0]).shape == (0,)
+    assert hx.tbin_pair_distances([], i[:0], j[:0]).shape == (0,)
 
 
 def test_deep_ball_without_enumeration():
