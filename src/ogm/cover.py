@@ -67,6 +67,12 @@ class CoverError(ValueError):
     pass
 
 
+# sample_local attempts whose words sample_points draws per stream; at the
+# hexagon's acceptance rate of about 0.68, one stream in about 1000 needs
+# more and is drawn again by sample_point
+SAMPLE_ATTEMPTS = 6
+
+
 class CoverComplex:
     """A ball of the cover, radius t0_depth in T0.  Blocks and walls are
     computed from their ids on first use and cached (see the module
@@ -215,6 +221,9 @@ class CoverComplex:
         return self.point_from_wall_coords(w, canonical)
 
     # -- sampling -----------------------------------------------------------
+    #
+    # sample_point draws from one stream through a Generator; sample_points
+    # draws many streams' raw words and reads the same values off them
 
     def sample_point(self, rng: np.random.Generator) -> CoverPoint:
         if self.block_count > 2**63:  # numpy draws the block index as an int64
@@ -229,20 +238,80 @@ class CoverComplex:
 
     def sample_points(self, seed: int, indices: Sequence[int]) -> list[CoverPoint]:
         """[sample_point(make_stream(seed, i)) for i in indices], bit for
-        bit, without a SeedSequence per point: every stream's seed is hashed
-        in one numpy pass, and one reused Generator is set to each stream's
-        PCG64 state in turn.  Indices must lie in [0, 2**32)."""
+        bit, without a SeedSequence or a Generator call per point: every
+        stream's seed is hashed in one numpy pass, one reused PCG64 is set
+        to each stream's state in turn and draws its raw 64-bit words, and
+        the words become sample_point's values in numpy, by the algorithms
+        of numpy's Generator (see _from_words).  NEP 19 does not freeze
+        those algorithms, as it does the seeding; the equality test with
+        make_stream guards them.  A stream that its words cannot settle is
+        redrawn by sample_point itself.  Indices must lie in [0, 2**32)."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and not (idx.min() >= 0 and idx.max() < 2**32):
             raise ValueError("sample indices must lie in [0, 2**32)")
+        seeds = _stream_seeds(seed, idx)
         bitgen = np.random.PCG64(0)
-        rng = np.random.Generator(bitgen)
-        points = []
-        for state, inc in _stream_seeds(seed, idx):
+
+        def stream(k: int) -> np.random.PCG64:
+            state, inc = seeds[k]
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
-            points.append(self.sample_point(rng))
+            return bitgen
+
+        settled = np.zeros(len(seeds), dtype=bool)
+        if self.block_count <= 2**32:  # else a 64-bit draw, which _from_words does not lay out
+            width = 1 + 2 * SAMPLE_ATTEMPTS + self.spec.n - 2
+            words = np.empty((len(seeds), width), dtype=np.uint64)
+            for k in range(len(seeds)):
+                words[k] = stream(k).random_raw(width)
+            block, hexagon, local, fiber, settled = self._from_words(words)
+            block, hexagon, local, fiber = (a.tolist() for a in (block, hexagon, local, fiber))
+            ids = {b: self.block_at(b) for b in set(block)}
+        rng = np.random.Generator(bitgen)
+        hexes = self.model.hexagons
+        points = []
+        for k, ok in enumerate(settled.tolist()):
+            if ok:
+                points.append(CoverPoint(ids[block[k]],
+                                         hx.H0Point(hexes[hexagon[k]], tuple(local[k])),
+                                         tuple(fiber[k])))
+            else:
+                stream(k)
+                points.append(self.sample_point(rng))
         return points
+
+    def _from_words(self, words: np.ndarray) -> tuple[np.ndarray, ...]:
+        """sample_point's values from each stream's first raw PCG64 words
+        (one row per stream), by numpy's Generator algorithms: (block
+        index, hexagon index, local point, fibers, settled).
+
+        integers(0, m) is 32-bit Lemire, (w * m) >> 32 on a uint32 w, that
+        rejects w when (w * m) mod 2**32 < 2**32 mod m; PCG64 serves uint32s
+        from the low half of a word, then its high half, and a range of one
+        draws nothing.  So the block index takes the low half of word 0 and
+        the hexagon index the next half.  random() is (w >> 11) * 2**-53:
+        sample_local's attempt a takes words 1 + 2a and 2 + 2a, and the
+        fibers, low + (high - low) * random(), the n - 2 words after the
+        accepted attempt.  A stream is unsettled when a Lemire draw is
+        rejected or every attempt within SAMPLE_ATTEMPTS misses."""
+        m = len(words)
+        settled = np.ones(m, dtype=bool)
+        halves = [words[:, 0] & np.uint64(_MASK32), words[:, 0] >> np.uint64(32)]
+        picks = []
+        for size in (self.block_count, len(self.model.hexagons)):
+            if size == 1:
+                picks.append(np.zeros(m, dtype=np.int64))
+                continue
+            scaled = halves.pop(0) * np.uint64(size)
+            settled &= (scaled & np.uint64(_MASK32)) >= np.uint64(2**32 % size)
+            picks.append((scaled >> np.uint64(32)).astype(np.int64))
+        u = (words[:, 1:] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        local, took = hx.sample_local_rows(u[:, :2 * SAMPLE_ATTEMPTS])
+        settled &= took >= 0
+        cols = 2 * (took + 1)[:, None] + np.arange(self.spec.n - 2)  # unsettled: any column
+        low = -self.fiber_range
+        fiber = low + (self.fiber_range - low) * np.take_along_axis(u, cols, axis=1)
+        return picks[0], picks[1], local, fiber, settled
 
     def contains(self, p: CoverPoint) -> bool:
         if not self.in_ball(p.block) or len(p.fiber) != self.spec.n - 2:

@@ -328,20 +328,20 @@ def tbin_distance(x: TbinPoint, y: TbinPoint) -> float:
     return nearest_anchors(x, y)[0]
 
 
-def tbin_pair_distances(points: Sequence[TbinPoint], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """tbin_distance(points[i[k]], points[j[k]]) per k, entry for entry equal
-    to it: the least anchor sum da + db + EDGE * edges, added as
-    nearest_anchors adds it (a vertex is both its anchors), or |offset
-    difference| on a shared edge.  Only the requested pairs are counted:
-    both anchors of a point are prefixes of its deepest one, so two
-    anchors' common prefix is that of the deepest ones, capped at the
-    anchors' lengths, and one prefix walk per pair serves all four."""
-    deep = [p.parent if p.child is None else p.child for p in points]
-    n, width = len(deep), max(map(len, deep), default=0)
-    addr = np.array([a + (-1,) * (width - len(a)) for a in deep], dtype=np.int64).reshape(n, width)
-    on_edge = np.array([p.child is not None for p in points], dtype=bool)
-    offset = np.array([p.offset for p in points], dtype=float)
-    depth = np.array([len(a) for a in deep], dtype=np.int64)
+def tbin_pair_distances(addr: np.ndarray, on_edge: np.ndarray, offset: np.ndarray,
+                        i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """tbin_distance between T_bin points i[k] and j[k] per k, entry for
+    entry equal to it.  Point x is given as rows: its deepest anchor
+    addr[x] (the child of its edge, or the vertex it is), padded with -1,
+    whether it lies on an edge, and its offset.  The distance is the least
+    anchor sum da + db + EDGE * edges, added as nearest_anchors adds it (a
+    vertex is both its anchors), or |offset difference| on a shared edge.
+    Only the requested pairs are counted: both anchors of a point are
+    prefixes of its deepest one, so two anchors' common prefix is that of
+    the deepest ones, capped at the anchors' lengths, and one prefix walk
+    per pair serves all four."""
+    width = addr.shape[1]
+    depth = (addr >= 0).sum(axis=1)
     # anchors in nearest_anchors' order, parent then child (a vertex twice)
     length = (depth - on_edge, depth)
     dist = (np.where(on_edge, offset, 0.0), np.where(on_edge, EDGE - offset, 0.0))
@@ -417,19 +417,25 @@ def retract(p: H0Point) -> TbinPoint:
 #
 # Row forms of reflection, dist_chart, retract and tbin_distance, equal to the
 # scalar forms entry for entry: each does the scalar float operations in the
-# same order, and asinh goes through math, since numpy's vectorised arcsinh
-# need not round as libm does.  A retracted point is described from its own
-# hexagon h: its two anchors, parent then child as nearest_anchors takes them,
-# each a marked letter (the neighbour across it) or -1 (h itself), and their
-# distances.  Every vertex retract returns is h itself, so a vertex is both
-# its anchors at distance 0.
+# same order, and transcendental functions go through math (_math_rows), since
+# numpy's vectorised ones need not round as libm does.  A retracted point is
+# described from its own hexagon h: its two anchors, parent then child as
+# nearest_anchors takes them, each a marked letter (the neighbour across it)
+# or -1 (h itself), and their distances.  Every vertex retract returns is h
+# itself, so a vertex is both its anchors at distance 0.
 
 _REFLECTION_ROWS = np.array(REFLECTIONS)
-_MARKED_NORMALS = np.array([SIDE_NORMALS[s] for s in MARKED_SIDES]).T
+SIDE_NORMAL_ROWS = np.array(SIDE_NORMALS)
 
 
-def _asinh_rows(v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.asinh, v.ravel().tolist()), float, v.size).reshape(v.shape)
+def _math_rows(fn, v: np.ndarray) -> np.ndarray:
+    """The math function fn on every entry of v."""
+    return np.fromiter(map(fn, v.ravel().tolist()), float, v.size).reshape(v.shape)
+
+
+def mdot_rows(x: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """mdot(x[i], normals[k]) at [i, k], in mdot's order of operations."""
+    return -x[:, :1] * normals[:, 0] + x[:, 1:2] * normals[:, 1] + x[:, 2:] * normals[:, 2]
 
 
 def reflect_rows(letters: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -444,7 +450,7 @@ def dist_chart_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dx = x - y
     q = -dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1] + dx[:, 2] * dx[:, 2]
     # clamped, q <= 0 gives 0.0, as in dist_chart
-    return 2.0 * _asinh_rows(0.5 * np.sqrt(np.maximum(q, 0.0)))
+    return 2.0 * _math_rows(math.asinh, 0.5 * np.sqrt(np.maximum(q, 0.0)))
 
 
 def retract_rows(last: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,9 +461,8 @@ def retract_rows(last: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the hexagon's last letter; tbin_edge_point then measures the offset
     from the far end, and an offset rounding to EDGE lands on the vertex.
     """
-    v = -(-x[:, :1] * _MARKED_NORMALS[0] + x[:, 1:2] * _MARKED_NORMALS[1]
-          + x[:, 2:] * _MARKED_NORMALS[2])
-    sides = np.where(v > 1e-12, _asinh_rows(v) / S, 0.0)
+    v = -mdot_rows(x, SIDE_NORMAL_ROWS[list(MARKED_SIDES)])
+    sides = np.where(v > 1e-12, _math_rows(math.asinh, v) / S, 0.0)
     i = sides.argmin(axis=1)  # the first of equals, as in retract
     d = sides.min(axis=1)
     f = RHO * (1.0 - 2.0 * d)
@@ -468,6 +473,22 @@ def retract_rows(last: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     anchors = np.where(edge[:, None] & across, i[:, None], -1)
     dist = np.where(edge[:, None], np.stack([off, EDGE - off], axis=1), 0.0)
     return anchors, dist
+
+
+def anchor_table(hexes: Sequence[Address]) -> np.ndarray:
+    """The addresses that a retract_rows anchor -1, 0, 1, 2 names from each
+    hexagon h, h itself and extend(h, 0..2), as a len(hexes) x 4 x width
+    array padded with -1, one column past the deepest."""
+    width = 2 + max(map(len, hexes), default=0)
+    h = np.array([a + (-1,) * (width - len(a)) for a in hexes], dtype=np.int64).reshape(-1, width)
+    depth = (h >= 0).sum(axis=1)
+    last = np.where(depth > 0, h[np.arange(len(h)), depth - 1], -1)
+    table = np.repeat(h[:, None], 4, axis=1)
+    for s in range(3):  # extend(h, s): a backtrack drops the last letter
+        back = last == s
+        table[back, 1 + s, depth[back] - 1] = -1
+        table[~back, 1 + s, depth[~back]] = s
+    return table
 
 
 def tbin_distance_rows(x: tuple[np.ndarray, np.ndarray], steps: np.ndarray,
@@ -597,6 +618,30 @@ def line_gate(comp: ComponentId, address: Address) -> tuple[int, int]:
     if k and address[m] == letters[0]:
         k = -k
     return k, len(address) - n
+
+
+def line_gate_rows(comps: Sequence[ComponentId], addr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """line_gate(comps[c], address) at [c, x] for the addresses of a padded
+    array addr (padded with -1), as (k, edge count).  The common prefix
+    with min_addr counts the leading columns that match it; an address
+    whose prefix is all of min_addr is below it, and the run of the side's
+    two letters that follows is the gate."""
+    width = addr.shape[1]
+    lengths = np.array([len(c.min_addr) for c in comps], dtype=np.int64)[:, None]
+    mins = np.full((len(comps), width), -2, dtype=np.int64)  # -2 never matches
+    for row, c in zip(mins, comps):
+        row[:min(len(c.min_addr), width)] = c.min_addr[:width]
+    a, b = (np.array([LETTERS[c.side][i] for c in comps], dtype=np.int64)[:, None, None]
+            for i in (0, 1))
+    lcp = np.cumprod(addr == mins[:, None], axis=2).sum(axis=2)
+    # the run's columns from min_addr's length on; the columns before it pass
+    run = np.cumprod((addr == a) | (addr == b) | (np.arange(width) < lengths[:, :, None]),
+                     axis=2).sum(axis=2) - lengths
+    below = lcp == lengths
+    first = addr[:, np.minimum(lengths, width - 1).ravel()].T  # the run's first letter
+    k = np.where((run > 0) & (first == a[:, :, 0]), -run, run)
+    depth = (addr >= 0).sum(axis=1)
+    return np.where(below, k, 0), np.where(below, depth - lengths - run, depth + lengths - 2 * lcp)
 
 
 def _corners(side: int) -> tuple[Vec, Vec]:
@@ -745,3 +790,31 @@ class HexModel:
             x = _polar(r, psi)
             if contains_local(x, 0.0):
                 return x
+
+
+def sample_local_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HexModel.sample_local per row of uniforms u, whose columns 2a and
+    2a + 1 are the two draws of attempt a, in the same float operations:
+    (points, accepted attempt), the attempt -1 where the row's attempts
+    all miss the hexagon.  Attempt 0 is tried on every row, and the rest
+    at once on the rows it misses, about a third."""
+    x = np.zeros((len(u), 3))
+    took = np.full(len(u), -1)
+    rows = np.arange(len(u))
+    attempts = u.shape[1] // 2
+    for first, stop in ((0, min(1, attempts)), (1, attempts)):
+        span = stop - first
+        if span <= 0:
+            continue
+        pair = u[rows, 2 * first:2 * stop].reshape(-1, 2)
+        r = _math_rows(math.acosh, 1.0 + pair[:, 0] * _PEAK)
+        psi = pair[:, 1] * _TWO_PI
+        sh = _math_rows(math.sinh, r)
+        cand = np.stack([_math_rows(math.cosh, r), sh * _math_rows(math.cos, psi),
+                         sh * _math_rows(math.sin, psi)], axis=1).reshape(len(rows), span, 3)
+        inside = (mdot_rows(cand.reshape(-1, 3), SIDE_NORMAL_ROWS) <= 0.0).all(axis=1)
+        inside = inside.reshape(len(rows), span)
+        hit, a = inside.any(axis=1), inside.argmax(axis=1)  # the first attempt inside
+        x[rows[hit]], took[rows[hit]] = cand[hit, a[hit]], first + a[hit]
+        rows = rows[~hit]
+    return x, took

@@ -215,6 +215,20 @@ def gate_on_line(comp: hx.ComponentId, point: hx.TbinPoint) -> tuple[float, floa
     return k + 0.5, min(o + d, 1.0 - o + dc)
 
 
+def gate_on_line_rows(k: np.ndarray, d: np.ndarray, on_edge: np.ndarray,
+                      offset: np.ndarray) -> np.ndarray:
+    """gate_on_line per row, as rows of (gate, distance), from line_gate's
+    (k, d) at each point's two anchors, parent then child (columns 0 and 1;
+    a vertex is both), whether it lies on an edge, and its offset."""
+    (kp, kc), (dp, dc) = k.T, d.T
+    o = offset / hx.EDGE
+    on_line = on_edge & (dp == 0) & (dc == 0)
+    g = np.where(on_line, (hx.EDGE * (kp + 0.5) + offset * np.where(kc > kp, 1.0, -1.0)) / hx.EDGE,
+                 kp + 0.5)
+    dist = np.where(on_edge & ~on_line, np.minimum(o + dp, 1.0 - o + dc), dp.astype(float))
+    return np.stack([g, dist], axis=1)
+
+
 def line_coords(line: Optional[hx.ComponentId], p: TcPoint) -> tuple[float, float]:
     """(gate, distance) of p on a chain line, or (value, 0) on a fiber (None)."""
     return (p.value, 0.0) if line is None else gate_on_line(line, p.tree)
@@ -256,12 +270,17 @@ def _row_width(n: int, nb: int) -> int:
     nb owners.  A row's temporaries peak at about 3 n + 32 nb floats (the
     pair table, its composition and cross, the strip and a gathered
     column); eight times that keeps a block of rows within an eighth of
-    _BLOCK_ENTRIES (1 MB), about the matrix itself at a few hundred points."""
+    its budget (_row_blocks)."""
     return 8 * (3 * n + 32 * nb)
 
 
 def _row_blocks(n: int, nb: int) -> list[tuple[int, int]]:
-    return row_blocks(_row_width(n, nb), 0, n)
+    """tc_matrix's row blocks.  The budget is the larger of _BLOCK_ENTRIES
+    and the n x n result's entry count, so a block's temporaries stay
+    within 1 MB, or within an eighth of the result they sit beside: at
+    thousands of owners a block then holds several rows, not one or two,
+    and numpy's fixed cost per call is paid per block."""
+    return row_blocks(_row_width(n, nb), 0, n, entries=n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +423,26 @@ class TreeSystem:
         """The per-point data that every class's tc_matrix reads: owners,
         one retraction per point with its gates, fibers, the turns between
         sibling subtrees and the same-owner T_bin distances.  xs are
-        normalized first.  An owner outside the ball raises CoverError."""
-        pts = [self.cplx.normalize(x) for x in xs]
+        normalized first: normalize moves only a point on a side of its
+        hexagon, found by its own test |mdot(local, normal)| <= ON_SIDE_TOL
+        over all six sides, in rows, so only those points go through it.
+        The retraction and the gates are row forms (hexagon.retract_rows,
+        line_gate_rows and gate_on_line_rows over the addresses of each
+        hexagon's anchor_table), equal to retract and gate_on_line entry
+        for entry; a per-point reference in the tests checks every field.
+        An owner outside the ball raises CoverError."""
+        pts = list(xs)
         n = len(pts)
+        local = np.array([p.base.local for p in pts], dtype=float).reshape(n, 3)
+        on_side = np.abs(hx.mdot_rows(local, hx.SIDE_NORMAL_ROWS)) <= hx.ON_SIDE_TOL
+        for i in np.flatnonzero(on_side.any(axis=1)).tolist():
+            pts[i] = self.cplx.normalize(pts[i])
+            local[i] = pts[i].base.local
         blocks = sorted({p.block for p in pts})
         index = {b: x for x, b in enumerate(blocks)}
         owner = np.array([index[p.block] for p in pts], dtype=np.intp)
         order = np.argsort(owner, kind="stable")
-        pts, blk = [pts[i] for i in order], owner[order]
+        pts, blk, local = [pts[i] for i in order], owner[order], local[order]
         start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(blocks)))])
         width = 1 + max(map(len, blocks), default=0)
         ids = np.full((len(blocks), width), -1, dtype=np.int64)
@@ -446,19 +477,40 @@ class TreeSystem:
         dim = self.cplx.spec.n
         sigma = np.array([self.cplx.block(b).sigma.images for b in blocks],
                          dtype=np.intp).reshape(len(blocks), dim - 1) - 1
-        trees = [hx.retract(p.base) for p in pts]
+        # each point's retraction from its hexagon h, whose anchors are
+        # columns of h's anchor table
+        hexes: dict[hx.Address, int] = {}
+        hrow = np.array([hexes.setdefault(p.base.hex, len(hexes)) for p in pts], dtype=np.intp)
+        table = hx.anchor_table(list(hexes))
+        last = np.array([h[-1] if h else -1 for h in hexes], dtype=np.int64)
+        anchors, dist = hx.retract_rows(last[hrow], local)
+        col, on_edge, offset = anchors + 1, anchors[:, 1] != anchors[:, 0], dist[:, 0]
         comps = self.cplx.model.components
-        gate = np.array([gate_on_line(comps[0], t) for t in trees]).reshape(n, 2)
         kid_comps = sorted({c for _, c in kids})
-        kid_col = np.full(len(comps), -1, dtype=np.intp)
+        kid_col = np.full(w, -1, dtype=np.intp)
         kid_col[kid_comps] = np.arange(len(kid_comps))
+        # line_gate of every anchor address on component 0 (row 0) and on
+        # the child components (row 1 + kid_col)
+        lines = [comps[c] for c in (0, *kid_comps)]
+        line_k, line_d = (a.reshape(len(lines), len(hexes), 4) for a in hx.line_gate_rows(
+            lines, table.reshape(-1, table.shape[2])))
+
+        def gates(row: np.ndarray, i: np.ndarray) -> np.ndarray:
+            at = (row[:, None], hrow[i, None], col[i])
+            return gate_on_line_rows(line_k[at], line_d[at], on_edge[i], offset[i])
+
+        gate = gates(np.zeros(n, dtype=np.intp), np.arange(n))
         kid_gate = np.zeros((n, max(len(kid_comps), 1), 2))
-        for x, c in kids:
-            for i in range(start[x], start[x + 1]):
-                kid_gate[i, kid_col[c]] = gate_on_line(comps[c], trees[i])
+        # every slot of an owner x, on each child component toward an owner below x
+        kid_x, kid_c = np.array(sorted(kids), dtype=np.intp).reshape(-1, 2).T
+        cnt = start[kid_x + 1] - start[kid_x]
+        slots = np.repeat(start[kid_x] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        kcol = np.repeat(kid_col[kid_c], cnt)
+        kid_gate[slots, kcol] = gates(kcol + 1, slots)
         codes = sorted(codes)
         turns = np.array([IDENTITY, *(self._relation(*divmod(c, w)) for c in codes)], dtype=float)
-        own = hx.tbin_pair_distances(trees, *_owner_pairs(blk, start, 0, n))
+        own = hx.tbin_pair_distances(table[hrow, col[:, 1]], on_edge, offset,
+                                     *_owner_pairs(blk, start, 0, n))
         return SampleEmbedding(
             order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
             prefix_class, sigma, gate, kid_col, kid_gate,

@@ -1,9 +1,11 @@
+import collections
 import json
 import math
 
+import numpy as np
 import pytest
 
-from conftest import ball_ids, child_wall_point, path_permutation, shipped, shipped_doc
+from conftest import ball_ids, child_wall_point, counting, path_permutation, shipped, shipped_doc
 from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -193,14 +195,53 @@ def test_sample_determinism(flip_cx):
     assert c != a
 
 
-@pytest.mark.parametrize("name", ["flip_n3", "two_vertex_n5"])
-def test_sample_points_match_make_stream(name):
+def reference_samples(cx, seed, idx):
+    return [cx.sample_point(cover.make_stream(seed, i)) for i in idx]
+
+
+@pytest.mark.parametrize("name, t0_depth, hex_depth, fiber_range, seeds, count", [
+    ("flip_n3", 2, 4, 3.0, 6, 300),
+    ("two_vertex_n5", 2, 4, 3.0, 6, 300),
+    ("cycle_n4", 0, 4, 3.0, 2, 200),  # one block: integers(0, 1) draws nothing
+    ("flip_n3", 2, 1, 3.0, 2, 200),
+    ("two_vertex_n5", 12, 8, 3.0, 2, 200),
+    ("two_vertex_n5", 2, 4, 0.0, 2, 100),  # fibers -0.0 + 0.0 * u
+], ids=["flip_n3", "two_vertex_n5", "one_block", "hex_depth_1", "deep", "zero_fiber_range"])
+def test_sample_points_match_make_stream(name, t0_depth, hex_depth, fiber_range, seeds, count):
     # seeds of one to four 32-bit words: only a four-word seed such as 10**30
-    # has entropy past SeedSequence's 4-word pool
-    cx = cover.explore(shipped(name), t0_depth=2, hex_depth=4, fiber_range=3.0, wall_comp_depth=0)
-    idx = [*range(300), 2**31, 2**32 - 1]
-    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30):
-        assert cx.sample_points(seed, idx) == [cx.sample_point(cover.make_stream(seed, i)) for i in idx]
+    # has entropy past SeedSequence's 4-word pool; repr tells the sign of a
+    # zero apart
+    cx = cover.explore(shipped(name), t0_depth=t0_depth, hex_depth=hex_depth,
+                       fiber_range=fiber_range, wall_comp_depth=0)
+    idx = [*range(count), 2**31, 2**32 - 1]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30)[:seeds]:
+        assert repr(cx.sample_points(seed, idx)) == repr(reference_samples(cx, seed, idx))
+
+
+@pytest.mark.parametrize("attempts", [0, 1])
+def test_sample_points_fallback_matches_make_stream(monkeypatch, attempts):
+    # with words for fewer polar attempts, the streams that need more are
+    # drawn again by sample_point: every stream at 0 attempts, about a third
+    # at 1
+    cx = cover.explore(shipped("two_vertex_n5"), t0_depth=2, hex_depth=4, fiber_range=3.0,
+                       wall_comp_depth=0)
+    want = reference_samples(cx, 5, range(200))
+    calls = collections.Counter()
+    monkeypatch.setattr(cover, "SAMPLE_ATTEMPTS", attempts)
+    monkeypatch.setattr(cover.CoverComplex, "sample_point",
+                        counting(calls, "sample_point", cover.CoverComplex.sample_point))
+    assert repr(cx.sample_points(5, range(200))) == repr(want)
+    assert calls["sample_point"] == 200 if attempts == 0 else 40 < calls["sample_point"] < 100
+
+
+def test_sample_words_reject_as_lemire_does(flip_cx):
+    # a uint32 of 0 for the block index (word 0's low half) or the hexagon
+    # index (its high half): 0 * 13 mod 2**32 lies below 2**32 mod 13 = 9 and
+    # 0 * 10 below 2**32 mod 10 = 6, so numpy would reject it; 1 passes both
+    assert (flip_cx.block_count, len(flip_cx.model.hexagons)) == (13, 10)
+    words = np.zeros((4, 1 + 2 * cover.SAMPLE_ATTEMPTS + 1), dtype=np.uint64)
+    words[:, 0] = [0, 1, 1 << 32, 1 | 1 << 32]
+    assert flip_cx._from_words(words)[-1].tolist() == [False, False, False, True]
 
 
 def test_sample_points_index_range(flip_cx):

@@ -126,6 +126,22 @@ def test_curve_length_additive(cx, ts):
     assert cv.curve_length(cx, ()) == (0.0, 0.0)
 
 
+def test_curve_length_sums_block_distances(cx, ts):
+    # a centre-to-midpoint lift step takes its length from a table; the
+    # sums stay those of block_distance over every step, bit for bit
+    tabled = 0
+    for x, y, path in usable_pairs(cx, ts, 800, 30):
+        total = longest = 0.0
+        for s in path:
+            for p, q in zip(s.points, s.points[1:]):
+                d = geo.block_distance(cx, p, q)
+                total += d
+                longest = max(longest, d) if s.role == "hop" else longest
+                tabled += s.role == "lift" and (p.base.local, q.base.local) in cv._CENTER_MIDPOINT
+        assert cv.curve_length(cx, path) == (total, longest)
+    assert tabled > 20
+
+
 def test_tree_path_nodes_structure():
     a = hx.tbin_edge_point((), (0,), 0.3)
     b = hx.tbin_edge_point((1,), (1, 2), hx.EDGE - 0.2)

@@ -332,3 +332,22 @@ def test_normalize_point_on_marked_side():
     q = hx.normalize_point(p)
     assert q.hex == ()
     assert hx.dist_chart(q.local, hx.MIDPOINTS[0]) < 1e-12
+
+
+def test_anchor_table_and_line_gate_rows_match_scalar_forms():
+    # every hexagon to depth 6 and its three neighbours, gated on every
+    # component of depth 4: below min_addr, beside it, and runs both ways
+    hexes = hx.hexagons_to_depth(6)
+    table = hx.anchor_table(hexes)
+    addrs = [tuple(int(v) for v in row if v >= 0) for row in table.reshape(-1, table.shape[2])]
+    assert addrs == [a for h in hexes for a in (h, *(hx.extend(h, s) for s in range(3)))]
+    assert ((table >= 0).sum(axis=2) == [[len(a) for a in addrs[4 * i:4 * i + 4]]
+                                         for i in range(len(hexes))]).all()  # no inner padding
+    comps = hx.HexModel(4).components
+    k, d = hx.line_gate_rows(comps, table.reshape(-1, table.shape[2]))
+    assert k.shape == d.shape == (len(comps), len(addrs))
+    for c, comp in enumerate(comps):
+        assert list(zip(k[c].tolist(), d[c].tolist())) == [hx.line_gate(comp, a) for a in addrs]
+    assert {int(v) for v in k.ravel()} >= {-2, -1, 0, 1, 2}
+    assert hx.anchor_table([]).shape[:2] == (0, 4)
+

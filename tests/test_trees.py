@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -7,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import ball_ids, child_wall_point, shipped
+from conftest import ball_ids, child_wall_point, counting, shipped
 from ogm import cover
 from ogm import coverings as cvg
 from ogm import geodesics as geo
@@ -449,7 +450,8 @@ def test_embed_and_tc_matrix_memory_stay_near_the_result():
     # about 1500 points on a deep ball, nearly one owner per point, at hex
     # depth 8 (about 1000 distinct T_bin anchor vertices): a temporary of
     # n x n or owners x owners floats in tc_matrix would pass 1.5 n^2 * 8,
-    # and one over all pairs of anchor vertices in embed would pass half of it
+    # and one over all pairs of anchor vertices in embed would pass half of
+    # it; row blocks hold several rows, within an eighth of the result
     cfg = vf.RunConfig(t0_depth=12, hex_depth=8, fiber_range=3.0, wall_comp_depth=0)
     cx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
     xs = cx.sample_points(0, range(1500))
@@ -467,9 +469,127 @@ def test_embed_and_tc_matrix_memory_stay_near_the_result():
     finally:
         tracemalloc.stop()
     assert len(emb.blocks) > 0.9 * n
+    assert len(tr._row_blocks(n, len(emb.blocks))) <= n // 4  # the budget grows with n^2
     assert mat.nbytes == n * n * 8
     assert embed_peak < 0.5 * mat.nbytes, embed_peak / mat.nbytes
     assert peak < 1.5 * mat.nbytes, peak / mat.nbytes
+
+
+def reference_embed(ts, xs):
+    """TreeSystem.embed as a loop over points: normalize, retract and
+    gate_on_line per point, and tbin_distance per same-owner pair."""
+    cplx = ts.cplx
+    pts = [cplx.normalize(x) for x in xs]
+    n = len(pts)
+    blocks = sorted({p.block for p in pts})
+    index = {b: x for x, b in enumerate(blocks)}
+    owner = np.array([index[p.block] for p in pts], dtype=np.intp)
+    order = np.argsort(owner, kind="stable")
+    pts, blk = [pts[i] for i in order], owner[order]
+    start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(blocks)))])
+    width = 1 + max(map(len, blocks), default=0)
+    ids = np.full((len(blocks), width), -1, dtype=np.int64)
+    prefix_class = np.full((len(blocks), width), -1)
+    w = len(cplx.model.components)
+    levels = [(-1, [])]
+    kids, codes, prev = set(), set(), ()
+    meet = np.zeros(len(blocks), dtype=np.intp)
+    for x, b in enumerate(blocks):
+        k = meet[x] = hx.lcp_len(prev, b)
+        del levels[k + 1:]
+        ids[x, :len(b)] = b
+        prefix_class[x, :len(b) + 1] = [cplx.block(b[:j]).class_label for j in range(len(b) + 1)]
+        if not b:
+            levels[0] = (x, [])
+        for j in range(k, len(b)):
+            above, seen = levels[j]
+            if above >= 0:
+                kids.add((above, b[j]))
+            codes.update(c * w + b[j] for c in seen)
+            seen.append(b[j])
+            levels.append((x if j + 1 == len(b) else -1, []))
+        prev = b
+    dim = cplx.spec.n
+    sigma = np.array([cplx.block(b).sigma.images for b in blocks],
+                     dtype=np.intp).reshape(len(blocks), dim - 1) - 1
+    trees = [hx.retract(p.base) for p in pts]
+    comps = cplx.model.components
+    gate = np.array([tr.gate_on_line(comps[0], t) for t in trees]).reshape(n, 2)
+    kid_comps = sorted({c for _, c in kids})
+    kid_col = np.full(len(comps), -1, dtype=np.intp)
+    kid_col[kid_comps] = np.arange(len(kid_comps))
+    kid_gate = np.zeros((n, max(len(kid_comps), 1), 2))
+    for x, c in kids:
+        for i in range(start[x], start[x + 1]):
+            kid_gate[i, kid_col[c]] = tr.gate_on_line(comps[c], trees[i])
+    codes = sorted(codes)
+    turns = np.array([tr.IDENTITY, *(ts._relation(*divmod(c, w)) for c in codes)], dtype=float)
+    own = [hx.tbin_distance(trees[i], trees[j]) / hx.EDGE
+           for i, j in zip(*tr._owner_pairs(blk, start, 0, n))]
+    return tr.SampleEmbedding(
+        order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
+        prefix_class, sigma, gate, kid_col, kid_gate,
+        np.array([p.fiber for p in pts], dtype=float).reshape(n, dim - 2),
+        np.array([-1, *codes], dtype=np.int64), turns.T, np.array(own, dtype=float))
+
+
+def side_points(cx, seed):
+    """Sampled points, and as many on sides of their hexagons: on marked
+    sides (midpoints and corners, where normalize shortens the address and
+    where it does not), on unmarked sides of the root block, and on walls,
+    which normalize moves from a child block to its parent."""
+    rng = random.Random(seed)
+    xs = cx.sample_points(seed, range(40))
+    fiber = (0.75,) * (cx.spec.n - 2)
+    for x in xs[:20]:
+        h = x.base.hex
+        xs += [CoverPoint(x.block, hx.H0Point(h, hx.MIDPOINTS[2 * rng.randrange(3)]), fiber),
+               CoverPoint(x.block, hx.H0Point(h, hx.VERTICES[rng.randrange(6)]), fiber),
+               CoverPoint((), hx.H0Point(h, hx.boundary_point_local(
+                   rng.choice(hx.UNMARKED_SIDES), rng.random())), fiber)]
+        if x.block:  # every wall coordinate within the parent side's window
+            w = cx.parent_wall(x.block)
+            lo, hi = cx.model.arclength_window(cx.model.components[w.parent_comp])
+            xs.append(child_wall_point(cx, w, [rng.uniform(lo, hi) for _ in range(cx.spec.n - 1)]))
+    rng.shuffle(xs)
+    return xs
+
+
+@pytest.mark.parametrize("name, hex_depth, wall_comp_depth", [
+    ("flip_n3", 1, None), ("two_vertex_n5", 4, 0), ("cycle_n4", 8, 1)])
+def test_embed_matches_per_point_reference(name, hex_depth, wall_comp_depth):
+    cx = cover.explore(shipped(name), t0_depth=2, hex_depth=hex_depth, fiber_range=3.0,
+                       wall_comp_depth=wall_comp_depth)
+    ts = tr.TreeSystem(cx)
+    xs = side_points(cx, seed=hex_depth)
+    got, want = ts.embed(xs), reference_embed(ts, xs)
+    for field, a, b in zip(tr.SampleEmbedding._fields, got, want):
+        assert a == b if field == "blocks" else np.array_equal(a, b) and a.dtype == b.dtype, field
+    # the sample holds points that normalize moves, some of them to another
+    # block, and points that retract to vertices and to edge points
+    moved = [cx.normalize(x) for x in xs]
+    assert sum(m != x for m, x in zip(moved, xs)) > sum(m.block != x.block for m, x in zip(moved, xs)) > 0
+    trees = [hx.retract(m.base) for m in moved]
+    assert {t.child is None for t in trees} == {True, False}
+    assert (got.kid_col >= 0).any()
+
+
+def test_embed_of_interior_points_calls_no_scalar_form(monkeypatch):
+    # sampled points lie inside their hexagons: embed retracts and gates them
+    # in rows, and normalizes only the points on a side, once each
+    cx = cover.explore(shipped("two_vertex_n5"), t0_depth=2, hex_depth=4, fiber_range=3.0,
+                       wall_comp_depth=0)
+    ts = tr.TreeSystem(cx)
+    calls = collections.Counter()
+    for owner, name in ((hx, "retract"), (tr, "gate_on_line"), (cover.CoverComplex, "normalize")):
+        monkeypatch.setattr(owner, name, counting(calls, name, getattr(owner, name)))
+    xs = cx.sample_points(3, range(120))
+    emb = ts.embed(xs)
+    assert len(emb.blocks) > 1 and (emb.kid_col >= 0).any()
+    assert calls == {}
+    on_side = [CoverPoint(x.block, hx.H0Point(x.base.hex, hx.VERTICES[0]), x.fiber) for x in xs[:5]]
+    ts.embed(xs + on_side)
+    assert calls == {"normalize": 5}
 
 
 def test_tc_matrix_walks_no_wall_chain(monkeypatch):
@@ -861,6 +981,16 @@ def test_prefix_edges_matches_hex_tree_edges():
     assert hx.prefix_edges([()], [()]).tolist() == [[0]]
 
 
+def tbin_rows(points):
+    """tbin_pair_distances' rows of T_bin points: the deepest anchor,
+    padded with -1, whether the point lies on an edge, and its offset."""
+    deep = [p.parent if p.child is None else p.child for p in points]
+    width = 1 + max(map(len, deep), default=0)
+    addr = np.array([a + (-1,) * (width - len(a)) for a in deep], dtype=np.int64)
+    on_edge = np.array([p.child is not None for p in points], dtype=bool)
+    return addr.reshape(len(deep), width), on_edge, np.array([p.offset for p in points], dtype=float)
+
+
 def test_tbin_pair_distances_equal_pairwise():
     rng = random.Random(6)
     hexes = hx.hexagons_to_depth(5)[1:]
@@ -875,14 +1005,14 @@ def test_tbin_pair_distances_equal_pairwise():
     pts += [pts[2], pts[25]]
     rng.shuffle(pts)
     i, j = (k.ravel() for k in np.indices((len(pts), len(pts))))
-    dist = hx.tbin_pair_distances(pts, i, j)
+    dist = hx.tbin_pair_distances(*tbin_rows(pts), i, j)
     shared = 0
     for x, y, d in zip(i, j, dist):
         assert d == hx.tbin_distance(pts[x], pts[y]), (pts[x], pts[y])
         p, q = pts[x], pts[y]
         shared += x != y and p.child is not None and (p.parent, p.child) == (q.parent, q.child)
     assert shared >= 18
-    assert hx.tbin_pair_distances([], i[:0], j[:0]).shape == (0,)
+    assert hx.tbin_pair_distances(*tbin_rows([]), i[:0], j[:0]).shape == (0,)
 
 
 def test_deep_ball_without_enumeration():
@@ -893,6 +1023,7 @@ def test_deep_ball_without_enumeration():
     assert cx.block_count == 1 + 3 * (2**40 - 1)
     assert ts.class_labels == (0, 1, 2, 3)
     pts = [cx.sample_point(cover.make_stream(8, i)) for i in range(6)]
+    assert cx.sample_points(8, range(6)) == pts  # past 2**32 blocks, by sample_point
     assert min(len(p.block) for p in pts) >= 30
     for x, y in zip(pts, pts[1:]):
         px, py = ts.phi(x), ts.phi(y)

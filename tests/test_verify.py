@@ -404,6 +404,15 @@ def test_collect_records_calls_traced_entry_points(monkeypatch):
     )
 
 
+def center_midpoint_steps(path):
+    """Lift steps from a hexagon's centre to one of its tree-edge midpoints,
+    or back, at equal fibers: curve_length reads their length from a table."""
+    mids = {hx.embed_tree_point(hx.tbin_edge_point((), (s,), hx.RHO)).local for s in range(3)}
+    return sum(p.base.hex == q.base.hex and p.fiber == q.fiber
+               and {p.base.local, q.base.local} in ({hx.CENTER, m} for m in mids)
+               for seg in path if seg.role == "lift" for p, q in zip(seg.points, seg.points[1:]))
+
+
 def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch):
     cfg = small_cfg(samples=30)
     cplx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
@@ -425,7 +434,7 @@ def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch)
     monkeypatch.setattr(vf, "_pair_record", record)
     records = vf._collect_records(cplx, ts, cfg)
     monkeypatch.undo()
-    checked = 0
+    checked = tabled = 0
     for rec in records:
         if rec["truncated"] or rec["curve_length"] is None:
             continue
@@ -435,11 +444,13 @@ def test_pair_record_normalizes_once_and_measures_each_segment_once(monkeypatch)
         path = cv.build_special_curve(cplx, ts, x, y)
         # x and y come normalized from the solver; each wall point x2 is
         # normalized once, crossing its wall with one boundary lookup; each
-        # consecutive pair of curve points is measured once, hops included
+        # consecutive pair of curve points is measured once, hops included,
+        # by block_distance or, for a centre and a midpoint, by its table
+        tabled += center_midpoint_steps(path)
         assert got == Counter(
             normalize=k,
             boundary_param=k,
-            block_distance=sum(len(s.points) - 1 for s in path),
+            block_distance=sum(len(s.points) - 1 for s in path) - center_midpoint_steps(path),
         )
         checked += 1
-    assert checked > 20
+    assert checked > 20 and tabled > 20
