@@ -32,14 +32,13 @@ class ColoredCovering:
 _BLOCK_ENTRIES = 1 << 20
 
 
-def row_blocks(n: int, start: int = 0, stop: Optional[int] = None,
-               entries: int = 0) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) that split rows start..stop (all n by default)
-    of an n-column matrix into blocks of at most max(_BLOCK_ENTRIES,
-    entries) entries and at least one row."""
+def row_blocks(n: int, stop: Optional[int] = None, entries: int = 0) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) that split rows 0..stop (all n by default) of an
+    n-column matrix into blocks of at most max(_BLOCK_ENTRIES, entries)
+    entries and at least one row."""
     stop = n if stop is None else stop
     rows = max(1, max(_BLOCK_ENTRIES, entries) // max(n, 1))
-    return [(lo, min(lo + rows, stop)) for lo in range(start, stop, rows)]
+    return [(lo, min(lo + rows, stop)) for lo in range(0, stop, rows)]
 
 
 def meet_level(fi, fj, dij):

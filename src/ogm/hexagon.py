@@ -271,21 +271,6 @@ def hex_tree_edges(a: Address, b: Address) -> int:
     return len(a) + len(b) - 2 * lcp_len(a, b)
 
 
-def prefix_edges(a: Sequence[Address], b: Sequence[Address]) -> np.ndarray:
-    """Matrix of hex_tree_edges(a[i], b[j]) on padded address arrays (a
-    padded with -1, b with -2, so padding never matches): the common prefix
-    grows while the letters at each position agree."""
-    width = max(map(len, [*a, *b]), default=0)
-    pa, pb = (np.array([x + (pad,) * (width - len(x)) for x in xs], dtype=np.int64)
-              .reshape(len(xs), width) for xs, pad in ((a, -1), (b, -2)))
-    same = np.ones((len(a), len(b)), dtype=bool)
-    lcp = np.zeros((len(a), len(b)), dtype=np.int64)
-    for k in range(width):
-        same &= pa[:, None, k] == pb[None, :, k]
-        lcp += same
-    return np.array([len(x) for x in a])[:, None] + [len(x) for x in b] - 2 * lcp
-
-
 def nearest_anchors(x: TbinPoint, y: TbinPoint) -> tuple[float, Address, Address]:
     """(length, va, vb) of the shortest route from x out through anchor va
     and into y through anchor vb; the first minimal pair wins ties.  The
@@ -415,14 +400,15 @@ def retract(p: H0Point) -> TbinPoint:
 
 # --- the same over rows of points ------------------------------------------
 #
-# Row forms of reflection, dist_chart, retract and tbin_distance, equal to the
-# scalar forms entry for entry: each does the scalar float operations in the
-# same order, and transcendental functions go through math (_math_rows), since
-# numpy's vectorised ones need not round as libm does.  A retracted point is
-# described from its own hexagon h: its two anchors, parent then child as
-# nearest_anchors takes them, each a marked letter (the neighbour across it)
-# or -1 (h itself), and their distances.  Every vertex retract returns is h
-# itself, so a vertex is both its anchors at distance 0.
+# Row forms of reflection, dist_chart and retract, equal to the scalar forms
+# entry for entry: each does the scalar float operations in the same order,
+# and transcendental functions go through math (_math_rows), since numpy's
+# vectorised ones need not round as libm does.  A retracted point is
+# described from its own hexagon h, a row of an anchor_table: its two
+# anchors, parent then child as nearest_anchors takes them, each a column of
+# h's row (h itself or its neighbour across a marked letter), then the rows
+# that tbin_pair_distances, the row form of tbin_distance, reads.  Every
+# vertex retract returns is h itself, so a vertex is both its anchors.
 
 _REFLECTION_ROWS = np.array(REFLECTIONS)
 SIDE_NORMAL_ROWS = np.array(SIDE_NORMALS)
@@ -453,32 +439,10 @@ def dist_chart_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * _math_rows(math.asinh, 0.5 * np.sqrt(np.maximum(q, 0.0)))
 
 
-def retract_rows(last: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """retract per row of local points x in hexagons whose last letters are
-    `last` (-1 at the root), as (anchors, distances), both n x 2.
-
-    The edge across marked side i leads toward the parent exactly when i is
-    the hexagon's last letter; tbin_edge_point then measures the offset
-    from the far end, and an offset rounding to EDGE lands on the vertex.
-    """
-    v = -mdot_rows(x, SIDE_NORMAL_ROWS[list(MARKED_SIDES)])
-    sides = np.where(v > 1e-12, _math_rows(math.asinh, v) / S, 0.0)
-    i = sides.argmin(axis=1)  # the first of equals, as in retract
-    d = sides.min(axis=1)
-    f = RHO * (1.0 - 2.0 * d)
-    toward = last == i
-    off = np.where(toward, EDGE - f, f)
-    edge = (d < 0.5) & (off < EDGE)
-    across = np.stack([toward, ~toward], axis=1)  # which anchor is the neighbour across i
-    anchors = np.where(edge[:, None] & across, i[:, None], -1)
-    dist = np.where(edge[:, None], np.stack([off, EDGE - off], axis=1), 0.0)
-    return anchors, dist
-
-
 def anchor_table(hexes: Sequence[Address]) -> np.ndarray:
-    """The addresses that a retract_rows anchor -1, 0, 1, 2 names from each
-    hexagon h, h itself and extend(h, 0..2), as a len(hexes) x 4 x width
-    array padded with -1, one column past the deepest."""
+    """The addresses that a retract_rows anchor column 0, 1, 2, 3 names from
+    each hexagon h, h itself and extend(h, 0..2), as a len(hexes) x 4 x
+    width array padded with -1, one column past the deepest."""
     width = 2 + max(map(len, hexes), default=0)
     h = np.array([a + (-1,) * (width - len(a)) for a in hexes], dtype=np.int64).reshape(-1, width)
     depth = (h >= 0).sum(axis=1)
@@ -491,29 +455,31 @@ def anchor_table(hexes: Sequence[Address]) -> np.ndarray:
     return table
 
 
-def tbin_distance_rows(x: tuple[np.ndarray, np.ndarray], steps: np.ndarray,
-                       y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """tbin_distance per row between retract_rows images x, from hexagons
-    h, and y, from hexagons extend(h, step) (h itself where step is -1).
+def retract_rows(table: np.ndarray, rows: np.ndarray, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """retract per row of local points x in the hexagons table[rows, 0] of
+    an anchor_table, as (col, addr, on_edge, offset): the n x 2 anchor
+    columns, then the rows tbin_pair_distances takes, the deepest anchor's
+    address, whether the point lies on an edge and its offset.
 
-    T_bin is 3-regular, each vertex meeting one edge of each letter, so a
-    vertex near h is a reduced word w of letters from h, and all four
-    anchors are within two letters of h.  An edge count then needs no
-    prefix walk: from h itself to w it is len(w), and from h's neighbour
-    across u it is len(w) - 1 when w starts with u, len(w) + 1 otherwise.
-    The distance is the least of the four anchor sums, added as
-    nearest_anchors adds them, or the offset difference on a shared edge."""
-    (xa, xd), (ya, yd) = x, y
-    s = steps[:, None]
-    # y's anchors as words from h: the step, then the anchor's letter
-    first = np.where(s < 0, ya, np.where(ya == s, -1, s))
-    length = (s >= 0).astype(int) + (ya >= 0) - 2 * ((s >= 0) & (ya == s))
-    edges = length[:, None, :] + (xa[:, :, None] >= 0) * np.where(
-        first[:, None, :] == xa[:, :, None], -1, 1)
-    best = (xd[:, :, None] + yd[:, None, :] + EDGE * edges).min(axis=(1, 2))
-    shared = (xa.max(axis=1) >= 0) & (ya.max(axis=1) >= 0) & (edges[:, 0, 0] == 0) \
-        & (edges[:, 1, 1] == 0)
-    return np.where(shared, np.abs(xd[:, 0] - yd[:, 0]), best)
+    A hexagon enters only through its last letter: the edge across marked
+    side i leads toward the parent exactly when i is that letter;
+    tbin_edge_point then measures the offset from the far end, and an
+    offset rounding to EDGE lands on the vertex.
+    """
+    h = table[:, 0]
+    last = h[np.arange(len(h)), np.maximum((h >= 0).sum(axis=1) - 1, 0)]  # -1 at the root
+    v = -mdot_rows(x, SIDE_NORMAL_ROWS[list(MARKED_SIDES)])
+    sides = np.where(v > 1e-12, _math_rows(math.asinh, v) / S, 0.0)
+    i = sides.argmin(axis=1)  # the first of equals, as in retract
+    d = sides.min(axis=1)
+    f = RHO * (1.0 - 2.0 * d)
+    toward = last[rows] == i
+    off = np.where(toward, EDGE - f, f)
+    edge = (d < 0.5) & (off < EDGE)
+    # the neighbour across i is the parent anchor when the edge leads toward it
+    col = np.where(edge[:, None] & np.stack([toward, ~toward], axis=1), i[:, None] + 1, 0)
+    return col, table[rows, col[:, 1]], edge, np.where(edge, off, 0.0)
 
 
 def embed_tree_point(t: TbinPoint) -> H0Point:

@@ -43,9 +43,12 @@ retraction per point with its gates, the fibers), through arrays of maps.
 Routes through T0.  Block ids are prefix addresses, so the T0 geodesic from
 block a to block o climbs from a to the meet a[:k] (k the common prefix
 length), turns inside the meet from the child a[:k+1] to the child o[:k+1],
-and descends to o.  A block is left or entered upward through its parent
-wall, whose line on the block's side is component 0, and downward through
-the component its child names.  So a route is up(a -> a[:k]), then the turn
+and descends to o.  In the sorted owners of an embedding, k is the least
+common prefix length of neighbours from a to o (_meets), which tc_matrix
+reads for its routes and t0_matrix for the T0 distance len(a) + len(o) - 2k.
+A block is left or entered upward through its parent wall, whose line on
+the block's side is component 0, and downward through the component its
+child names.  So a route is up(a -> a[:k]), then the turn
 line_relation(components[a[k]], components[o[k]]), then down(a[:k] -> o);
 a map over a block outside c is the identity.  The up and down maps are
 cached per (class, block) for every ancestor, so a route costs no wall walk.
@@ -265,6 +268,13 @@ def _owner_pairs(blk: np.ndarray, start: np.ndarray, lo: int, hi: int
     return i, np.arange(len(i)) + np.repeat(start[blk[lo:hi]] - np.cumsum(cnt) + cnt, cnt)
 
 
+def _meets(emb: SampleEmbedding, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The meet depth of owners x[i] (a column) and y[j] (a run from at
+    most x[0] + 1), the least `meet` from x[i] + 1 to y[j] in sorted order;
+    where y[j] <= x[i], a padding column deeper than every owner."""
+    return np.minimum.accumulate(np.where(y > x, emb.meet[y], emb.ids.shape[1] - 1), axis=1)
+
+
 def _row_width(n: int, nb: int) -> int:
     """The row width by which tc_matrix blocks its rows over n points and
     nb owners.  A row's temporaries peak at about 3 n + 32 nb floats (the
@@ -280,7 +290,7 @@ def _row_blocks(n: int, nb: int) -> list[tuple[int, int]]:
     within 1 MB, or within an eighth of the result they sit beside: at
     thousands of owners a block then holds several rows, not one or two,
     and numpy's fixed cost per call is paid per block."""
-    return row_blocks(_row_width(n, nb), 0, n, entries=n * n)
+    return row_blocks(_row_width(n, nb), n, entries=n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +436,11 @@ class TreeSystem:
         normalized first: normalize moves only a point on a side of its
         hexagon, found by its own test |mdot(local, normal)| <= ON_SIDE_TOL
         over all six sides, in rows, so only those points go through it.
-        The retraction and the gates are row forms (hexagon.retract_rows,
-        line_gate_rows and gate_on_line_rows over the addresses of each
-        hexagon's anchor_table), equal to retract and gate_on_line entry
-        for entry; a per-point reference in the tests checks every field.
-        An owner outside the ball raises CoverError."""
+        The retraction, the gates and the same-owner distances are row
+        forms over each hexagon's anchor_table (hexagon.retract_rows,
+        line_gate_rows, gate_on_line_rows and tbin_pair_distances), equal
+        to the scalar forms entry for entry; a per-point reference in the
+        tests checks every field.  An owner outside the ball raises CoverError."""
         pts = list(xs)
         n = len(pts)
         local = np.array([p.base.local for p in pts], dtype=float).reshape(n, 3)
@@ -482,9 +492,7 @@ class TreeSystem:
         hexes: dict[hx.Address, int] = {}
         hrow = np.array([hexes.setdefault(p.base.hex, len(hexes)) for p in pts], dtype=np.intp)
         table = hx.anchor_table(list(hexes))
-        last = np.array([h[-1] if h else -1 for h in hexes], dtype=np.int64)
-        anchors, dist = hx.retract_rows(last[hrow], local)
-        col, on_edge, offset = anchors + 1, anchors[:, 1] != anchors[:, 0], dist[:, 0]
+        col, deep, on_edge, offset = hx.retract_rows(table, hrow, local)
         comps = self.cplx.model.components
         kid_comps = sorted({c for _, c in kids})
         kid_col = np.full(w, -1, dtype=np.intp)
@@ -509,8 +517,7 @@ class TreeSystem:
         kid_gate[slots, kcol] = gates(kcol + 1, slots)
         codes = sorted(codes)
         turns = np.array([IDENTITY, *(self._relation(*divmod(c, w)) for c in codes)], dtype=float)
-        own = hx.tbin_pair_distances(table[hrow, col[:, 1]], on_edge, offset,
-                                     *_owner_pairs(blk, start, 0, n))
+        own = hx.tbin_pair_distances(deep, on_edge, offset, *_owner_pairs(blk, start, 0, n))
         return SampleEmbedding(
             order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
             prefix_class, sigma, gate, kid_col, kid_gate,
@@ -533,13 +540,11 @@ class TreeSystem:
         x0 <= x < x1, and every later owner o = blocks[y], x0 < y, as one
         LineRelation of (x1 - x0) x (owners - x0 - 1) arrays, with the
         kid_gate column of the child component toward o where o lies below
-        a (else -1).  Entries with y <= x are finite and unused.  The owners
-        are sorted, so the meet depth k of a and o is the least of the
-        neighbours' common prefix lengths (`meet`) from a to o; the relation
-        is up[a][k] . turn . down[o][k], with identities composed in."""
+        a (else -1).  Entries with y <= x are finite and unused.  With the
+        meet depth k of a and o, the relation is up[a][k] . turn . down[o][k],
+        identities composed in."""
         x, y = np.arange(x0, x1)[:, None], np.arange(x0 + 1, len(emb.blocks))
-        last = emb.ids.shape[1] - 1  # a padding column: no owner is that deep
-        k = np.minimum.accumulate(np.where(y > x, emb.meet[y], last), axis=1)
+        k = _meets(emb, x, y)
         up, down = emb.depth[x] > k, emb.depth[y] > k
         turn = np.where(up & down & (emb.prefix_class[x, k] == label),
                         emb.ids[x, k] * len(self.cplx.model.components) + emb.ids[y, k], -1)
@@ -548,6 +553,19 @@ class TreeSystem:
             LineRelation(*walks[1][:, y, k]))
         kid = np.where(down & ~up, emb.kid_col[emb.ids[y, emb.depth[x]]], -1)
         return rel, kid
+
+    def t0_matrix(self, emb: SampleEmbedding) -> np.ndarray:
+        """Symmetric matrix of the T0 distances between the points of an
+        embedding, in input order, entry for entry equal to t0_distance of
+        their owners (phi's T0 point is the owner block).  Owners x < y
+        meeting at depth k (_meets) lie depth[x] + depth[y] - 2k apart."""
+        x = np.arange(len(emb.blocks))
+        d = -2 * _meets(emb, x[:, None], x)
+        d += emb.depth[:, None] + emb.depth
+        d *= x[:, None] < x  # the pairs x < y hold their distance, the rest 0
+        d += d.T
+        d, owner = d.astype(float), emb.blk[np.argsort(emb.order)]
+        return d[np.ix_(owner, owner)]
 
     def tc_matrix(self, label: int, emb: SampleEmbedding) -> np.ndarray:
         """Symmetric matrix of the T_c distances between the points of an

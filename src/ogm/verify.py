@@ -233,6 +233,31 @@ def _prepare(spec: GraphManifoldSpec, cfg: RunConfig):
 # chunk, not of the whole sample, bound the sample's memory
 RETRACTION_CHUNK = 1024
 
+# the retraction sample's stand-in hexagons (retracted_tbin_distances), and
+# the rows of h and of extend(h, 0..2) at [row of h] (-1 past depth 3)
+_STAND_INS = hx.hexagons_to_depth(3)
+_STAND_IN_TABLE = hx.anchor_table(_STAND_INS)
+_STAND_IN_ROW = {h: x for x, h in enumerate(_STAND_INS)}
+_STAND_IN_STEP = np.array([[x, *(_STAND_IN_ROW.get(hx.extend(h, s), -1) for s in range(3))]
+                           for x, h in enumerate(_STAND_INS)])
+
+
+def retracted_tbin_distances(hexes: list[hx.Address], letters: np.ndarray,
+                             p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tbin_distance(retract(H0Point(a, p)), retract(H0Point(b, q))) per
+    row, b = extend(a, s) for the row's letter s (a where s is -1), entry
+    for entry.  The geometry reads a hexagon only through its last letter,
+    and that of extend(a, s) depends on a's last two: a backtrack leaves
+    a[-2].  So a[-2:] stands in for a, and extend(a[-2:], s) for b; the
+    tree automorphism that maps a to a[-2:] keeps the letters, and so every
+    edge count.  A one-letter stand-in would read the root's -1 for a[-2]."""
+    rows = np.array([_STAND_IN_ROW[a[-2:]] for a in hexes], dtype=np.intp)
+    m = len(rows)
+    _, *pq = hx.retract_rows(_STAND_IN_TABLE,
+                             np.concatenate([rows, _STAND_IN_STEP[rows, letters + 1]]),
+                             np.concatenate([p, q]))
+    return hx.tbin_pair_distances(*pq, np.arange(m), m + np.arange(m))
+
 
 def measure_retraction_lipschitz(
     model: hx.HexModel, pairs: int = 100_000, seed: int = 1
@@ -247,29 +272,23 @@ def measure_retraction_lipschitz(
     That order of RNG calls is part of the reproducibility contract: every
     lipschitz report quotes this value bit for bit.  So the draws stay a
     scalar loop, which only records each pair.  Every RETRACTION_CHUNK
-    pairs, the reflection, dist_chart, retract and tbin_distance run over
-    the recorded pairs in their row forms (hexagon.reflect_rows and the
-    rest), which equal the scalar forms entry for entry; the hexagons enter
-    them only through their last letters, tabled once per call.
+    pairs, the reflection and dist_chart run over the recorded pairs in
+    their row forms, and the tree distances in retracted_tbin_distances,
+    all equal to the scalar forms entry for entry.
     """
     rng = make_stream(seed, 0)
     nhex = len(model.hexagons)
-    # last letters of each hexagon (column 0) and of its neighbour across
-    # each marked letter (columns 1-3), -1 at the root
-    tails = np.array([[(h[-1] if h else -1) for h in (a, *(hx.extend(a, s) for s in range(3)))]
-                      for a in model.hexagons])
     worst = 0.0
     for start in range(0, pairs, RETRACTION_CHUNK):
         hexes, letters, ps, qs = [], [], [], []
         for i in range(start, min(start + RETRACTION_CHUNK, pairs)):
-            hexes.append(int(rng.integers(0, nhex)))
+            hexes.append(model.hexagons[int(rng.integers(0, nhex))])
             ps.append(model.sample_local(rng))
             letters.append(-1 if i % 2 == 0 else int(rng.integers(0, 3)))
             qs.append(model.sample_local(rng))
-        hexes, letters, p, q = map(np.array, (hexes, letters, ps, qs))
+        letters, p, q = map(np.array, (letters, ps, qs))
         d = hx.dist_chart_rows(p, hx.reflect_rows(letters, q)) / hx.S  # q in p's chart
-        dt = hx.tbin_distance_rows(hx.retract_rows(tails[hexes, 0], p), letters,
-                                   hx.retract_rows(tails[hexes, letters + 1], q))
+        dt = retracted_tbin_distances(hexes, letters, p, q)
         keep = d >= 1e-9
         if keep.any():
             worst = max(worst, float((dt[keep] / d[keep]).max()))
@@ -393,11 +412,7 @@ def _covering(
     pts = cplx.sample_points(cfg.seed, range(cfg.samples))
     n = len(pts)
     emb = ts.embed(pts)  # every class reads this one embedding of the sample
-    # T0 distances by prefix arithmetic on block ids (phi's T0 point is the
-    # owner block), tabled over the owners
-    owner = np.empty(n, dtype=np.intp)
-    owner[emb.order] = emb.blk
-    t0_d = hx.prefix_edges(emb.blocks, emb.blocks).astype(float)[np.ix_(owner, owner)]
+    t0_d = ts.t0_matrix(emb)
     factors = [cvg.tree_covering(t0_d, t0_d[0], scale)]
     factor_checks = [cvg.check_covering(factors[0], t0_d)]
     sum_d = t0_d  # summed in place: the T0 factor is done with it

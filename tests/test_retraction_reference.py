@@ -221,17 +221,16 @@ def test_tbin_distance_and_nearest_anchors_match_reference():
             assert hx.nearest_anchors(x, y) == ref_nearest_anchors(x, y)
 
 
-def tail(address):
-    return address[-1] if address else -1
-
-
 @pytest.mark.parametrize("step", [-1, 0, 1, 2])
 def test_retraction_rows_match_scalar_per_pair(step):
-    """The row forms against the scalar ones, pair for pair: p over every
-    case local and q over every 29th, in every case hexagon a and in q's
-    hexagon b, a itself (step -1) or its neighbour across the step.  The
-    case points reach every retract branch (the test above), and the
-    pairs include shared edges with distinct offsets."""
+    """The sample's row forms against the scalar ones, pair for pair: p
+    over every case local and q over every 29th, in every case hexagon a
+    and in q's hexagon b, a itself (step -1) or its neighbour across the
+    step.  The tree distances go through the sample's own stand-in rows,
+    and the case hexagons include backtracks from depth 2 and 3, which a
+    one-letter stand-in gets wrong.  The case points reach every retract
+    branch (the test above), and the pairs include shared edges with
+    distinct offsets."""
     locs = case_locals()
     qs = locs[::29]
     p = np.repeat(locs, len(qs), axis=0)
@@ -245,8 +244,7 @@ def test_retraction_rows_match_scalar_per_pair(step):
         b = a if step < 0 else hx.extend(a, step)
         xs = [hx.retract(hx.H0Point(a, x)) for x in locs]
         ys = [hx.retract(hx.H0Point(b, y)) for y in qs]
-        got = hx.tbin_distance_rows(hx.retract_rows(np.full(len(p), tail(a)), p), steps,
-                                    hx.retract_rows(np.full(len(q), tail(b)), q))
+        got = vf.retracted_tbin_distances([a] * len(p), steps, p, q)
         assert got.tolist() == [hx.tbin_distance(x, y) for x in xs for y in ys]
         shared += sum(x.child is not None and (x.parent, x.child) == (y.parent, y.child)
                       and x.offset != y.offset for x in xs for y in ys)
@@ -257,14 +255,16 @@ def test_retraction_rows_match_scalar_per_pair(step):
 # the retraction sample
 
 
-@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 6])
 def test_retraction_lipschitz_matches_reference_loop(depth):
     """Depths 1 and 2 flip the edge orientation most often; the pair counts
-    around RETRACTION_CHUNK end a sample mid-chunk and on its boundary."""
+    around RETRACTION_CHUNK end a sample mid-chunk and on its boundary.  At
+    depth 3, seed 8 and 2 pairs, a one-letter stand-in for the sample's
+    hexagons would read 1.3713226214805505, one ulp above the loop's."""
     model = hx.HexModel(depth)
     chunk = vf.RETRACTION_CHUNK
     cases = [(seed, 4000) for seed in (1, 5, 2026)] \
-        + [(3, n) for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)]
+        + [(3, n) for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)] + [(8, 2)]
     for seed, pairs in cases:
         assert vf.measure_retraction_lipschitz(model, pairs=pairs, seed=seed) \
             == ref_retraction_lipschitz(model, pairs, seed)

@@ -966,19 +966,33 @@ def test_array_then_matches_scalar_property():
     law()
 
 
-# -- same-owner tree blocks and prefix arithmetic in numpy --------------------
+# -- T0 matrices and same-owner tree blocks in numpy -------------------------
 
 
-def test_prefix_edges_matches_hex_tree_edges():
-    rng = random.Random(2)
-    hexes = hx.hexagons_to_depth(5)
-    a = [()] + rng.sample(hexes, 30)
-    b = rng.sample(hexes, 25) + [a[3], ()]
-    mat = hx.prefix_edges(a, b)
-    assert mat.shape == (len(a), len(b))
-    for i, x in enumerate(a):
-        assert mat[i].tolist() == [hx.hex_tree_edges(x, y) for y in b]
-    assert hx.prefix_edges([()], [()]).tolist() == [[0]]
+def test_t0_matrix_equals_t0_distance():
+    """t0_matrix against t0_distance of the normalized points' blocks, on
+    every pair and the diagonal, in input order: a sample at t0 2 with
+    every wall component, some of its points moved to the root and to
+    their blocks' parents, and a sample on the deep t0 12 ball.  Together
+    they hold same-owner pairs, ancestor and descendant pairs, and the
+    root."""
+    shallow = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0)
+    moved = shallow.sample_points(5, range(120))
+    moved += [CoverPoint(x.block[:k], x.base, x.fiber) for x in moved[:5] for k in (0, 1)]
+    deep, deep_ts = vf._prepare(shipped("two_vertex_n5"), vf.RunConfig(
+        t0_depth=12, hex_depth=4, fiber_range=3.0, wall_comp_depth=0))
+    kinds = set()
+    for ts, xs in ((tr.TreeSystem(shallow), moved), (deep_ts, deep.sample_points(0, range(400)))):
+        mat = ts.t0_matrix(ts.embed(xs))
+        owners = [ts.cplx.normalize(x).block for x in xs]
+        assert mat.shape == (len(xs), len(xs))
+        for i, a in enumerate(owners):
+            assert mat[i].tolist() == [ts.t0_distance(a, b) for b in owners], i
+            kinds |= {"root"} if a == () else set()
+            kinds |= {"same" if b == a else "ancestor" if b[:len(a)] == a else "descendant"
+                      for b in owners[i + 1:] if b[:len(a)] == a or a[:len(b)] == b}
+        assert ts.t0_matrix(ts.embed([])).shape == (0, 0)
+    assert kinds == {"root", "same", "ancestor", "descendant"}
 
 
 def tbin_rows(points):
