@@ -282,18 +282,14 @@ class CoverComplex:
 
     def _from_words(self, words: np.ndarray) -> tuple[np.ndarray, ...]:
         """sample_point's values from each stream's first raw PCG64 words
-        (one row per stream), by numpy's Generator algorithms: (block
-        index, hexagon index, local point, fibers, settled).
-
-        integers(0, m) is 32-bit Lemire, (w * m) >> 32 on a uint32 w, that
-        rejects w when (w * m) mod 2**32 < 2**32 mod m; PCG64 serves uint32s
-        from the low half of a word, then its high half, and a range of one
-        draws nothing.  So the block index takes the low half of word 0 and
-        the hexagon index the next half.  random() is (w >> 11) * 2**-53:
-        sample_local's attempt a takes words 1 + 2a and 2 + 2a, and the
-        fibers, low + (high - low) * random(), the n - 2 words after the
-        accepted attempt.  A stream is unsettled when a Lemire draw is
-        rejected or every attempt within SAMPLE_ATTEMPTS misses."""
+        (one row per stream), by numpy's Generator algorithms as WordStream
+        describes them: (block index, hexagon index, local point, fibers,
+        settled).  The block index takes the low half of word 0 and the
+        hexagon index the next half; sample_local's attempt a takes words
+        1 + 2a and 2 + 2a, and the fibers, low + (high - low) * random(),
+        the n - 2 words after the accepted attempt.  A stream is unsettled
+        when a Lemire draw is rejected or every attempt within
+        SAMPLE_ATTEMPTS misses."""
         m = len(words)
         settled = np.ones(m, dtype=bool)
         halves = [words[:, 0] & np.uint64(_MASK32), words[:, 0] >> np.uint64(32)]
@@ -303,9 +299,9 @@ class CoverComplex:
                 picks.append(np.zeros(m, dtype=np.int64))
                 continue
             scaled = halves.pop(0) * np.uint64(size)
-            settled &= (scaled & np.uint64(_MASK32)) >= np.uint64(2**32 % size)
+            settled &= (scaled & np.uint64(_MASK32)) >= np.uint64(_SPAN32 % size)
             picks.append((scaled >> np.uint64(32)).astype(np.int64))
-        u = (words[:, 1:] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        u = (words[:, 1:] >> np.uint64(11)) * _UNIT53
         local, took = hx.sample_local_rows(u[:, :2 * SAMPLE_ATTEMPTS])
         settled &= took >= 0
         cols = 2 * (took + 1)[:, None] + np.arange(self.spec.n - 2)  # unsettled: any column
@@ -408,6 +404,63 @@ def make_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
+_MASK32 = 0xFFFFFFFF
+_SPAN32 = 1 << 32
+_UNIT53 = 1.0 / (1 << 53)
+
+# raw words a WordStream takes per random_raw call; it holds one block
+WORD_BLOCK = 1024
+
+
+class WordStream:
+    """The values of Generator.random() and Generator.integers(low, high)
+    on a PCG64, read off its raw 64-bit words, which it takes from
+    random_raw in blocks of WORD_BLOCK.  These are numpy's Generator
+    algorithms, which _from_words lays out as arrays:
+
+    - random() is (w >> 11) * 2**-53 of the next word w;
+    - integers(low, high), for 1 <= m = high - low <= 2**32, is low +
+      ((u * m) >> 32) by 32-bit Lemire on a uint32 u, drawn again while
+      (u * m) mod 2**32 < 2**32 mod m.  PCG64 serves uint32s from the low
+      half of a word, then buffers its high half for the next uint32 draw,
+      across random() calls.  A range of one draws nothing.
+
+    Other ranges raise ValueError: numpy draws them by algorithms this
+    reader does not lay out."""
+
+    def __init__(self, bitgen: np.random.PCG64):
+        self._raw = bitgen.random_raw
+        self._words = iter(())
+        self._half = None  # the buffered high half of the last uint32 draw's word
+
+    def _refill(self) -> int:
+        """The first word of a new block."""
+        self._words = iter(self._raw(WORD_BLOCK).tolist())
+        return next(self._words)
+
+    def random(self) -> float:
+        w = next(self._words, None)
+        return ((self._refill() if w is None else w) >> 11) * _UNIT53
+
+    def integers(self, low: int, high: int) -> int:
+        m = high - low
+        if not 1 <= m <= _SPAN32:
+            raise ValueError(f"integers({low}, {high}): the range must hold 1 to 2**32 values")
+        if m == 1:
+            return low
+        while True:
+            if self._half is None:
+                w = next(self._words, None)
+                if w is None:
+                    w = self._refill()
+                u, self._half = w & _MASK32, w >> 32
+            else:
+                u, self._half = self._half, None
+            scaled = u * m
+            if (scaled & _MASK32) >= _SPAN32 % m:
+                return low + (scaled >> 32)
+
+
 # numpy's SeedSequence pool hash and PCG64's setseq seeding, whose output
 # numpy keeps fixed across versions (NEP 19).  The hash constants are Python
 # ints masked to 32 bits: numpy scalar arithmetic would warn on overflow,
@@ -416,7 +469,6 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 

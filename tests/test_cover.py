@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -242,6 +243,64 @@ def test_sample_words_reject_as_lemire_does(flip_cx):
     words = np.zeros((4, 1 + 2 * cover.SAMPLE_ATTEMPTS + 1), dtype=np.uint64)
     words[:, 0] = [0, 1, 1 << 32, 1 | 1 << 32]
     assert flip_cx._from_words(words)[-1].tolist() == [False, False, False, True]
+
+
+# WordStream against the Generator it reads: 2**31 + 1 rejects about half
+# its uint32s, 2**32 takes them whole, and a range of one draws nothing
+WORD_RANGES = (1, 2, 3, 46, 766, 2**31 + 1, 2**32 - 5, 2**32)
+
+
+def word_stream_draws(seed, ops):
+    """(Generator values, WordStream values) of make_stream(seed, 0) for
+    ops, each None for random() or (low, m) for integers(low, low + m)."""
+    gen = cover.make_stream(seed, 0)
+    words = cover.WordStream(cover.make_stream(seed, 0).bit_generator)
+    want, got = [], []
+    for op in ops:
+        if op is None:
+            want.append(gen.random())
+            got.append(words.random())
+        else:
+            low, m = op
+            want.append(int(gen.integers(low, low + m)))
+            got.append(words.integers(low, low + m))
+    return want, got
+
+
+@pytest.mark.parametrize("block", [3, cover.WORD_BLOCK])  # 3: blocks end inside the sequences
+def test_word_stream_matches_generator(monkeypatch, block):
+    monkeypatch.setattr(cover, "WORD_BLOCK", block)
+    pick = random.Random(block)
+    for seed in (0, 1, 2027):
+        ops = [None if pick.random() < 0.4 else (pick.randrange(-3, 4), pick.choice(WORD_RANGES))
+               for _ in range(20_000)]
+        want, got = word_stream_draws(seed, ops)
+        assert got == want
+
+
+def test_word_stream_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ops = st.lists(st.one_of(st.none(), st.tuples(st.integers(-2**40, 2**40),
+                                                  st.sampled_from(WORD_RANGES) | st.integers(1, 2**32))),
+                   max_size=60)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(seed=st.integers(0, 2**64), ops=ops, block=st.integers(1, 8))
+    def check(seed, ops, block):
+        monkeypatch.setattr(cover, "WORD_BLOCK", block)
+        want, got = word_stream_draws(seed, ops)
+        assert got == want
+
+    check()
+
+
+def test_word_stream_ranges():
+    words = cover.WordStream(cover.make_stream(0, 0).bit_generator)
+    for low, high in ((0, 2**32 + 1), (-5, 2**40), (5, 5), (5, 4)):
+        with pytest.raises(ValueError):
+            words.integers(low, high)
+    assert words.integers(7, 8) == 7
 
 
 def test_sample_points_index_range(flip_cx):

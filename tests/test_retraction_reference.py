@@ -109,7 +109,7 @@ def ref_retraction_lipschitz(model, pairs, seed):
             q = hx.H0Point(hx.extend(a, letter), ref_sample_local(rng))
             q_local = hx.mat_vec(hx.REFLECTIONS[letter], q.local)
         d = hx.dist_chart(p.local, q_local) / hx.S
-        if d < 1e-9:
+        if d < vf.RETRACTION_MIN_SEPARATION:
             continue
         dt = ref_tbin_distance(ref_retract(p), ref_retract(q))
         worst = max(worst, dt / d)
@@ -244,7 +244,7 @@ def test_retraction_rows_match_scalar_per_pair(step):
         b = a if step < 0 else hx.extend(a, step)
         xs = [hx.retract(hx.H0Point(a, x)) for x in locs]
         ys = [hx.retract(hx.H0Point(b, y)) for y in qs]
-        got = vf.retracted_tbin_distances([a] * len(p), steps, p, q)
+        got = vf.retracted_tbin_distances(np.repeat(vf.stand_in_rows([a]), len(p)), steps, p, q)
         assert got.tolist() == [hx.tbin_distance(x, y) for x in xs for y in ys]
         shared += sum(x.child is not None and (x.parent, x.child) == (y.parent, y.child)
                       and x.offset != y.offset for x in xs for y in ys)
@@ -253,6 +253,27 @@ def test_retraction_rows_match_scalar_per_pair(step):
 
 # ---------------------------------------------------------------------------
 # the retraction sample
+
+
+def test_retraction_separation_floor_bounds_rounding():
+    """Pairs on the inward normal from marked side 0's midpoint, where the
+    retraction stretches by exactly 2*rho, at 400 arclengths in [0.01, 0.4]
+    and separations from 1e-9 to 1e-4.  Rounding lifts the ratio above
+    2*rho + 1e-9, the lipschitz check's slack, at pairs the old floor of
+    1e-9 admitted; past RETRACTION_MIN_SEPARATION it stays within 1e-10."""
+    arcs = np.linspace(0.01, 0.4, 400)
+    p = np.array([off_side(0, 0.5, t * hx.S) for t in arcs])
+    rows, same = np.repeat(vf.stand_in_rows([()]), len(p)), np.full(len(p), -1)
+    d, ratio = [], []
+    for sep in (1e-9, 1e-7, 1e-6, 1e-5, 2e-5, 1e-4):
+        q = np.array([off_side(0, 0.5, (t + sep) * hx.S) for t in arcs])
+        dist = hx.dist_chart_rows(p, q) / hx.S
+        d.extend(dist)
+        ratio.extend(vf.retracted_tbin_distances(rows, same, p, q) / dist)
+    d, excess = np.array(d), np.array(ratio) - hx.EDGE
+    assert excess[d >= 1e-9].max() > 1e-9
+    kept = d >= vf.RETRACTION_MIN_SEPARATION
+    assert kept.sum() > 1000 and excess[kept].max() <= 1e-10
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 6])
