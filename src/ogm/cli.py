@@ -137,7 +137,7 @@ def cmd_curve(args) -> int:
         return 1
     e = ts.product_distance(ts.phi(x), ts.phi(y))
     doc = {
-        "length": cv.curve_length(cplx, path)[0],
+        "length": cv.curve_length(path)[0],
         "bound": cv.curve_bound(e),
         "embedded_distance": e,
         "segments": [

@@ -312,13 +312,7 @@ class CoverComplex:
     def contains(self, p: CoverPoint) -> bool:
         if not self.in_ball(p.block) or len(p.fiber) != self.spec.n - 2:
             return False
-        if not all(math.isfinite(f) for f in p.fiber):
-            return False
-        try:
-            self.model.check_point(p.base)
-        except (hx.TruncationError, ValueError):
-            return False
-        return True
+        return all(math.isfinite(f) for f in p.fiber) and self.model.contains(p.base)
 
     # -- serialization --------------------------------------------------------
 

@@ -162,7 +162,7 @@ def pullback_check(
     embedded_dmat: np.ndarray,
     cover_distances: Callable[[list[tuple[int, int]]], list[float]],
     qi_constant: float,
-    binding_pairs: int = 120,
+    binding_pairs: int,
 ) -> CoveringCheck:
     """Verify the QI-transferred covering constants on sampled cover points.
 

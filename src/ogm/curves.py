@@ -37,15 +37,15 @@ class PathSegment:
 # A lift runs through hexagon centres and tree-edge midpoints, and about
 # three in ten of a curve's steps join a centre to a midpoint of the same
 # hexagon at equal fibers.  This is block_distance of those inputs, by their
-# local points, computed once by block_distance itself, which reads no
-# complex (equal fibers add a zero)
+# local points, computed once by block_distance itself (equal fibers add a
+# zero)
 _CENTER_MIDPOINT = {
-    pair: block_distance(None, *(CoverPoint((), hx.H0Point((), x), (0.0,)) for x in pair))
+    pair: block_distance(*(CoverPoint((), hx.H0Point((), x), (0.0,)) for x in pair))
     for mid in (hx.embed_tree_point(hx.tbin_edge_point((), (s,), hx.RHO)).local for s in range(3))
     for pair in ((hx.CENTER, mid), (mid, hx.CENTER))}
 
 
-def curve_length(cplx: CoverComplex, path: tuple[PathSegment, ...]) -> tuple[float, float]:
+def curve_length(path: tuple[PathSegment, ...]) -> tuple[float, float]:
     """The sum of the block distances between consecutive points of each
     segment, and the longest hop (0.0 when there is none)."""
     total = longest = 0.0
@@ -55,7 +55,7 @@ def curve_length(cplx: CoverComplex, path: tuple[PathSegment, ...]) -> tuple[flo
             d = _CENTER_MIDPOINT.get((p.base.local, q.base.local)) if (
                 lift and p.base.hex == q.base.hex and p.fiber == q.fiber) else None
             if d is None:
-                d = block_distance(cplx, p, q)
+                d = block_distance(p, q)
             total += d
             if seg.role == "hop":
                 longest = max(longest, d)

@@ -67,7 +67,7 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def block_distance(cplx: CoverComplex, p: CoverPoint, q: CoverPoint) -> float:
+def block_distance(p: CoverPoint, q: CoverPoint) -> float:
     """Product distance inside one block."""
     if p.block != q.block:
         raise CoverError("block_distance requires points of one block")
@@ -457,7 +457,7 @@ def distances(
         chain = _chain_vars(cplx, x, y)
         if not chain:
             results[k] = GeodesicResult(
-                block_distance(cplx, x, y), [], [], [], False, 0, 0.0, (x, y))
+                block_distance(x, y), [], [], [], False, 0, 0.0, (x, y))
             continue
         bounds = [b for wv in chain for b in wv.bounds]
         problems.append((_segments(cplx.model, chain, x, y), bounds,
@@ -518,7 +518,7 @@ def brute_force_distance(
     if len(chain) > 2:
         raise CoverError("brute-force oracle only handles chains of <= 2 walls")
     if not chain:
-        return block_distance(cplx, x, y)
+        return block_distance(x, y)
     model = cplx.model
 
     def profile(comp: hx.ComponentId, base: hx.H0Point, grid: np.ndarray) -> np.ndarray:

@@ -271,37 +271,26 @@ def hex_tree_edges(a: Address, b: Address) -> int:
     return len(a) + len(b) - 2 * lcp_len(a, b)
 
 
+def _anchors(t: TbinPoint) -> tuple[tuple[Address, float], ...]:
+    """A point's anchors with its distance to each: the vertex it is, at 0,
+    or both ends of its edge, the parent at `offset` and the child at
+    EDGE - offset."""
+    if t.child is None:
+        return ((t.parent, 0.0),)
+    return ((t.parent, t.offset), (t.child, EDGE - t.offset))
+
+
 def nearest_anchors(x: TbinPoint, y: TbinPoint) -> tuple[float, Address, Address]:
     """(length, va, vb) of the shortest route from x out through anchor va
-    and into y through anchor vb; the first minimal pair wins ties.  The
-    length adds da + db first, so it is symmetric in x and y bit for bit.
-
-    A point's anchors are the vertex it is, at distance 0, or both ends of
-    its edge: the parent at `offset`, the child at EDGE - offset.  Anchor
-    pairs go parent before child.  Only the
-    parents' edge count takes a prefix walk: a child c of parent p is one
-    edge nearer than p to the vertices below c, one edge farther from all
-    others."""
-    xp, xc, yp, yc = x.parent, x.child, y.parent, y.child
-    dx = 0.0 if xc is None else x.offset
-    dy = 0.0 if yc is None else y.offset
-    e = hex_tree_edges(xp, yp)
-    best = (dx + dy + EDGE * e, xp, yp)
-    if yc is not None:
-        e_pc = e - 1 if xp[:len(yc)] == yc else e + 1
-        tot = dx + (EDGE - dy) + EDGE * e_pc
-        if tot < best[0]:
-            best = (tot, xp, yc)
-    if xc is not None:
-        e = e - 1 if yp[:len(xc)] == xc else e + 1  # xc to yp
-        tot = (EDGE - dx) + dy + EDGE * e
-        if tot < best[0]:
-            best = (tot, xc, yp)
-        if yc is not None:
-            e = e - 1 if xc[:len(yc)] == yc else e + 1  # xc to yc
-            tot = (EDGE - dx) + (EDGE - dy) + EDGE * e
-            if tot < best[0]:
-                best = (tot, xc, yc)
+    and into y through anchor vb; anchor pairs go parent before child, and
+    the first minimal pair wins ties.  The length adds da + db first, so it
+    is symmetric in x and y bit for bit."""
+    best = None
+    for va, da in _anchors(x):
+        for vb, db in _anchors(y):
+            tot = da + db + EDGE * hex_tree_edges(va, vb)
+            if best is None or tot < best[0]:
+                best = (tot, va, vb)
     return best
 
 
@@ -358,24 +347,18 @@ def tbin_path_vertices(a: Address, b: Address) -> list[Address]:
 # retraction onto the embedded tree
 
 
-(_M0, _M1, _M2), (_M3, _M4, _M5), (_M6, _M7, _M8) = (
-    SIDE_NORMALS[s] for s in MARKED_SIDES)
-
-
 def _side_distances(x: Vec) -> tuple[float, float, float]:
     """Distances (unit-side metric) from the local point x to the three
     marked sides of its hexagon.  Inside the hexagon the nearest point of
     each carrying geodesic lies on the side itself, so line distance equals
     side distance."""
-    x0, x1, x2 = x
-    # -<x, n> per marked side; chart roundoff below 1e-12 snaps to the side
-    # itself, so that on-side points give exactly 0 from both adjacent hexagons
-    v0 = -(-x0 * _M0 + x1 * _M1 + x2 * _M2)
-    v1 = -(-x0 * _M3 + x1 * _M4 + x2 * _M5)
-    v2 = -(-x0 * _M6 + x1 * _M7 + x2 * _M8)
-    return (math.asinh(v0) / S if v0 > 1e-12 else 0.0,
-            math.asinh(v1) / S if v1 > 1e-12 else 0.0,
-            math.asinh(v2) / S if v2 > 1e-12 else 0.0)
+    out = []
+    for side in MARKED_SIDES:
+        # chart roundoff below 1e-12 snaps to the side itself, so that
+        # on-side points give exactly 0 from both adjacent hexagons
+        v = -mdot(x, SIDE_NORMALS[side])
+        out.append(math.asinh(v) / S if v > 1e-12 else 0.0)
+    return tuple(out)
 
 
 def retract(p: H0Point) -> TbinPoint:
@@ -386,12 +369,9 @@ def retract(p: H0Point) -> TbinPoint:
     one side has d < 1/2 and the clamp makes argmin ties harmless (both
     branches hit the vertex).
     """
-    d0, d1, d2 = _side_distances(p.local)
-    i, d = 0, d0
-    if d1 < d:
-        i, d = 1, d1
-    if d2 < d:
-        i, d = 2, d2
+    sides = _side_distances(p.local)
+    d = min(sides)
+    i = sides.index(d)  # the first of equals
     # 1 - 2d > 0 exactly when d < 1/2; otherwise f == 0, the vertex
     if d < 0.5:
         return tbin_edge_point(p.hex, extend(p.hex, i), RHO * (1.0 - 2.0 * d))
@@ -702,7 +682,7 @@ class HexModel:
     canonical boundary-component table, and sampling support.  Immutable
     after construction; all queries are pure."""
 
-    def __init__(self, depth: int = 6):
+    def __init__(self, depth: int):
         if depth < 1:
             raise ValueError("hexagon depth must be >= 1")
         self.depth = depth
@@ -717,14 +697,10 @@ class HexModel:
         self.component_index = {c: i for i, c in enumerate(self.components)}
         self._frames: dict[ComponentId, tuple[Vec, Vec]] = {}
 
-    def check_address(self, address: Address) -> None:
-        if address not in self._hexset:
-            raise TruncationError(f"hexagon {address} beyond depth {self.depth}")
-
-    def check_point(self, p: H0Point) -> None:
-        self.check_address(p.hex)
-        if not contains_local(p.local):
-            raise ValueError("local coordinates outside the hexagon")
+    def contains(self, p: H0Point) -> bool:
+        """Whether p's hexagon lies within the depth and its local point
+        within that hexagon, to contains_local's 1e-9."""
+        return p.hex in self._hexset and contains_local(p.local)
 
     def arclength_window(self, comp: ComponentId) -> tuple[float, float]:
         """Geometric arclength range of a component inside the truncation."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -189,51 +188,41 @@ def class_label(sigma: Permutation) -> int:
 class IrreducibilityReport:
     irreducible: bool
     covered: tuple[int, ...]
-    witnesses: dict[int, tuple[str, ...]]
     reason: str
 
 
-def check_irreducible(
-    spec: GraphManifoldSpec, depth: int, root: Optional[str] = None
-) -> IrreducibilityReport:
+def check_irreducible(spec: GraphManifoldSpec, depth: int) -> IrreducibilityReport:
     """True iff the base coordinate reaches every index within the explored
     ball; reported as inconclusive-at-depth (never true) otherwise.
 
-    Explores (g_vertex, composed permutation) states breadth-first with
-    deduplication, so deep balls stay cheap.
+    Explores (g_vertex, composed permutation) states breadth-first from the
+    root vertex with deduplication, so deep balls stay cheap.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    root_v = spec.root_vertex() if root is None else root
     width = spec.n - 1
-    start = (root_v, Permutation.identity(width))
+    start = (spec.root_vertex(), Permutation.identity(width))
     seen = {(start[0], start[1].images)}
-    witnesses: dict[int, tuple[str, ...]] = {0: ()}
-    frontier: list[tuple[str, Permutation, tuple[str, ...]]] = [
-        (root_v, start[1], ())
-    ]
+    frontier = [start]
+    covered = {0}
     for _ in range(depth):
         nxt = []
-        for gv, sigma, path in frontier:
+        for gv, sigma in frontier:
             for e in spec.boundary(gv):
                 sig2 = e.perm.after(sigma)
                 key = (e.to, sig2.images)
                 if key in seen:
                     continue
                 seen.add(key)
-                p2 = path + (e.id,)
-                label = class_label(sig2)
-                if label not in witnesses:
-                    witnesses[label] = p2
-                nxt.append((e.to, sig2, p2))
+                covered.add(class_label(sig2))
+                nxt.append((e.to, sig2))
         frontier = nxt
-    covered = tuple(sorted(witnesses))
-    if len(witnesses) == width:
-        return IrreducibilityReport(True, covered, witnesses, "all coordinates reached")
-    missing = sorted(set(range(width)) - set(witnesses))
+    labels = tuple(sorted(covered))
+    if len(labels) == width:
+        return IrreducibilityReport(True, labels, "all coordinates reached")
+    missing = sorted(set(range(width)) - covered)
     return IrreducibilityReport(
         False,
-        covered,
-        witnesses,
+        labels,
         f"coordinates {missing} not reached within depth {depth} (inconclusive)",
     )

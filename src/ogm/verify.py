@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -173,7 +173,7 @@ def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResu
     rec["y"] = cplx.format_point(y)
     try:
         path = cv.build_special_curve(cplx, ts, xn, yn, normalized=True)
-        rec["curve_length"], rec["curve_hop_max"] = cv.curve_length(cplx, path)
+        rec["curve_length"], rec["curve_hop_max"] = cv.curve_length(path)
     except cv.CurveTruncationError:
         rec["curve_length"] = None
     return rec
@@ -232,6 +232,8 @@ def _prepare(spec: GraphManifoldSpec, cfg: RunConfig):
 # pairs drawn before the geometry runs over them as arrays: the arrays of a
 # chunk, not of the whole sample, bound the sample's memory
 RETRACTION_CHUNK = 1024
+# pairs in the lipschitz report's retraction sample
+RETRACTION_PAIRS = 20_000
 
 # the retraction sample's stand-in hexagons (retracted_tbin_distances), and
 # the rows of h and of extend(h, 0..2) at [row of h] (-1 past depth 3)
@@ -267,9 +269,7 @@ def retracted_tbin_distances(rows: np.ndarray, letters: np.ndarray,
     return hx.tbin_pair_distances(*pq, np.arange(m), m + np.arange(m))
 
 
-def measure_retraction_lipschitz(
-    model: hx.HexModel, pairs: int = 100_000, seed: int = 1
-) -> float:
+def measure_retraction_lipschitz(model: hx.HexModel, pairs: int, seed: int) -> float:
     """Sampled Lipschitz constant of the retraction over same-hexagon and
     adjacent-hexagon pairs.  Distances are taken in the first point's chart,
     where its neighbour across marked side i is the reflection in that side,
@@ -387,7 +387,7 @@ def verify_lipschitz(
     names = (*(f"class_{lab}_2delta" for lab in range(spec.n - 1)),
              "phi0_plus_one", "retraction_2delta", "retraction_2rho")
     rep = _report("lipschitz", spec, cfg, records, names, _untruncated, checks)
-    lip = measure_retraction_lipschitz(hx.HexModel(cfg.hex_depth), pairs=20_000, seed=cfg.seed + 1)
+    lip = measure_retraction_lipschitz(hx.HexModel(cfg.hex_depth), RETRACTION_PAIRS, cfg.seed + 1)
     rep.retraction_lipschitz = lip
     rep.retraction_lipschitz_exact = hx.EDGE
     rep.inequalities["retraction_2delta"].update(lip - 2.0 * hx.DELTA, {"measured": lip})
@@ -415,7 +415,7 @@ def verify_curves(
 
 
 def covering_report(
-    spec: GraphManifoldSpec, cfg: RunConfig, scale: float, binding_pairs: int = 60
+    spec: GraphManifoldSpec, cfg: RunConfig, scale: float, binding_pairs: int
 ) -> dict:
     """Tree coverings on the embedded factors, their product, and the
     pullback check with QI-transferred constants."""
@@ -459,16 +459,10 @@ def _covering(
     ok = all(c.ok for c in factor_checks) and prod_check.ok and pull.ok
 
     def chk_doc(c: cvg.CoveringCheck) -> dict:
-        return {
-            "ok": c.ok,
-            "min_same_color_separation": None
-            if c.min_same_color_separation == float("inf")
-            else c.min_same_color_separation,
-            "max_piece_diameter": c.max_piece_diameter,
-            "required_separation": c.required_separation,
-            "allowed_diameter": c.allowed_diameter,
-            "checked_pairs": c.checked_pairs,
-        }
+        doc = asdict(c)
+        if doc["min_same_color_separation"] == float("inf"):  # no same-color pair
+            doc["min_same_color_separation"] = None
+        return doc
 
     return {
         "verdict": "PASS" if ok else "FAIL",

@@ -1,12 +1,15 @@
 """Shared test helpers: the shipped specs, read from specs/*.json, the
-reference gluing permutation of an edge path, and child-side wall points."""
+reference gluing permutation of an edge path, child-side wall points, and
+local points just outside a hexagon."""
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Optional
 
+from ogm import hexagon as hx
 from ogm.cover import CoverPoint
 from ogm.manifold import GraphManifoldSpec, Permutation, SpecError
 
@@ -40,6 +43,13 @@ def child_wall_point(cx, w, coords) -> CoverPoint:
         child[perm(i)] = c
     base = cx.model.boundary_point(cx.model.components[0], child[0])
     return CoverPoint(w.child, base, tuple(child[1:]))
+
+
+def off_marked_side(letter: int, t: float) -> hx.Vec:
+    """The midpoint of marked side `letter` moved t outward along its
+    normal: <x, n> = sinh(t)."""
+    x, n = hx.MIDPOINTS[2 * letter], hx.SIDE_NORMALS[2 * letter]
+    return tuple(math.cosh(t) * x[k] + math.sinh(t) * n[k] for k in range(3))
 
 
 def counting(calls, name: str, fn):

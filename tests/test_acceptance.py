@@ -337,6 +337,21 @@ def test_criterion_09_coverings():
     report(9, "coverings", f"trees at R=4,16,64 plus product/pullback at R=16, {dt:.0f}s")
 
 
+# pinned: a refactor of the records keeps them byte for byte
+RECORD_DIGESTS = {
+    "flip_n3": "0f38a341deea1ed614c0cbae2aecb9dd56223530206d86a20d6418c1ffe85230",
+    "cycle_n4": "f1ad3e8f933399b9f43a6ba383ee59a9a07ae6c7389deaa6a321eff4d71990b5",
+    "two_vertex_n5": "42bde150d6efab9b7ec4c28c1c8e115d31ed859bc8ab8aa344fa97c28df7431f",
+}
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_records_pinned(name):
+    records = vf.collect_records(shipped(name), vf.RunConfig(samples=24, seed=2026, workers=1))
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() \
+        == RECORD_DIGESTS[name]
+
+
 def test_criterion_10_determinism():
     spec = shipped("flip_n3")
     cfg1 = vf.RunConfig(

@@ -243,7 +243,7 @@ def test_curve_cli_segments(spec_file, capsys):
     out = strict_json(capsys.readouterr().out)
     ts = tr.TreeSystem(cx)
     path = cv.build_special_curve(cx, ts, x, y)
-    assert out["length"] == cv.curve_length(cx, path)[0]
+    assert out["length"] == cv.curve_length(path)[0]
     assert out["bound"] == cv.curve_bound(out["embedded_distance"])
     assert len(out["segments"]) == len(path) == 12
     for seg, s in zip(out["segments"], path):

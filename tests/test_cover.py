@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ball_ids, child_wall_point, counting, path_permutation, shipped, shipped_doc
+from conftest import (
+    ball_ids, child_wall_point, counting, off_marked_side, path_permutation, shipped, shipped_doc,
+)
 from ogm import cover
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -360,6 +362,20 @@ def test_depth_validation():
     for fiber_range in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="fiber_range"):
             cover.explore(shipped("flip_n3"), 1, 2, fiber_range=fiber_range)
+
+
+@pytest.mark.parametrize("hexagon, local", [
+    ((0, 1, 0), hx.CENTER),  # beyond the hexagon depth
+    ((0, 0), hx.CENTER),  # not a reduced address
+    ((3,), hx.CENTER),  # not a letter
+    ((1,), off_marked_side(0, 1e-8)),  # more than 1e-9 outside a side
+])
+def test_base_outside_model_outside_complex(flip_cx, hexagon, local):
+    p = flip_cx.sample_point(cover.make_stream(5, 0))
+    bad = cover.CoverPoint(p.block, hx.H0Point(hexagon, local), p.fiber)
+    assert not flip_cx.contains(bad)
+    with pytest.raises(cover.CoverError, match="outside"):
+        flip_cx.parse_point(flip_cx.format_point(bad))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

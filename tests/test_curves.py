@@ -51,8 +51,8 @@ def test_same_block_single_geodesic(cx, ts):
     path = cv.build_special_curve(cx, ts, x, y)
     assert len(path) == 1
     assert path[0].role == "base"
-    assert cv.curve_length(cx, path) == (
-        geo.block_distance(cx, cx.normalize(x), cx.normalize(y)), 0.0)
+    assert cv.curve_length(path) == (
+        geo.block_distance(cx.normalize(x), cx.normalize(y)), 0.0)
 
 
 def test_endpoints_exact(cx, ts):
@@ -86,7 +86,7 @@ def test_hops_within_delta(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 300, 40):
         for s in path:
             if s.role == "hop":
-                d = geo.block_distance(cx, s.points[0], s.points[1])
+                d = geo.block_distance(s.points[0], s.points[1])
                 assert d <= hx.DELTA + 1e-9
 
 
@@ -103,7 +103,7 @@ def test_step_decrease(cx, ts):
 
 def test_witness_dominates_distance(cx, ts):
     for x, y, path in usable_pairs(cx, ts, 500, 30):
-        L, _ = cv.curve_length(cx, path)
+        L, _ = cv.curve_length(path)
         res = geo.distance(cx, x, y, tol=1e-6)
         assert res.distance <= L + 1e-9
 
@@ -111,7 +111,7 @@ def test_witness_dominates_distance(cx, ts):
 def test_length_bound(cx, ts):
     eps = 10 * 1e-6
     for x, y, path in usable_pairs(cx, ts, 600, 60):
-        L, _ = cv.curve_length(cx, path)
+        L, _ = cv.curve_length(path)
         e = ts.product_distance(ts.phi(x), ts.phi(y))
         assert cv.curve_bound(e) == (2 * hx.DELTA + 1) * e + 2 * hx.DELTA
         assert L <= cv.curve_bound(e) + eps
@@ -119,11 +119,11 @@ def test_length_bound(cx, ts):
 
 def test_curve_length_additive(cx, ts):
     x, y, path = next(iter(usable_pairs(cx, ts, 700, 1)))
-    total, longest = cv.curve_length(cx, path)
-    parts = [cv.curve_length(cx, (s,)) for s in path]
+    total, longest = cv.curve_length(path)
+    parts = [cv.curve_length((s,)) for s in path]
     assert abs(total - sum(length for length, _ in parts)) < 1e-12
     assert longest == max(hop for _, hop in parts) > 0.0
-    assert cv.curve_length(cx, ()) == (0.0, 0.0)
+    assert cv.curve_length(()) == (0.0, 0.0)
 
 
 def test_curve_length_sums_block_distances(cx, ts):
@@ -134,11 +134,11 @@ def test_curve_length_sums_block_distances(cx, ts):
         total = longest = 0.0
         for s in path:
             for p, q in zip(s.points, s.points[1:]):
-                d = geo.block_distance(cx, p, q)
+                d = geo.block_distance(p, q)
                 total += d
                 longest = max(longest, d) if s.role == "hop" else longest
                 tabled += s.role == "lift" and (p.base.local, q.base.local) in cv._CENTER_MIDPOINT
-        assert cv.curve_length(cx, path) == (total, longest)
+        assert cv.curve_length(path) == (total, longest)
     assert tabled > 20
 
 

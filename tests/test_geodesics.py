@@ -33,30 +33,30 @@ def test_block_distance_pythagoras(cx):
     base = hx.H0Point((), hx.CENTER)
     p = CoverPoint((), base, (0.0,))
     q = CoverPoint((), base, (4.0,))
-    assert geo.block_distance(cx, p, q) == 4.0
+    assert geo.block_distance(p, q) == 4.0
     # base delta 3, fiber delta 4 -> 5
     comp = cx.model.components[0]
     b1 = cx.model.boundary_point(comp, 0.0)
     b2 = cx.model.boundary_point(comp, 3.0)
     p = CoverPoint((), b1, (1.0,))
     q = CoverPoint((), b2, (5.0,))
-    assert abs(geo.block_distance(cx, p, q) - 5.0) < 1e-9
+    assert abs(geo.block_distance(p, q) - 5.0) < 1e-9
     r = CoverPoint((), b2, (1.0,))
-    assert abs(geo.block_distance(cx, p, r) - 3.0) < 1e-9
+    assert abs(geo.block_distance(p, r) - 3.0) < 1e-9
 
 
-def test_block_distance_requires_same_block(cx):
+def test_block_distance_requires_same_block():
     p = CoverPoint((), hx.H0Point((), hx.CENTER), (0.0,))
     q = CoverPoint((1,), hx.H0Point((), hx.CENTER), (0.0,))
     with pytest.raises(cover.CoverError):
-        geo.block_distance(cx, p, q)
+        geo.block_distance(p, q)
 
 
 def test_same_block_distance(cx):
     x = sample_in_block(cx, (), 0)
     y = sample_in_block(cx, (), 1)
     res = geo.distance(cx, x, y)
-    assert res.distance == geo.block_distance(cx, x, y)
+    assert res.distance == geo.block_distance(x, y)
     assert res.walls == []
 
 

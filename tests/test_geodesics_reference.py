@@ -156,7 +156,7 @@ def ref_distance(
     walls, upward = [wv.wall for wv in chain], [wv.upward for wv in chain]
     if not chain:
         return geo.GeodesicResult(
-            geo.block_distance(cplx, x, y), [], [], [], False, 0, 0.0, (x, y))
+            geo.block_distance(x, y), [], [], [], False, 0, 0.0, (x, y))
 
     bounds = [b for wv in chain for b in wv.bounds]
     z, value, sweeps, residual = ref_projected_newton(

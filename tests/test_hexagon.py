@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import off_marked_side
 from ogm import hexagon as hx
 from ogm import trees as tr
 
@@ -308,9 +309,19 @@ def test_truncation_errors():
     comp = hx.component_of((), 1)
     with pytest.raises(hx.TruncationError):
         hx.boundary_point(comp, 7.2, depth=4)
+
+
+def test_model_contains():
     model = hx.HexModel(2)
-    with pytest.raises(hx.TruncationError):
-        model.check_address((0, 1, 0))
+    for addr in model.hexagons:
+        assert model.contains(hx.H0Point(addr, hx.CENTER))
+    # beyond the depth, not reduced, not a letter
+    for addr in ((0, 1, 0), (0, 0), (3,)):
+        assert not model.contains(hx.H0Point(addr, hx.CENTER))
+    # a side's 1e-9 tolerance, on each marked side
+    for letter in range(3):
+        assert model.contains(hx.H0Point((1,), off_marked_side(letter, 5e-10)))
+        assert not model.contains(hx.H0Point((1,), off_marked_side(letter, 2e-9)))
 
 
 def test_embedded_half_edge_short():

@@ -202,21 +202,23 @@ def test_irreducible_cycle_depth2():
 def test_reducible_detected():
     rep = check_irreducible(shipped("reducible_n4"), 10)
     assert not rep.irreducible
-    assert 2 not in rep.witnesses
-    assert "2" in rep.reason
+    assert rep.covered == (0, 1)
+    assert rep.reason == "coordinates [2] not reached within depth 10 (inconclusive)"
 
 
 def test_inconclusive_is_false():
     # depth 1 reaches labels {0, 1, 3} only; must report false, never true
     rep = check_irreducible(shipped("two_vertex_n5"), 1)
     assert not rep.irreducible
-    assert "inconclusive" in rep.reason
+    assert rep.covered == (0, 1, 3)
+    assert rep.reason == "coordinates [2] not reached within depth 1 (inconclusive)"
 
 
 def test_two_vertex_n5_irreducible_depth3():
     rep = check_irreducible(shipped("two_vertex_n5"), 3)
     assert rep.irreducible
     assert rep.covered == (0, 1, 2, 3)
+    assert rep.reason == "all coordinates reached"
 
 
 def test_digest_stable():
