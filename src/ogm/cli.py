@@ -22,6 +22,9 @@ from .cover import CoverComplex, CoverError, explore
 from .manifold import GraphManifoldSpec, validate
 from .verify import covering_report
 
+# the pullback's binding pairs per side, for `covering` and `report`
+BINDING_PAIRS = 60
+
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -265,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covering", help="colored covering checks at a scale")
     _add_run_args(p)
     p.add_argument("--scale", type=float, default=8.0)
-    p.add_argument("--binding-pairs", type=int, default=60, dest="binding_pairs")
+    p.add_argument("--binding-pairs", type=int, default=BINDING_PAIRS, dest="binding_pairs")
     p.set_defaults(fn=cmd_covering)
 
     p = sub.add_parser("report", help="full verification pipeline")
     _add_run_args(p)
-    p.add_argument("--binding-pairs", type=int, default=60, dest="binding_pairs")
+    p.add_argument("--binding-pairs", type=int, default=BINDING_PAIRS, dest="binding_pairs")
     p.set_defaults(fn=cmd_report)
 
     return ap

@@ -101,26 +101,21 @@ def product_covering(factors: Sequence[ColoredCovering]) -> ColoredCovering:
     n = len(factors[0].assignment)
     if any(len(f.assignment) != n for f in factors):
         raise ValueError("factor coverings must cover the same sample")
-    piece_ids: dict[tuple[int, ...], int] = {}
-    assignment = [0] * n
-    piece_color: list[int] = []
+    # pieces are the distinct rows of the factor pieces, numbered by first
+    # member; a color packs the factor colors, the first factor highest
     m = len(factors)
-    for i in range(n):
-        key = tuple(f.assignment[i] for f in factors)
-        pid = piece_ids.get(key)
-        if pid is None:
-            pid = len(piece_color)
-            piece_ids[key] = pid
-            color = 0
-            for f in factors:
-                color = 2 * color + f.piece_color[f.assignment[i]]
-            piece_color.append(color)
-        assignment[i] = pid
+    keys = np.array([f.assignment for f in factors], dtype=np.intp).T
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    pid = np.empty(len(first), dtype=np.intp)
+    pid[np.argsort(first)] = np.arange(len(first))
+    color = np.zeros(len(first), dtype=np.intp)
+    for f, piece in zip(factors, keys[np.sort(first)].T):
+        color = 2 * color + np.asarray(f.piece_color, dtype=np.intp)[piece]
     return ColoredCovering(
         scale,
         2 ** m,
-        assignment,
-        piece_color,
+        pid[inv.reshape(-1)].tolist(),
+        color.tolist(),
         sum(f.bound for f in factors),
     )
 

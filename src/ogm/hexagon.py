@@ -690,11 +690,12 @@ class HexModel:
         self._hexset = set(self.hexagons)
         for addr in self.hexagons:
             develop_matrix(addr)
-        comps = {component_of(addr, u) for addr in self.hexagons for u in UNMARKED_SIDES}
-        self.components: list[ComponentId] = sorted(
-            comps, key=lambda c: (len(c.min_addr), c.min_addr, c.side)
-        )
-        self.component_index = {c: i for i, c in enumerate(self.components)}
+        # each component once, at its minimal hexagon: hexagons come in BFS
+        # order, so the table is sorted by (len(min_addr), min_addr, side)
+        self.components: list[ComponentId] = [
+            ComponentId(h, u) for h in self.hexagons for u in UNMARKED_SIDES
+            if chain_minimum(h, u) == h
+        ]
         self._frames: dict[ComponentId, tuple[Vec, Vec]] = {}
 
     def contains(self, p: H0Point) -> bool:
@@ -718,7 +719,7 @@ class HexModel:
         (up to 1.5e-7 off h0_distance at depth 6, 1.7e-10 at depth 4)."""
         frame = self._frames.get(comp)
         if frame is None:
-            if comp not in self.component_index:
+            if len(comp.min_addr) > self.depth:
                 raise TruncationError(f"{comp} beyond depth {self.depth}")
             m = develop_matrix(comp.min_addr)
             frame = self._frames[comp] = tuple(mat_vec(m, v) for v in _side_frame(comp.side))

@@ -50,21 +50,24 @@ A block is left or entered upward through its parent wall, whose line on
 the block's side is component 0, and downward through the component its
 child names.  So a route is up(a -> a[:k]), then the turn
 line_relation(components[a[k]], components[o[k]]), then down(a[:k] -> o);
-a map over a block outside c is the identity.  The up and down maps are
-cached per (class, block) for every ancestor, so a route costs no wall walk.
-Composing in this grouping gives the same five numbers as composing wall by
-wall: composition is associative, the parameters are half-integers (const
-an integer) far below 2**52, so every operation in `then` is exact, and
-the numbers are fixed by the map itself and the product of the
-orientations.  Routes, and so tc_matrix and tc_distance, are therefore
-bit for bit those of the wall-by-wall walk.
+a map over a block outside c is the identity.  route composes these turns
+wall by wall on each call, and nothing is cached.  tc_matrix reads the up
+and down maps of every owner and ancestor from walk tables that are
+composed level by level from the deepest (_walk_tables), so they group the
+same turns differently.  Every grouping gives the same five numbers:
+composition is associative, the parameters are half-integers (const an
+integer) far below 2**52, so every operation in `then` is exact, and the
+numbers are fixed by the map itself and the product of the orientations.
+The routes of tc_matrix are therefore bit for bit those of route and so
+of tc_distance.
 
-Routes in bulk.  route composes up . turn . down and skips identities;
-tc_matrix gathers the three maps of many block pairs into arrays and
-composes them with the array form of `then`, IDENTITY included.  That
-gives the same five numbers up to the sign of a zero.  IDENTITY is a unit
-on both sides: IDENTITY.then(m) has j = (m.lo, m.hi) (y - 0.0 is y) and
-so the interval of m, no gap, shift 0.0 * o + m.shift + 0.0 and const
+Routes in bulk.  route skips identities.  _walk_tables composes, at each
+level, only the rows whose block turns there, and tc_matrix gathers the
+three maps of many block pairs into arrays and composes them, IDENTITY
+included; both with the array form of `then`.  That gives the same five
+numbers up to the sign of a zero.  IDENTITY is a unit on both sides:
+IDENTITY.then(m) has j = (m.lo, m.hi) (y - 0.0 is y) and so the
+interval of m, no gap, shift 0.0 * o + m.shift + 0.0 and const
 0.0 + 0.0 + m.const; m.then(IDENTITY) has j the whole line and so the
 interval of m, shift m.shift + 0.0 + 0.0 and const m.const + 0.0 + 0.0.
 Adding a zero changes no value but can turn -0.0 into 0.0.  And every
@@ -78,6 +81,7 @@ zero.  So every entry of tc_matrix is bit for bit that of tc_distance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -251,9 +255,9 @@ class SampleEmbedding(NamedTuple):
     ids: np.ndarray  # the owner ids, padded with -1 to one column past the deepest
     prefix_class: np.ndarray  # class label of blocks[x][:k] at [x, k], k <= depth
     sigma: np.ndarray  # sigma(label) - 1 at [x, label]: the fiber a class reads
-    gate: np.ndarray  # (gate, distance) on component 0 per slot
-    kid_col: np.ndarray  # kid_gate column of a component index, -1 if none
-    kid_gate: np.ndarray  # (gate, distance) on the child components toward owners below
+    # (gate, distance) per slot on component c at [slot, c]: component 0 for
+    # every slot, a child component for the slots of the owner above it
+    gates: np.ndarray
     fiber: np.ndarray
     turn_codes: np.ndarray  # comp_in * components + comp_out of the turns, -1 first
     turns: np.ndarray  # their relations, field by field, IDENTITY first
@@ -310,10 +314,8 @@ class TreeSystem:
                      if (s := (k.g_vertex, k.shift, k.sigma)) not in seen]
         self.class_labels: tuple[int, ...] = tuple(
             sorted({b.class_label for b in [cplx.block(()), *seen.values()]}))
-        # line relations by component indices, and the up and down maps of
-        # _walks by (class label, block id); both filled on first use
+        # line relations by component indices, filled on first use
         self._relations: dict[tuple[int, int], LineRelation] = {}
-        self._walk_maps: dict[tuple[int, BlockId], tuple[tuple[LineRelation, ...], ...]] = {}
 
     # -- maps ---------------------------------------------------------------
 
@@ -365,44 +367,28 @@ class TreeSystem:
                 comps[comp_in], comps[comp_out])
         return rel
 
-    def _walks(self, label: int, bid: BlockId) -> tuple[tuple[LineRelation, ...], ...]:
-        """(up, down): for k < len(bid), up[k] is the map through the blocks
-        strictly between bid and its ancestor bid[:k], walked upward from
-        bid's parent wall line to the parent wall line of bid[:k+1], and
-        down[k] the same blocks walked downward."""
-        maps = self._walk_maps.get((label, bid))
-        if maps is None:
-            up = down = (IDENTITY,)
-            p = bid[:-1]
-            if p:
-                p_up, p_down = self._walks(label, p)
-                step = self._turn(label, p, bid[-1], 0)
-                up = tuple(_compose(step, m) for m in p_up) + up
-                step = self._turn(label, p, 0, bid[-1])
-                down = tuple(_compose(m, step) for m in p_down) + down
-            maps = self._walk_maps[(label, bid)] = up, down
-        return maps
-
     def route(self, label: int, src: BlockId, dst: BlockId) -> Route:
         """The profile walk from block src to block dst != src along the T0
-        geodesic, through their meet src[:k] (k the common prefix length):
-        up(src -> meet), the turn inside the meet from the child toward src
-        to the child toward dst, and down(meet -> dst), from the cached
-        per-block maps.  A block leaves or enters upward through its parent
-        wall, whose line on its side is component 0, and downward through
-        the component its child names.  The walk ends on the line through
-        which it enters dst: that chain line over a dst in c, the fiber
-        (None) over a dst outside c."""
+        geodesic, through their meet src[:k] (k the common prefix length),
+        composed wall by wall: up from src to the meet, the turn inside the
+        meet from the child toward src to the child toward dst, and down
+        from the meet to dst.  A block leaves or enters upward through its
+        parent wall, whose line on its side is component 0, and downward
+        through the component its child names.  The walk ends on the line
+        through which it enters dst: that chain line over a dst in c, the
+        fiber (None) over a dst outside c."""
         k = hx.lcp_len(src, dst)
         up, down = len(src) > k, len(dst) > k
         comps = self.cplx.model.components
         exit_ = comps[0 if up else dst[k]] if self.cplx.block(src).class_label == label else None
         line = comps[0 if down else src[k]] if self.cplx.block(dst).class_label == label else None
-        rel = self._walks(label, src)[0][k] if up else IDENTITY
+        rel = IDENTITY
+        for j in range(len(src) - 1, k, -1):
+            rel = _compose(rel, self._turn(label, src[:j], src[j], 0))
         if up and down:
             rel = _compose(rel, self._turn(label, src[:k], src[k], dst[k]))
-        if down:
-            rel = _compose(rel, self._walks(label, dst)[1][k])
+        for j in range(k + 1, len(dst)):
+            rel = _compose(rel, self._turn(label, dst[:j], 0, dst[j]))
         return Route(exit_, rel, line)
 
     def line_profile(
@@ -457,33 +443,24 @@ class TreeSystem:
         width = 1 + max(map(len, blocks), default=0)
         ids = np.full((len(blocks), width), -1, dtype=np.int64)
         prefix_class = np.full((len(blocks), width), -1)
-        # one preorder walk: along the current owner's id, each prefix with
-        # its owner index (or -1) and the child components seen below it; a
-        # route from an owner in c down to an owner below it leaves through
-        # the child toward it, and a route from a lower owner turns, inside
-        # the meet, from a lower child to a higher one
-        w = len(self.cplx.model.components)
-        levels: list[tuple[int, list[int]]] = [(-1, [])]
-        kids, codes, prev = set(), set(), ()
+        # the child components below each owner prefix, in sorted order: an
+        # owner adds its prefixes from its meet with the previous owner on.
+        # A route from an owner in c down to an owner below it leaves
+        # through the child toward it, and a route from a lower owner turns,
+        # inside the meet, from a lower child to a higher one
+        children: dict[BlockId, list[int]] = {}
         meet = np.zeros(len(blocks), dtype=np.intp)
         for x, b in enumerate(blocks):
-            k = meet[x] = hx.lcp_len(prev, b)
-            del levels[k + 1:]
+            k = meet[x] = hx.lcp_len(blocks[x - 1], b) if x else 0
             ids[x, :len(b)] = b
-            prefix_class[x, :k + 1] = prefix_class[x - 1, :k + 1] if x else \
-                self.cplx.block(()).class_label
-            prefix_class[x, k + 1:len(b) + 1] = [self.cplx.block(b[:j]).class_label
-                                                 for j in range(k + 1, len(b) + 1)]
-            if not b:
-                levels[0] = (x, [])
+            prefix_class[x, :k] = prefix_class[x - 1, :k]
+            prefix_class[x, k:len(b) + 1] = [self.cplx.block(b[:j]).class_label
+                                             for j in range(k, len(b) + 1)]
             for j in range(k, len(b)):
-                above, seen = levels[j]
-                if above >= 0:
-                    kids.add((above, b[j]))
-                codes.update(c * w + b[j] for c in seen)
-                seen.append(b[j])
-                levels.append((x if j + 1 == len(b) else -1, []))
-            prev = b
+                children.setdefault(b[:j], []).append(b[j])
+        w = len(self.cplx.model.components)
+        codes = sorted({c * w + o for cs in children.values()
+                        for c, o in itertools.combinations(cs, 2)})
         dim = self.cplx.spec.n
         sigma = np.array([self.cplx.block(b).sigma.images for b in blocks],
                          dtype=np.intp).reshape(len(blocks), dim - 1) - 1
@@ -493,56 +470,69 @@ class TreeSystem:
         hrow = np.array([hexes.setdefault(p.base.hex, len(hexes)) for p in pts], dtype=np.intp)
         table = hx.anchor_table(list(hexes))
         col, deep, on_edge, offset = hx.retract_rows(table, hrow, local)
-        comps = self.cplx.model.components
-        kid_comps = sorted({c for _, c in kids})
-        kid_col = np.full(w, -1, dtype=np.intp)
-        kid_col[kid_comps] = np.arange(len(kid_comps))
+        # every slot of an owner x, on each child component toward an owner below x
+        kid_x, kid_c = np.array([(x, c) for x, b in enumerate(blocks) for c in children.get(b, ())],
+                                dtype=np.intp).reshape(-1, 2).T
+        cnt = start[kid_x + 1] - start[kid_x]
+        slots = np.repeat(start[kid_x] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        slot_c = np.repeat(kid_c, cnt)
         # line_gate of every anchor address on component 0 (row 0) and on
-        # the child components (row 1 + kid_col)
+        # the child components (row 1 + their rank)
+        comps, kid_comps = self.cplx.model.components, sorted(set(kid_c.tolist()))
         lines = [comps[c] for c in (0, *kid_comps)]
         line_k, line_d = (a.reshape(len(lines), len(hexes), 4) for a in hx.line_gate_rows(
             lines, table.reshape(-1, table.shape[2])))
 
-        def gates(row: np.ndarray, i: np.ndarray) -> np.ndarray:
+        def line_gates(row: np.ndarray, i: np.ndarray) -> np.ndarray:
             at = (row[:, None], hrow[i, None], col[i])
             return gate_on_line_rows(line_k[at], line_d[at], on_edge[i], offset[i])
 
-        gate = gates(np.zeros(n, dtype=np.intp), np.arange(n))
-        kid_gate = np.zeros((n, max(len(kid_comps), 1), 2))
-        # every slot of an owner x, on each child component toward an owner below x
-        kid_x, kid_c = np.array(sorted(kids), dtype=np.intp).reshape(-1, 2).T
-        cnt = start[kid_x + 1] - start[kid_x]
-        slots = np.repeat(start[kid_x] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        kcol = np.repeat(kid_col[kid_c], cnt)
-        kid_gate[slots, kcol] = gates(kcol + 1, slots)
-        codes = sorted(codes)
+        gates = np.zeros((n, 1 + max(kid_comps, default=0), 2))
+        gates[:, 0] = line_gates(np.zeros(n, dtype=np.intp), np.arange(n))
+        gates[slots, slot_c] = line_gates(1 + np.searchsorted(kid_comps, slot_c), slots)
         turns = np.array([IDENTITY, *(self._relation(*divmod(c, w)) for c in codes)], dtype=float)
         own = hx.tbin_pair_distances(deep, on_edge, offset, *_owner_pairs(blk, start, 0, n))
         return SampleEmbedding(
             order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
-            prefix_class, sigma, gate, kid_col, kid_gate,
+            prefix_class, sigma, gates,
             np.array([p.fiber for p in pts], dtype=float).reshape(n, dim - 2),
             np.array([-1, *codes], dtype=np.int64), turns.T, own / hx.EDGE)
 
     def _walk_tables(self, label: int, emb: SampleEmbedding) -> tuple[np.ndarray, np.ndarray]:
-        """The up and down maps of _walks for every owner, as 5 x owners x
-        (depth + 1) arrays, field by field; past an owner's own depth they
-        hold IDENTITY."""
-        width = emb.ids.shape[1]
-        pad = (IDENTITY,) * width
-        maps = [self._walks(label, b) for b in emb.blocks]
-        return tuple(np.array([(m[s] + pad)[:width] for m in maps], dtype=float)
-                     .reshape(len(maps), width, 5).transpose(2, 0, 1) for s in (0, 1))
+        """(up, down): up[:, x, k] is the map through the blocks strictly
+        between owner x and its ancestor x[:k], walked upward from x's
+        parent wall line to the parent wall line of x[:k+1], and
+        down[:, x, k] the same blocks walked downward; 5 x owners x
+        (depth + 1) arrays, field by field, IDENTITY from k = len(x) - 1 on.
+        Composed level by level from the deepest, on the rows whose block
+        turns there (in c, toward a child other than component 0)."""
+        nb, width = emb.ids.shape
+        up = np.empty((5, nb, width))
+        up[...] = np.array(IDENTITY, dtype=float)[:, None, None]
+        down = up.copy()
+        for j in range(width - 2, 0, -1):
+            up[:, :, j - 1], down[:, :, j - 1] = up[:, :, j], down[:, :, j]
+            rows = np.flatnonzero((emb.depth > j) & (emb.prefix_class[:, j] == label)
+                                  & (emb.ids[:, j] != 0))
+            if not len(rows):
+                continue
+            kids, inv = np.unique(emb.ids[rows, j], return_inverse=True)
+            kids = kids.tolist()
+            turn_up = np.array([self._relation(c, 0) for c in kids], dtype=float).T[:, inv]
+            turn_down = np.array([self._relation(0, c) for c in kids], dtype=float).T[:, inv]
+            up[:, rows, j - 1] = LineRelation(*up[:, rows, j]).then(LineRelation(*turn_up))
+            down[:, rows, j - 1] = LineRelation(*turn_down).then(LineRelation(*down[:, rows, j]))
+        return up, down
 
     def _pair_table(self, label: int, emb: SampleEmbedding, x0: int, x1: int,
                     walks: tuple[np.ndarray, np.ndarray]) -> tuple[LineRelation, np.ndarray]:
         """route(label, a, o).relation for every owner a = blocks[x],
         x0 <= x < x1, and every later owner o = blocks[y], x0 < y, as one
         LineRelation of (x1 - x0) x (owners - x0 - 1) arrays, with the
-        kid_gate column of the child component toward o where o lies below
-        a (else -1).  Entries with y <= x are finite and unused.  With the
-        meet depth k of a and o, the relation is up[a][k] . turn . down[o][k],
-        identities composed in."""
+        child component toward o where o lies below a (else -1), a column
+        of emb.gates.  Entries with y <= x are finite and unused.  With the
+        meet depth k of a and o, the relation is up[a][k] . turn . down[o][k]
+        from the walk tables, identities composed in."""
         x, y = np.arange(x0, x1)[:, None], np.arange(x0 + 1, len(emb.blocks))
         k = _meets(emb, x, y)
         up, down = emb.depth[x] > k, emb.depth[y] > k
@@ -551,7 +541,7 @@ class TreeSystem:
         rel = LineRelation(*walks[0][:, x, k]).then(
             LineRelation(*emb.turns[:, np.searchsorted(emb.turn_codes, turn)])).then(
             LineRelation(*walks[1][:, y, k]))
-        kid = np.where(down & ~up, emb.kid_col[emb.ids[y, emb.depth[x]]], -1)
+        kid = np.where(down & ~up, emb.ids[y, emb.depth[x]], -1)
         return rel, kid
 
     def t0_matrix(self, emb: SampleEmbedding) -> np.ndarray:
@@ -584,8 +574,8 @@ class TreeSystem:
             raise CoverError(f"class {label} not present in the explored complex")
         n, nb, blk, slot = len(emb.blk), len(emb.blocks), emb.blk, emb.order
         tree = (emb.prefix_class[np.arange(nb), emb.depth] == label)[blk]
-        lam = np.where(tree, emb.gate[:, 0], emb.fiber[np.arange(n), emb.sigma[blk, label]])
-        d = np.where(tree, emb.gate[:, 1], 0.0)
+        lam = np.where(tree, emb.gates[:, 0, 0], emb.fiber[np.arange(n), emb.sigma[blk, label]])
+        d = np.where(tree, emb.gates[:, 0, 1], 0.0)
         walks = self._walk_tables(label, emb)
         # where each row's same-owner pairs start in emb.own
         first = np.concatenate([[0], np.cumsum(np.diff(emb.start)[blk])])
@@ -599,7 +589,7 @@ class TreeSystem:
             xl = blk[lo:hi] - x0
             kid = kid[xl]
             down = (kid >= 0) & tree[lo:hi, None]
-            ex = emb.kid_gate[np.arange(lo, hi)[:, None], kid]  # kid -1: unused
+            ex = emb.gates[np.arange(lo, hi)[:, None], kid]  # kid -1: unused
             g, c = LineRelation(*(f[xl] for f in rel)).cross(
                 np.where(down, ex[..., 0], lam[lo:hi, None]),
                 np.where(down, ex[..., 1], d[lo:hi, None]))

@@ -182,7 +182,6 @@ def _pair_record(index: int, x: CoverPoint, y: CoverPoint, res: geo.GeodesicResu
 def _collect_records(
     cplx: CoverComplex, ts: tr.TreeSystem, cfg: RunConfig
 ) -> list[dict]:
-    _STATE.update(cplx=cplx, ts=ts, cfg=cfg)  # read by _pair_records, also in forked workers
     workers = cfg.workers or (  # 0: the CPUs this process may run on
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     )
@@ -192,13 +191,18 @@ def _collect_records(
     # per-sweep numpy cost once per chunk
     size = max(1, min(64, math.ceil(cfg.samples / workers)))
     chunks = [range(i, min(i + size, cfg.samples)) for i in range(0, cfg.samples, size)]
-    if workers > 1 and hasattr(os, "fork"):
-        import multiprocessing
+    _STATE.update(cplx=cplx, ts=ts, cfg=cfg)  # read by _pair_records, also in forked workers
+    try:
+        if workers > 1 and hasattr(os, "fork"):
+            import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            return [rec for chunk in pool.map(_pair_records, chunks, chunksize=1) for rec in chunk]
-    return [rec for chunk in chunks for rec in _pair_records(chunk)]
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(workers) as pool:
+                return [rec for chunk in pool.map(_pair_records, chunks, chunksize=1)
+                        for rec in chunk]
+        return [rec for chunk in chunks for rec in _pair_records(chunk)]
+    finally:
+        _STATE.clear()  # the run's complex and tree system go with it
 
 
 def _build(spec: GraphManifoldSpec, cfg: RunConfig):

@@ -352,6 +352,16 @@ def test_records_pinned(name):
         == RECORD_DIGESTS[name]
 
 
+def test_deep_covering_pinned():
+    # owners twelve blocks deep, where every walk table and turn table is
+    # composed over many levels: the covering document keeps byte for byte
+    cfg = vf.RunConfig(t0_depth=12, hex_depth=4, samples=300, seed=0, fiber_range=3.0,
+                       wall_comp_depth=0, workers=1)
+    doc = covering_report(shipped("two_vertex_n5"), cfg, scale=8.0, binding_pairs=60)
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() \
+        == "9fa4280a5dcc83912b2b188ca051cb3dfa9b40ebe37f279a920535bcef3f475a"
+
+
 def test_criterion_10_determinism():
     spec = shipped("flip_n3")
     cfg1 = vf.RunConfig(

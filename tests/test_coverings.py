@@ -125,6 +125,43 @@ def test_product_brick_pattern():
     assert chk.ok
 
 
+def reference_product(factors):
+    """product_covering's pieces and colors, one point at a time: a new
+    factor-piece tuple opens the next piece, colored by its factor colors
+    read as binary digits, the first factor highest."""
+    piece_ids, assignment, piece_color = {}, [], []
+    for key in zip(*(f.assignment for f in factors)):
+        if key not in piece_ids:
+            piece_ids[key] = len(piece_color)
+            color = 0
+            for f, p in zip(factors, key):
+                color = 2 * color + f.piece_color[p]
+            piece_color.append(color)
+        assignment.append(piece_ids[key])
+    return assignment, piece_color
+
+
+def test_product_numbers_pieces_by_first_member():
+    # the first point's key (2, 0) sorts last among the keys, so the order
+    # of first occurrence is not the sorted key order
+    a = cvg.ColoredCovering(1.0, 2, [2, 0, 1, 0, 2, 1], [1, 0, 1], 3.0)
+    b = cvg.ColoredCovering(1.0, 2, [0, 1, 1, 1, 0, 0], [0, 1], 3.0)
+    prod = cvg.product_covering([a, b])
+    assert (prod.assignment, prod.piece_color) == ([0, 1, 2, 1, 0, 3], [2, 3, 1, 0])
+    assert (prod.assignment, prod.piece_color) == reference_product([a, b])
+    rng = random.Random(4)
+    for m in (1, 2, 3, 4):
+        factors = []
+        for _ in range(m):
+            pieces = rng.randint(1, 6)
+            factors.append(cvg.ColoredCovering(
+                1.0, 2, [rng.randrange(pieces) for _ in range(40)],
+                [rng.randrange(2) for _ in range(pieces)], 3.0))
+        prod = cvg.product_covering(factors)
+        assert (prod.assignment, prod.piece_color) == reference_product(factors)
+        assert all(type(v) is int for v in prod.assignment + prod.piece_color)
+
+
 def test_product_scale_mismatch():
     dmat, root = tbin_sample(30, seed=11)
     a = cvg.tree_covering(dmat, root, 4.0)
@@ -341,6 +378,23 @@ def test_tree_covering_long_path_matches_union_find(kind):
     assert len(cov.piece_color) == (9 if kind == "broken" else 1)
 
 
+def test_tree_covering_of_a_tc_matrix_with_ties_matches_union_find():
+    # a sampled T_c matrix whose merge relation is not transitive (exact
+    # ties at the level): labelling each point by its least merging point
+    # would split pieces that the union-find joins
+    cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0,
+                       wall_comp_depth=0)
+    ts = tr.TreeSystem(cx)
+    dmat = ts.tc_matrix(0, ts.embed(cx.sample_points(106, range(200))))
+    root, scale = dmat[0], 4.0
+    annulus = np.floor(root / scale)
+    merge = (annulus[:, None] == annulus) & (
+        cvg.meet_level(root[:, None], root, dmat) >= (annulus * scale - scale / 2.0)[:, None])
+    assert ((merge.astype(int) @ merge.astype(int) > 0) & ~merge).any()
+    cov = cvg.tree_covering(dmat, root, scale)
+    assert (cov.assignment, cov.piece_color) == reference_tree_covering(dmat, root, scale)
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_tree_covering_row_blocks_match_reference(monkeypatch, rows):
     # the merge mask is built in row blocks of _BLOCK_ENTRIES // n rows; the
@@ -457,7 +511,7 @@ def test_covering_report_matches_pairwise_reference(
 
 def test_covering_report_builds_each_wall_chain_once(monkeypatch):
     # once per solve of a binding pair; the T_c matrices take their routes
-    # from the cached per-block maps
+    # from the walk tables
     spec = shipped("two_vertex_n5")
     cfg = vf.RunConfig(
         t0_depth=2, hex_depth=4, samples=120, seed=5, fiber_range=3.0,

@@ -461,7 +461,6 @@ def test_embed_and_tc_matrix_memory_stay_near_the_result():
         base = tracemalloc.get_traced_memory()[0]
         emb = ts.embed(xs)
         embed_peak = tracemalloc.get_traced_memory()[1] - base
-        ts._walk_tables(1, emb)  # the walk maps are cached, as in a report's later classes
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         mat = ts.tc_matrix(1, emb)
@@ -490,45 +489,40 @@ def reference_embed(ts, xs):
     width = 1 + max(map(len, blocks), default=0)
     ids = np.full((len(blocks), width), -1, dtype=np.int64)
     prefix_class = np.full((len(blocks), width), -1)
-    w = len(cplx.model.components)
-    levels = [(-1, [])]
-    kids, codes, prev = set(), set(), ()
     meet = np.zeros(len(blocks), dtype=np.intp)
     for x, b in enumerate(blocks):
-        k = meet[x] = hx.lcp_len(prev, b)
-        del levels[k + 1:]
+        meet[x] = hx.lcp_len(blocks[x - 1], b) if x else 0
         ids[x, :len(b)] = b
         prefix_class[x, :len(b) + 1] = [cplx.block(b[:j]).class_label for j in range(len(b) + 1)]
-        if not b:
-            levels[0] = (x, [])
-        for j in range(k, len(b)):
-            above, seen = levels[j]
-            if above >= 0:
-                kids.add((above, b[j]))
-            codes.update(c * w + b[j] for c in seen)
-            seen.append(b[j])
-            levels.append((x if j + 1 == len(b) else -1, []))
-        prev = b
+    # over all owner pairs a < o meeting at depth k: the child toward o of
+    # an a above o, and the turn from a's child to o's child in the meet
+    w = len(cplx.model.components)
+    kids, codes = set(), set()
+    for x, a in enumerate(blocks):
+        for o in blocks[x + 1:]:
+            k = hx.lcp_len(a, o)
+            if k == len(a):
+                kids.add((x, o[k]))
+            else:
+                codes.add(a[k] * w + o[k])
     dim = cplx.spec.n
     sigma = np.array([cplx.block(b).sigma.images for b in blocks],
                      dtype=np.intp).reshape(len(blocks), dim - 1) - 1
     trees = [hx.retract(p.base) for p in pts]
     comps = cplx.model.components
-    gate = np.array([tr.gate_on_line(comps[0], t) for t in trees]).reshape(n, 2)
-    kid_comps = sorted({c for _, c in kids})
-    kid_col = np.full(len(comps), -1, dtype=np.intp)
-    kid_col[kid_comps] = np.arange(len(kid_comps))
-    kid_gate = np.zeros((n, max(len(kid_comps), 1), 2))
+    gates = np.zeros((n, 1 + max((c for _, c in kids), default=0), 2))
+    for i in range(n):
+        gates[i, 0] = tr.gate_on_line(comps[0], trees[i])
     for x, c in kids:
         for i in range(start[x], start[x + 1]):
-            kid_gate[i, kid_col[c]] = tr.gate_on_line(comps[c], trees[i])
+            gates[i, c] = tr.gate_on_line(comps[c], trees[i])
     codes = sorted(codes)
     turns = np.array([tr.IDENTITY, *(ts._relation(*divmod(c, w)) for c in codes)], dtype=float)
     own = [hx.tbin_distance(trees[i], trees[j]) / hx.EDGE
            for i, j in zip(*tr._owner_pairs(blk, start, 0, n))]
     return tr.SampleEmbedding(
         order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
-        prefix_class, sigma, gate, kid_col, kid_gate,
+        prefix_class, sigma, gates,
         np.array([p.fiber for p in pts], dtype=float).reshape(n, dim - 2),
         np.array([-1, *codes], dtype=np.int64), turns.T, np.array(own, dtype=float))
 
@@ -571,7 +565,7 @@ def test_embed_matches_per_point_reference(name, hex_depth, wall_comp_depth):
     assert sum(m != x for m, x in zip(moved, xs)) > sum(m.block != x.block for m, x in zip(moved, xs)) > 0
     trees = [hx.retract(m.base) for m in moved]
     assert {t.child is None for t in trees} == {True, False}
-    assert (got.kid_col >= 0).any()
+    assert got.gates.shape[1] > 1
 
 
 def test_embed_of_interior_points_calls_no_scalar_form(monkeypatch):
@@ -585,7 +579,7 @@ def test_embed_of_interior_points_calls_no_scalar_form(monkeypatch):
         monkeypatch.setattr(owner, name, counting(calls, name, getattr(owner, name)))
     xs = cx.sample_points(3, range(120))
     emb = ts.embed(xs)
-    assert len(emb.blocks) > 1 and (emb.kid_col >= 0).any()
+    assert len(emb.blocks) > 1 and emb.gates.shape[1] > 1
     assert calls == {}
     on_side = [CoverPoint(x.block, hx.H0Point(x.base.hex, hx.VERTICES[0]), x.fiber) for x in xs[:5]]
     ts.embed(xs + on_side)
@@ -593,7 +587,7 @@ def test_embed_of_interior_points_calls_no_scalar_form(monkeypatch):
 
 
 def test_tc_matrix_walks_no_wall_chain(monkeypatch):
-    # routes come from the cached per-block maps, not from wall chains
+    # routes come from the walk tables, not from wall chains
     cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0)
     ts = tr.TreeSystem(cx)
     calls = []
@@ -891,33 +885,44 @@ def assert_rows_equal(got, want):
 
 
 def test_array_then_matches_scalar_on_route_triples():
-    # every (up, turn, down) triple a route composes at t0 3, every class
+    # an embedding with one point in every block at t0 3, every class: the
+    # walk tables' rows are the routes to and from each owner's ancestors,
+    # and every (up, turn, down) triple of table rows, composed with the
+    # array form of then, is the route of its owners
     count = 0
     for name in ("flip_n3", "cycle_n4", "two_vertex_n5"):
         cx = cover.explore(shipped(name), t0_depth=3, hex_depth=4, fiber_range=3.0,
                            wall_comp_depth=0)
         ts = tr.TreeSystem(cx)
         ids = ball_ids(cx)
+        xs = [CoverPoint(b, x.base, x.fiber)
+              for b, x in zip(ids, cx.sample_points(0, range(len(ids))))]
+        emb = ts.embed(xs)
+        assert emb.blocks == sorted(ids)
         for lab in ts.class_labels:
+            up, down = ts._walk_tables(lab, emb)
+            for x, a in enumerate(emb.blocks):
+                assert_rows_equal(tr.LineRelation(*up[:, x]), [
+                    ts.route(lab, a, a[:k]).relation if k < len(a) else tr.IDENTITY
+                    for k in range(up.shape[2])])
+                assert_rows_equal(tr.LineRelation(*down[:, x]), [
+                    ts.route(lab, a[:k], a).relation if k < len(a) else tr.IDENTITY
+                    for k in range(down.shape[2])])
             triples, routes = [], []
-            for a in ids:
-                for o in ids:
-                    if o <= a:
-                        continue
+            for x, a in enumerate(emb.blocks):
+                for y in range(x + 1, len(emb.blocks)):
+                    o = emb.blocks[y]
                     k = hx.lcp_len(a, o)
-                    up = len(a) > k
-                    triples.append((
-                        ts._walks(lab, a)[0][k] if up else tr.IDENTITY,
-                        ts._turn(lab, a[:k], a[k], o[k]) if up else tr.IDENTITY,
-                        ts._walks(lab, o)[1][k],
-                    ))
+                    turn = ts._turn(lab, a[:k], a[k], o[k]) if len(a) > k else tr.IDENTITY
+                    triples.append((up[:, x, k], turn, down[:, y, k]))
                     routes.append(ts.route(lab, a, o).relation)
             u, t, d = (stacked(list(col)) for col in zip(*triples))
+            scalar = [(tr.LineRelation(*x), y, tr.LineRelation(*z)) for x, y, z in triples]
             got = u.then(t).then(d)
-            assert_rows_equal(got, [x.then(y).then(z) for x, y, z in triples])
+            assert_rows_equal(got, [x.then(y).then(z) for x, y, z in scalar])
             assert_rows_equal(got, routes)
-            assert_rows_equal(u.then(t), [x.then(y) for x, y, _ in triples])
-            assert_rows_equal(t.then(d), [y.then(z) for _, y, z in triples])
+            assert_rows_equal(u.then(t), [x.then(y) for x, y, _ in scalar])
+            assert_rows_equal(t.then(d), [y.then(z) for _, y, z in scalar])
             count += len(triples)
     assert count > 1000
 

@@ -147,6 +147,14 @@ def test_worker_count_independent():
     assert one == two == three
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collect_records_leaves_no_state(workers):
+    # the complex, tree system and config of a run are not kept past it
+    records = vf.collect_records(shipped("flip_n3"), small_cfg(samples=4, workers=workers))
+    assert len(records) == 4
+    assert vf._STATE == {}
+
+
 class RecordingContext:
     """Stands in for the fork context: records each pool size asked for and
     the tasks of each map, and maps serially, so no process starts."""
