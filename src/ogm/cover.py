@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,11 +63,26 @@ class CoverPoint:
     fiber: tuple[float, ...]
 
 
+class SampleRows(NamedTuple):
+    """A sample as rows: per point its block id and hexagon address, and
+    its local point and fibers as the rows of two float arrays."""
+
+    blocks: list[BlockId]
+    hexes: list[hx.Address]
+    local: np.ndarray  # m x 3
+    fiber: np.ndarray  # m x (n - 2)
+
+    def point(self, k: int) -> CoverPoint:
+        """Point k, its coordinates Python floats."""
+        return CoverPoint(self.blocks[k], hx.H0Point(self.hexes[k], tuple(self.local[k].tolist())),
+                          tuple(self.fiber[k].tolist()))
+
+
 class CoverError(ValueError):
     pass
 
 
-# sample_local attempts whose words sample_points draws per stream; at the
+# sample_local attempts whose words sample_rows draws per stream; at the
 # hexagon's acceptance rate of about 0.68, one stream in about 1000 needs
 # more and is drawn again by sample_point
 SAMPLE_ATTEMPTS = 6
@@ -222,7 +237,7 @@ class CoverComplex:
 
     # -- sampling -----------------------------------------------------------
     #
-    # sample_point draws from one stream through a Generator; sample_points
+    # sample_point draws from one stream through a Generator; sample_rows
     # draws many streams' raw words and reads the same values off them
 
     def sample_point(self, rng: np.random.Generator) -> CoverPoint:
@@ -238,18 +253,27 @@ class CoverComplex:
 
     def sample_points(self, seed: int, indices: Sequence[int]) -> list[CoverPoint]:
         """[sample_point(make_stream(seed, i)) for i in indices], bit for
-        bit, without a SeedSequence or a Generator call per point: every
-        stream's seed is hashed in one numpy pass, one reused PCG64 is set
-        to each stream's state in turn and draws its raw 64-bit words, and
-        the words become sample_point's values in numpy, by the algorithms
-        of numpy's Generator (see _from_words).  NEP 19 does not freeze
-        those algorithms, as it does the seeding; the equality test with
-        make_stream guards them.  A stream that its words cannot settle is
-        redrawn by sample_point itself.  Indices must lie in [0, 2**32)."""
+        bit: the points of sample_rows, their coordinates Python floats as
+        sample_point's are (format_point writes them by repr)."""
+        rows = self.sample_rows(seed, indices)
+        return [rows.point(k) for k in range(len(rows.blocks))]
+
+    def sample_rows(self, seed: int, indices: Sequence[int]) -> SampleRows:
+        """sample_point(make_stream(seed, i)) for i in indices, bit for bit,
+        as rows, without a SeedSequence or a Generator call per point:
+        every stream's seed is hashed in one numpy pass, one reused PCG64
+        is set to each stream's state in turn and draws its raw 64-bit
+        words, and the words become sample_point's values in numpy, by the
+        algorithms of numpy's Generator (see _from_words).  NEP 19 does not
+        freeze those algorithms, as it does the seeding; the equality test
+        with make_stream guards them.  A stream that its words cannot
+        settle is redrawn by sample_point itself.  Indices must lie in
+        [0, 2**32)."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and not (idx.min() >= 0 and idx.max() < 2**32):
             raise ValueError("sample indices must lie in [0, 2**32)")
         seeds = _stream_seeds(seed, idx)
+        m, dim = len(seeds), self.spec.n
         bitgen = np.random.PCG64(0)
 
         def stream(k: int) -> np.random.PCG64:
@@ -258,27 +282,24 @@ class CoverComplex:
                             "has_uint32": 0, "uinteger": 0}
             return bitgen
 
-        settled = np.zeros(len(seeds), dtype=bool)
+        block, hexagon = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        local, fiber = np.empty((m, 3)), np.empty((m, dim - 2))
+        settled = np.zeros(m, dtype=bool)
         if self.block_count <= 2**32:  # else a 64-bit draw, which _from_words does not lay out
-            width = 1 + 2 * SAMPLE_ATTEMPTS + self.spec.n - 2
-            words = np.empty((len(seeds), width), dtype=np.uint64)
-            for k in range(len(seeds)):
-                words[k] = stream(k).random_raw(width)
+            words = np.empty((m, 1 + 2 * SAMPLE_ATTEMPTS + dim - 2), dtype=np.uint64)
+            for k in range(m):
+                words[k] = stream(k).random_raw(words.shape[1])
             block, hexagon, local, fiber, settled = self._from_words(words)
-            block, hexagon, local, fiber = (a.tolist() for a in (block, hexagon, local, fiber))
-            ids = {b: self.block_at(b) for b in set(block)}
+        block, hexes = block.tolist(), self.model.hexagons
+        ids = {b: self.block_at(b) for b in set(block)}
+        rows = SampleRows([ids[b] for b in block], [hexes[h] for h in hexagon.tolist()], local, fiber)
         rng = np.random.Generator(bitgen)
-        hexes = self.model.hexagons
-        points = []
-        for k, ok in enumerate(settled.tolist()):
-            if ok:
-                points.append(CoverPoint(ids[block[k]],
-                                         hx.H0Point(hexes[hexagon[k]], tuple(local[k])),
-                                         tuple(fiber[k])))
-            else:
-                stream(k)
-                points.append(self.sample_point(rng))
-        return points
+        for k in np.flatnonzero(~settled).tolist():
+            stream(k)
+            p = self.sample_point(rng)
+            rows.blocks[k], rows.hexes[k] = p.block, p.base.hex
+            local[k], fiber[k] = p.base.local, p.fiber
+        return rows
 
     def _from_words(self, words: np.ndarray) -> tuple[np.ndarray, ...]:
         """sample_point's values from each stream's first raw PCG64 words
@@ -393,7 +414,7 @@ def explore(
 
 def make_stream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-sample stream; order and worker independent.  The
-    one-stream reference: CoverComplex.sample_points seeds many streams at
+    one-stream reference: CoverComplex.sample_rows seeds many streams at
     once and draws the same points."""
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 

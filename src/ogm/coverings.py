@@ -101,23 +101,23 @@ def product_covering(factors: Sequence[ColoredCovering]) -> ColoredCovering:
     n = len(factors[0].assignment)
     if any(len(f.assignment) != n for f in factors):
         raise ValueError("factor coverings must cover the same sample")
-    # pieces are the distinct rows of the factor pieces, numbered by first
-    # member; a color packs the factor colors, the first factor highest
-    m = len(factors)
-    keys = np.array([f.assignment for f in factors], dtype=np.intp).T
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # pieces are the distinct tuples of factor pieces, numbered by first
+    # member.  The tuples fold into one key, ranked after each factor, so
+    # that it stays below n * pieces; the last ranking's first members
+    # number the pieces.  A color packs the factor colors, the first factor
+    # highest
+    pieces = [np.asarray(f.assignment, dtype=np.intp) for f in factors]
+    key = np.zeros(n, dtype=np.intp)
+    for f, piece in zip(factors, pieces):
+        _, first, key = np.unique(key * len(f.piece_color) + piece,
+                                  return_index=True, return_inverse=True)
     pid = np.empty(len(first), dtype=np.intp)
     pid[np.argsort(first)] = np.arange(len(first))
-    color = np.zeros(len(first), dtype=np.intp)
-    for f, piece in zip(factors, keys[np.sort(first)].T):
-        color = 2 * color + np.asarray(f.piece_color, dtype=np.intp)[piece]
-    return ColoredCovering(
-        scale,
-        2 ** m,
-        pid[inv.reshape(-1)].tolist(),
-        color.tolist(),
-        sum(f.bound for f in factors),
-    )
+    members, color = np.sort(first), np.zeros(len(first), dtype=np.intp)
+    for f, piece in zip(factors, pieces):
+        color = 2 * color + np.asarray(f.piece_color, dtype=np.intp)[piece[members]]
+    return ColoredCovering(scale, 2 ** len(factors), pid[key].tolist(), color.tolist(),
+                           sum(f.bound for f in factors))
 
 
 @dataclass

@@ -84,12 +84,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import hexagon as hx
-from .cover import BlockId, CoverComplex, CoverError, CoverPoint
+from .cover import BlockId, CoverComplex, CoverError, CoverPoint, SampleRows
 from .coverings import row_blocks
 
 
@@ -255,21 +255,18 @@ class SampleEmbedding(NamedTuple):
     ids: np.ndarray  # the owner ids, padded with -1 to one column past the deepest
     prefix_class: np.ndarray  # class label of blocks[x][:k] at [x, k], k <= depth
     sigma: np.ndarray  # sigma(label) - 1 at [x, label]: the fiber a class reads
-    # (gate, distance) per slot on component c at [slot, c]: component 0 for
-    # every slot, a child component for the slots of the owner above it
+    kid_comps: np.ndarray  # the child components toward a lower owner, sorted
+    # (gate, distance) per slot on a line at [slot, column]: component 0 in
+    # column 0 for every slot, kid_comps[r] in column 1 + r for the slots of
+    # the owners above a lower owner through it
     gates: np.ndarray
     fiber: np.ndarray
     turn_codes: np.ndarray  # comp_in * components + comp_out of the turns, -1 first
     turns: np.ndarray  # their relations, field by field, IDENTITY first
-    own: np.ndarray  # T_bin distances / EDGE of the same-owner pairs (_owner_pairs)
-
-
-def _owner_pairs(blk: np.ndarray, start: np.ndarray, lo: int, hi: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slot pairs (i, j) with i in lo..hi and j in i's owner, i-major."""
-    cnt = np.diff(start)[blk[lo:hi]]
-    i = np.repeat(np.arange(lo, hi), cnt)
-    return i, np.arange(len(i)) + np.repeat(start[blk[lo:hi]] - np.cumsum(cnt) + cnt, cnt)
+    own: np.ndarray  # T_bin distances / EDGE of the same-owner pairs
+    pairs: np.ndarray  # those slot pairs, rows i and j: every j in i's owner, i-major
+    first: np.ndarray  # the pairs of slot i are first[i]..first[i + 1]
+    inv: np.ndarray  # the slot of each input index, the inverse of order
 
 
 def _meets(emb: SampleEmbedding, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -415,10 +412,11 @@ class TreeSystem:
 
     # -- T_c matrices of a sample ----------------------------------------------
 
-    def embed(self, xs: Sequence[CoverPoint]) -> SampleEmbedding:
+    def embed(self, rows: SampleRows) -> SampleEmbedding:
         """The per-point data that every class's tc_matrix reads: owners,
         one retraction per point with its gates, fibers, the turns between
-        sibling subtrees and the same-owner T_bin distances.  xs are
+        sibling subtrees and the same-owner T_bin distances, of a sample
+        given as rows (CoverComplex.sample_rows).  The points are
         normalized first: normalize moves only a point on a side of its
         hexagon, found by its own test |mdot(local, normal)| <= ON_SIDE_TOL
         over all six sides, in rows, so only those points go through it.
@@ -427,18 +425,19 @@ class TreeSystem:
         line_gate_rows, gate_on_line_rows and tbin_pair_distances), equal
         to the scalar forms entry for entry; a per-point reference in the
         tests checks every field.  An owner outside the ball raises CoverError."""
-        pts = list(xs)
-        n = len(pts)
-        local = np.array([p.base.local for p in pts], dtype=float).reshape(n, 3)
+        n, dim = len(rows.blocks), self.cplx.spec.n
+        owners, addrs = list(rows.blocks), list(rows.hexes)
+        local = np.array(rows.local, dtype=float).reshape(n, 3)
+        fiber = np.array(rows.fiber, dtype=float).reshape(n, dim - 2)
         on_side = np.abs(hx.mdot_rows(local, hx.SIDE_NORMAL_ROWS)) <= hx.ON_SIDE_TOL
         for i in np.flatnonzero(on_side.any(axis=1)).tolist():
-            pts[i] = self.cplx.normalize(pts[i])
-            local[i] = pts[i].base.local
-        blocks = sorted({p.block for p in pts})
+            p = self.cplx.normalize(SampleRows(owners, addrs, local, fiber).point(i))
+            owners[i], addrs[i], local[i], fiber[i] = p.block, p.base.hex, p.base.local, p.fiber
+        blocks = sorted(set(owners))
         index = {b: x for x, b in enumerate(blocks)}
-        owner = np.array([index[p.block] for p in pts], dtype=np.intp)
+        owner = np.array([index[b] for b in owners], dtype=np.intp)
         order = np.argsort(owner, kind="stable")
-        pts, blk, local = [pts[i] for i in order], owner[order], local[order]
+        blk, local, fiber = owner[order], local[order], fiber[order]
         start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(blocks)))])
         width = 1 + max(map(len, blocks), default=0)
         ids = np.full((len(blocks), width), -1, dtype=np.int64)
@@ -461,13 +460,13 @@ class TreeSystem:
         w = len(self.cplx.model.components)
         codes = sorted({c * w + o for cs in children.values()
                         for c, o in itertools.combinations(cs, 2)})
-        dim = self.cplx.spec.n
         sigma = np.array([self.cplx.block(b).sigma.images for b in blocks],
                          dtype=np.intp).reshape(len(blocks), dim - 1) - 1
         # each point's retraction from its hexagon h, whose anchors are
         # columns of h's anchor table
         hexes: dict[hx.Address, int] = {}
-        hrow = np.array([hexes.setdefault(p.base.hex, len(hexes)) for p in pts], dtype=np.intp)
+        hrow = np.array([hexes.setdefault(addrs[i], len(hexes)) for i in order.tolist()],
+                        dtype=np.intp)
         table = hx.anchor_table(list(hexes))
         col, deep, on_edge, offset = hx.retract_rows(table, hrow, local)
         # every slot of an owner x, on each child component toward an owner below x
@@ -475,11 +474,11 @@ class TreeSystem:
                                 dtype=np.intp).reshape(-1, 2).T
         cnt = start[kid_x + 1] - start[kid_x]
         slots = np.repeat(start[kid_x] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        slot_c = np.repeat(kid_c, cnt)
         # line_gate of every anchor address on component 0 (row 0) and on
         # the child components (row 1 + their rank)
-        comps, kid_comps = self.cplx.model.components, sorted(set(kid_c.tolist()))
-        lines = [comps[c] for c in (0, *kid_comps)]
+        comps = self.cplx.model.components
+        kid_comps = np.array(sorted(set(kid_c.tolist())), dtype=np.intp)
+        lines = [comps[c] for c in (0, *kid_comps.tolist())]
         line_k, line_d = (a.reshape(len(lines), len(hexes), 4) for a in hx.line_gate_rows(
             lines, table.reshape(-1, table.shape[2])))
 
@@ -487,16 +486,22 @@ class TreeSystem:
             at = (row[:, None], hrow[i, None], col[i])
             return gate_on_line_rows(line_k[at], line_d[at], on_edge[i], offset[i])
 
-        gates = np.zeros((n, 1 + max(kid_comps, default=0), 2))
+        gates = np.zeros((n, len(lines), 2))
         gates[:, 0] = line_gates(np.zeros(n, dtype=np.intp), np.arange(n))
-        gates[slots, slot_c] = line_gates(1 + np.searchsorted(kid_comps, slot_c), slots)
+        kid_col = 1 + np.searchsorted(kid_comps, np.repeat(kid_c, cnt))
+        gates[slots, kid_col] = line_gates(kid_col, slots)
         turns = np.array([IDENTITY, *(self._relation(*divmod(c, w)) for c in codes)], dtype=float)
-        own = hx.tbin_pair_distances(deep, on_edge, offset, *_owner_pairs(blk, start, 0, n))
+        cnt = np.diff(start)[blk]
+        first = np.concatenate([[0], np.cumsum(cnt)])
+        i = np.repeat(np.arange(n), cnt)
+        pairs = np.stack([i, np.arange(len(i)) + np.repeat(start[blk] - first[:-1], cnt)])
+        inv = np.empty(n, dtype=np.intp)
+        inv[order] = np.arange(n)
         return SampleEmbedding(
             order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
-            prefix_class, sigma, gates,
-            np.array([p.fiber for p in pts], dtype=float).reshape(n, dim - 2),
-            np.array([-1, *codes], dtype=np.int64), turns.T, own / hx.EDGE)
+            prefix_class, sigma, kid_comps, gates, fiber,
+            np.array([-1, *codes], dtype=np.int64), turns.T,
+            hx.tbin_pair_distances(deep, on_edge, offset, *pairs) / hx.EDGE, pairs, first, inv)
 
     def _walk_tables(self, label: int, emb: SampleEmbedding) -> tuple[np.ndarray, np.ndarray]:
         """(up, down): up[:, x, k] is the map through the blocks strictly
@@ -529,10 +534,11 @@ class TreeSystem:
         """route(label, a, o).relation for every owner a = blocks[x],
         x0 <= x < x1, and every later owner o = blocks[y], x0 < y, as one
         LineRelation of (x1 - x0) x (owners - x0 - 1) arrays, with the
-        child component toward o where o lies below a (else -1), a column
-        of emb.gates.  Entries with y <= x are finite and unused.  With the
-        meet depth k of a and o, the relation is up[a][k] . turn . down[o][k]
-        from the walk tables, identities composed in."""
+        column of emb.gates that holds the child component toward o where
+        o lies below a (else 0).  Entries with y <= x are finite and
+        unused.  With the meet depth k of a and o, the relation is
+        up[a][k] . turn . down[o][k] from the walk tables, identities
+        composed in."""
         x, y = np.arange(x0, x1)[:, None], np.arange(x0 + 1, len(emb.blocks))
         k = _meets(emb, x, y)
         up, down = emb.depth[x] > k, emb.depth[y] > k
@@ -541,7 +547,8 @@ class TreeSystem:
         rel = LineRelation(*walks[0][:, x, k]).then(
             LineRelation(*emb.turns[:, np.searchsorted(emb.turn_codes, turn)])).then(
             LineRelation(*walks[1][:, y, k]))
-        kid = np.where(down & ~up, emb.ids[y, emb.depth[x]], -1)
+        kid = np.where(down & ~up, 1 + np.searchsorted(emb.kid_comps, emb.ids[y, emb.depth[x]]),
+                       0)
         return rel, kid
 
     def t0_matrix(self, emb: SampleEmbedding) -> np.ndarray:
@@ -577,8 +584,6 @@ class TreeSystem:
         lam = np.where(tree, emb.gates[:, 0, 0], emb.fiber[np.arange(n), emb.sigma[blk, label]])
         d = np.where(tree, emb.gates[:, 0, 1], 0.0)
         walks = self._walk_tables(label, emb)
-        # where each row's same-owner pairs start in emb.own
-        first = np.concatenate([[0], np.cumsum(np.diff(emb.start)[blk])])
         out = np.empty((n, n))  # rows in input order, columns in owner order
         blocks = _row_blocks(n, nb)
         for lo, hi in blocks:
@@ -588,8 +593,8 @@ class TreeSystem:
             # else the entry coordinates (component 0 going up, or the fiber)
             xl = blk[lo:hi] - x0
             kid = kid[xl]
-            down = (kid >= 0) & tree[lo:hi, None]
-            ex = emb.gates[np.arange(lo, hi)[:, None], kid]  # kid -1: unused
+            down = (kid > 0) & tree[lo:hi, None]
+            ex = emb.gates[np.arange(lo, hi)[:, None], kid]
             g, c = LineRelation(*(f[xl] for f in rel)).cross(
                 np.where(down, ex[..., 0], lam[lo:hi, None]),
                 np.where(down, ex[..., 1], d[lo:hi, None]))
@@ -607,13 +612,11 @@ class TreeSystem:
             out[slot[lo:hi], e0:] = strip
             out[slot[e0:], lo:hi] = strip.T
             # the same-owner pairs last, over what the strips left there
-            i, j = _owner_pairs(blk, emb.start, lo, hi)
-            own = emb.own[first[lo]:first[hi]]
-            out[slot[i], j] = np.where(tree[i], own, np.abs(lam[i] - lam[j]))
-        inv = np.empty(n, dtype=np.intp)
-        inv[slot] = np.arange(n)
+            p0, p1 = emb.first[lo], emb.first[hi]
+            i, j = emb.pairs[:, p0:p1]
+            out[slot[i], j] = np.where(tree[i], emb.own[p0:p1], np.abs(lam[i] - lam[j]))
         for lo, hi in blocks:
-            out[lo:hi] = out[lo:hi, inv]
+            out[lo:hi] = out[lo:hi, emb.inv]
         return out
 
     def product_distance(self, p: ProductPoint, q: ProductPoint) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -432,9 +432,9 @@ def _covering(
 ) -> dict:
     """The covering report on a prepared complex and its tree system."""
     spec = cplx.spec
-    pts = cplx.sample_points(cfg.seed, range(cfg.samples))
-    n = len(pts)
-    emb = ts.embed(pts)  # every class reads this one embedding of the sample
+    rows = cplx.sample_rows(cfg.seed, range(cfg.samples))
+    n = len(rows.blocks)
+    emb = ts.embed(rows)  # every class reads this one embedding of the sample
     t0_d = ts.t0_matrix(emb)
     factors = [cvg.tree_covering(t0_d, t0_d[0], scale)]
     factor_checks = [cvg.check_covering(factors[0], t0_d)]
@@ -451,20 +451,21 @@ def _covering(
     prod_check = cvg.check_covering(prod, sum_d)
     consts = base_constants(spec.n)
 
-    # separation pairs span two pieces and diameter pairs one: no pair repeats
+    # separation pairs span two pieces and diameter pairs one: no pair
+    # repeats.  Only the points of the binding pairs are built
     pull = cvg.pullback_check(
         prod,
         sum_d,
         lambda pairs: [res.distance for res in geo.distances(
-            cplx, [(pts[i], pts[j]) for i, j in pairs], tol=cfg.tol)],
+            cplx, [(rows.point(i), rows.point(j)) for i, j in pairs], tol=cfg.tol)],
         consts["C"],
         binding_pairs=binding_pairs,
     )
     ok = all(c.ok for c in factor_checks) and prod_check.ok and pull.ok
 
     def chk_doc(c: cvg.CoveringCheck) -> dict:
-        doc = asdict(c)
-        if doc["min_same_color_separation"] == float("inf"):  # no same-color pair
+        doc = dict(vars(c))  # the fields in their order; each is a number or a bool
+        if doc["min_same_color_separation"] == math.inf:  # no same-color pair
             doc["min_same_color_separation"] = None
         return doc
 
@@ -478,7 +479,8 @@ def _covering(
             {"colors": f.colors, "pieces": len(f.piece_color), "check": chk_doc(c)}
             for f, c in zip(factors, factor_checks)
         ],
-        "product": {"colors": prod.colors, "pieces": len(prod.piece_color), "check": chk_doc(prod_check)},
+        "product": {"colors": prod.colors, "pieces": len(prod.piece_color),
+                    "check": chk_doc(prod_check)},
         "pullback": chk_doc(pull),
     }
 

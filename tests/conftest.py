@@ -1,6 +1,7 @@
 """Shared test helpers: the shipped specs, read from specs/*.json, the
-reference gluing permutation of an edge path, child-side wall points, and
-local points just outside a hexagon."""
+reference gluing permutation of an edge path, child-side wall points, local
+points just outside a hexagon, and points as the rows that an embedding
+reads."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import math
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
 from ogm import hexagon as hx
-from ogm.cover import CoverPoint
+from ogm.cover import CoverPoint, SampleRows
 from ogm.manifold import GraphManifoldSpec, Permutation, SpecError
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -43,6 +46,18 @@ def child_wall_point(cx, w, coords) -> CoverPoint:
         child[perm(i)] = c
     base = cx.model.boundary_point(cx.model.components[0], child[0])
     return CoverPoint(w.child, base, tuple(child[1:]))
+
+
+def point_rows(cx, xs) -> SampleRows:
+    """Points of complex cx as rows (CoverComplex.sample_rows)."""
+    return SampleRows([x.block for x in xs], [x.base.hex for x in xs],
+                      np.array([x.base.local for x in xs], dtype=float).reshape(len(xs), 3),
+                      np.array([x.fiber for x in xs], dtype=float).reshape(len(xs), cx.spec.n - 2))
+
+
+def embed_points(ts, xs):
+    """TreeSystem.embed of points."""
+    return ts.embed(point_rows(ts.cplx, xs))
 
 
 def off_marked_side(letter: int, t: float) -> hx.Vec:

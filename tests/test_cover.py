@@ -202,6 +202,16 @@ def reference_samples(cx, seed, idx):
     return [cx.sample_point(cover.make_stream(seed, i)) for i in idx]
 
 
+def assert_rows_hold(rows, points):
+    """The rows hold the points' fields exactly; repr tells the sign of a
+    zero apart."""
+    assert rows.blocks == [p.block for p in points]
+    assert rows.hexes == [p.base.hex for p in points]
+    assert rows.local.dtype == rows.fiber.dtype == float
+    assert repr(rows.local.tolist()) == repr([list(p.base.local) for p in points])
+    assert repr(rows.fiber.tolist()) == repr([list(p.fiber) for p in points])
+
+
 @pytest.mark.parametrize("name, t0_depth, hex_depth, fiber_range, seeds, count", [
     ("flip_n3", 2, 4, 3.0, 6, 300),
     ("two_vertex_n5", 2, 4, 3.0, 6, 300),
@@ -218,7 +228,9 @@ def test_sample_points_match_make_stream(name, t0_depth, hex_depth, fiber_range,
                        fiber_range=fiber_range, wall_comp_depth=0)
     idx = [*range(count), 2**31, 2**32 - 1]
     for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30)[:seeds]:
-        assert repr(cx.sample_points(seed, idx)) == repr(reference_samples(cx, seed, idx))
+        want = reference_samples(cx, seed, idx)
+        assert repr(cx.sample_points(seed, idx)) == repr(want)
+        assert_rows_hold(cx.sample_rows(seed, idx), want)
 
 
 @pytest.mark.parametrize("attempts", [0, 1])
@@ -235,6 +247,7 @@ def test_sample_points_fallback_matches_make_stream(monkeypatch, attempts):
                         counting(calls, "sample_point", cover.CoverComplex.sample_point))
     assert repr(cx.sample_points(5, range(200))) == repr(want)
     assert calls["sample_point"] == 200 if attempts == 0 else 40 < calls["sample_point"] < 100
+    assert_rows_hold(cx.sample_rows(5, range(200)), want)
 
 
 def test_sample_words_reject_as_lemire_does(flip_cx):
@@ -307,6 +320,8 @@ def test_word_stream_ranges():
 
 def test_sample_points_index_range(flip_cx):
     assert flip_cx.sample_points(3, []) == []
+    rows = flip_cx.sample_rows(3, [])
+    assert (rows.blocks, rows.hexes, rows.local.shape, rows.fiber.shape) == ([], [], (0, 3), (0, 1))
     for bad in ([-1], [2**32]):
         with pytest.raises(ValueError):
             flip_cx.sample_points(3, bad)

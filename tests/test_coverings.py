@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SPECS, shipped
+from conftest import SPECS, embed_points, shipped
 from ogm import cover, coverings as cvg
 from ogm import geodesics as geo
 from ogm import hexagon as hx
@@ -160,6 +160,35 @@ def test_product_numbers_pieces_by_first_member():
         prod = cvg.product_covering(factors)
         assert (prod.assignment, prod.piece_color) == reference_product(factors)
         assert all(type(v) is int for v in prod.assignment + prod.piece_color)
+
+
+def test_product_matches_reference_property():
+    # the folded 1-D key against the tuple-at-a-time reference, on factors
+    # whose piece counts and sample size reach the ranked key's bounds
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def factor_lists(draw):
+        # the sizes come from hypothesis, the pieces and colors from a seed
+        # it draws: hypothesis draws a list of 1600 integers slowly
+        n, rng = draw(st.integers(0, 200)), random.Random(draw(st.integers(0, 2**32)))
+        factors = []
+        for pieces in draw(st.lists(st.integers(1, 50), min_size=1, max_size=8)):
+            factors.append(cvg.ColoredCovering(
+                1.0, 2, [rng.randrange(pieces) for _ in range(n)],
+                [rng.randrange(2) for _ in range(pieces)], 3.0))
+        return factors
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(factors=factor_lists())
+    def check(factors):
+        prod = cvg.product_covering(factors)
+        assert (prod.assignment, prod.piece_color) == reference_product(factors)
+        assert prod.colors == 2 ** len(factors)
+        assert all(type(v) is int for v in prod.assignment + prod.piece_color)
+
+    check()
 
 
 def test_product_scale_mismatch():
@@ -385,7 +414,7 @@ def test_tree_covering_of_a_tc_matrix_with_ties_matches_union_find():
     cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=4, fiber_range=3.0,
                        wall_comp_depth=0)
     ts = tr.TreeSystem(cx)
-    dmat = ts.tc_matrix(0, ts.embed(cx.sample_points(106, range(200))))
+    dmat = ts.tc_matrix(0, embed_points(ts, cx.sample_points(106, range(200))))
     root, scale = dmat[0], 4.0
     annulus = np.floor(root / scale)
     merge = (annulus[:, None] == annulus) & (

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import ball_ids, child_wall_point, counting, shipped
+from conftest import ball_ids, child_wall_point, counting, embed_points, point_rows, shipped
 from ogm import cover
 from ogm import coverings as cvg
 from ogm import geodesics as geo
@@ -242,9 +242,9 @@ def test_unexplored_owner_rejected(ts):
         ts.tc_distance(1, tr.TcPoint(owner=(0, 1, 2), value=0.0), tr.TcPoint(owner=(), value=0.0))
     base = hx.H0Point((), hx.CENTER)
     with pytest.raises(cover.CoverError):
-        ts.embed([CoverPoint((), base, (0.0,)), CoverPoint((0, 1, 2), base, (0.0,))])
+        embed_points(ts, [CoverPoint((), base, (0.0,)), CoverPoint((0, 1, 2), base, (0.0,))])
     with pytest.raises(cover.CoverError):
-        ts.tc_matrix(2, ts.embed([CoverPoint((), base, (0.0,))]))
+        ts.tc_matrix(2, embed_points(ts, [CoverPoint((), base, (0.0,))]))
 
 
 def pairwise_tc(ts, lab, xs):
@@ -286,7 +286,7 @@ def test_tc_matrix_equals_pairwise_tc_distance(name, wall_comp_depth):
     )
     ts = tr.TreeSystem(cx)
     xs = mixed_points(cx, seed=31)
-    emb = ts.embed(xs)
+    emb = embed_points(ts, xs)
     kinds = set()
     for lab in ts.class_labels:
         pts = [ts.phi_c(lab, x) for x in xs]
@@ -303,8 +303,8 @@ def test_tc_matrix_equals_pairwise_tc_distance(name, wall_comp_depth):
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert mat[i, j] == ts.tc_distance(lab, pts[i], pts[j]), (lab, i, j)
-        assert ts.tc_matrix(lab, ts.embed([])).shape == (0, 0)
-        assert ts.tc_matrix(lab, ts.embed(xs[:1])).tolist() == [[0.0]]
+        assert ts.tc_matrix(lab, embed_points(ts, [])).shape == (0, 0)
+        assert ts.tc_matrix(lab, embed_points(ts, xs[:1])).tolist() == [[0.0]]
     assert kinds == {"fiber", "vertex", "edge"}
 
 
@@ -333,9 +333,9 @@ def test_tc_matrix_interleaved_block_pairs():
         xs = interleaved_points(cx, blocks, rounds=8, seed=17)
         owners = [x.block for x in xs]
         assert len(xs) >= 60 and len(set(owners)) >= 6
-        emb = ts.embed(xs)
+        emb = embed_points(ts, xs)
         perm = np.random.default_rng(len(name)).permutation(len(xs))
-        permuted = ts.embed([xs[k] for k in perm])
+        permuted = embed_points(ts, [xs[k] for k in perm])
         for lab in ts.class_labels:
             pts = [ts.phi_c(lab, x) for x in xs]
             for a in set(owners):
@@ -395,7 +395,7 @@ def test_tc_matrix_row_blocks_match_pairwise(monkeypatch, rows):
         xs = family_points(cx, seed=len(name))
         if len(xs) % 7 == 0:
             xs.pop()
-        n, emb = len(xs), ts.embed(xs)
+        n, emb = len(xs), embed_points(ts, xs)
         width = tr._row_width(n, len(emb.blocks))
         monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * width + width - 1)
         assert len(tr._row_blocks(n, len(emb.blocks))) == -(-n // rows)
@@ -436,7 +436,7 @@ def test_chunked_fill_matches_pairwise(monkeypatch, name, t0_depth, wall_comp_de
     xs = [CoverPoint(b, x.base, x.fiber)
           for b, x in zip(owners, cx.sample_points(5, range(len(owners))))]
     rng.shuffle(xs)
-    emb = ts.embed(xs)
+    emb = embed_points(ts, xs)
     width = tr._row_width(len(xs), len(emb.blocks))
     monkeypatch.setattr(cvg, "_BLOCK_ENTRIES", rows * width)
     inside, several = split_rows(emb)
@@ -454,12 +454,12 @@ def test_embed_and_tc_matrix_memory_stay_near_the_result():
     # it; row blocks hold several rows, within an eighth of the result
     cfg = vf.RunConfig(t0_depth=12, hex_depth=8, fiber_range=3.0, wall_comp_depth=0)
     cx, ts = vf._prepare(shipped("two_vertex_n5"), cfg)
-    xs = cx.sample_points(0, range(1500))
-    n = len(xs)
+    rows = cx.sample_rows(0, range(1500))
+    n = len(rows.blocks)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        emb = ts.embed(xs)
+        emb = ts.embed(rows)
         embed_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -510,21 +510,25 @@ def reference_embed(ts, xs):
                      dtype=np.intp).reshape(len(blocks), dim - 1) - 1
     trees = [hx.retract(p.base) for p in pts]
     comps = cplx.model.components
-    gates = np.zeros((n, 1 + max((c for _, c in kids), default=0), 2))
+    kid_comps = sorted({c for _, c in kids})
+    gates = np.zeros((n, 1 + len(kid_comps), 2))
     for i in range(n):
         gates[i, 0] = tr.gate_on_line(comps[0], trees[i])
     for x, c in kids:
         for i in range(start[x], start[x + 1]):
-            gates[i, c] = tr.gate_on_line(comps[c], trees[i])
+            gates[i, 1 + kid_comps.index(c)] = tr.gate_on_line(comps[c], trees[i])
     codes = sorted(codes)
     turns = np.array([tr.IDENTITY, *(ts._relation(*divmod(c, w)) for c in codes)], dtype=float)
-    own = [hx.tbin_distance(trees[i], trees[j]) / hx.EDGE
-           for i, j in zip(*tr._owner_pairs(blk, start, 0, n))]
+    # the same-owner pairs, slot i-major, and where each slot's pairs start
+    pairs = [(i, j) for i in range(n) for j in range(start[blk[i]], start[blk[i] + 1])]
+    first = np.searchsorted([i for i, _ in pairs], np.arange(n + 1))
+    own = [hx.tbin_distance(trees[i], trees[j]) / hx.EDGE for i, j in pairs]
     return tr.SampleEmbedding(
         order, blocks, blk, start, np.array([len(b) for b in blocks], dtype=np.intp), meet, ids,
-        prefix_class, sigma, gates,
+        prefix_class, sigma, np.array(kid_comps, dtype=np.intp), gates,
         np.array([p.fiber for p in pts], dtype=float).reshape(n, dim - 2),
-        np.array([-1, *codes], dtype=np.int64), turns.T, np.array(own, dtype=float))
+        np.array([-1, *codes], dtype=np.int64), turns.T, np.array(own, dtype=float),
+        np.array(pairs, dtype=np.intp).reshape(-1, 2).T, first, np.argsort(order))
 
 
 def side_points(cx, seed):
@@ -556,9 +560,14 @@ def test_embed_matches_per_point_reference(name, hex_depth, wall_comp_depth):
                        wall_comp_depth=wall_comp_depth)
     ts = tr.TreeSystem(cx)
     xs = side_points(cx, seed=hex_depth)
-    got, want = ts.embed(xs), reference_embed(ts, xs)
+    rows = point_rows(cx, xs)
+    got, want = ts.embed(rows), reference_embed(ts, xs)
     for field, a, b in zip(tr.SampleEmbedding._fields, got, want):
         assert a == b if field == "blocks" else np.array_equal(a, b) and a.dtype == b.dtype, field
+    # embed normalizes copies: the rows still hold the points as given
+    again = point_rows(cx, xs)
+    assert (rows.blocks, rows.hexes) == (again.blocks, again.hexes)
+    assert np.array_equal(rows.local, again.local) and np.array_equal(rows.fiber, again.fiber)
     # the sample holds points that normalize moves, some of them to another
     # block, and points that retract to vertices and to edge points
     moved = [cx.normalize(x) for x in xs]
@@ -577,13 +586,28 @@ def test_embed_of_interior_points_calls_no_scalar_form(monkeypatch):
     calls = collections.Counter()
     for owner, name in ((hx, "retract"), (tr, "gate_on_line"), (cover.CoverComplex, "normalize")):
         monkeypatch.setattr(owner, name, counting(calls, name, getattr(owner, name)))
-    xs = cx.sample_points(3, range(120))
-    emb = ts.embed(xs)
+    emb = ts.embed(cx.sample_rows(3, range(120)))
     assert len(emb.blocks) > 1 and emb.gates.shape[1] > 1
     assert calls == {}
+    xs = cx.sample_points(3, range(120))
     on_side = [CoverPoint(x.block, hx.H0Point(x.base.hex, hx.VERTICES[0]), x.fiber) for x in xs[:5]]
-    ts.embed(xs + on_side)
+    embed_points(ts, xs + on_side)
     assert calls == {"normalize": 5}
+
+
+def test_gates_hold_only_the_child_components_in_use():
+    # about 770 boundary components, and one owner above another through
+    # component 524: the gates hold component 0 and that one, not a column
+    # for every component up to 524
+    cx = cover.explore(shipped("flip_n3"), t0_depth=2, hex_depth=8, fiber_range=3.0,
+                       wall_comp_depth=None)
+    ts = tr.TreeSystem(cx)
+    emb = ts.embed(cx.sample_rows(0, range(300)))
+    assert emb.gates.shape == (300, 1 + len(emb.kid_comps), 2)
+    assert emb.kid_comps.tolist() == [524]
+    xs = cx.sample_points(0, range(300))
+    for lab in ts.class_labels:
+        assert np.array_equal(ts.tc_matrix(lab, emb), pairwise_tc(ts, lab, xs)), lab
 
 
 def test_tc_matrix_walks_no_wall_chain(monkeypatch):
@@ -599,7 +623,7 @@ def test_tc_matrix_walks_no_wall_chain(monkeypatch):
 
     monkeypatch.setattr(cover.CoverComplex, "wall_chain", counting)
     xs = family_points(cx, seed=3)
-    emb = ts.embed(xs)
+    emb = embed_points(ts, xs)
     for lab in ts.class_labels:
         assert ts.tc_matrix(lab, emb).shape == (len(xs), len(xs))
     assert calls == []
@@ -897,7 +921,7 @@ def test_array_then_matches_scalar_on_route_triples():
         ids = ball_ids(cx)
         xs = [CoverPoint(b, x.base, x.fiber)
               for b, x in zip(ids, cx.sample_points(0, range(len(ids))))]
-        emb = ts.embed(xs)
+        emb = embed_points(ts, xs)
         assert emb.blocks == sorted(ids)
         for lab in ts.class_labels:
             up, down = ts._walk_tables(lab, emb)
@@ -988,7 +1012,7 @@ def test_t0_matrix_equals_t0_distance():
         t0_depth=12, hex_depth=4, fiber_range=3.0, wall_comp_depth=0))
     kinds = set()
     for ts, xs in ((tr.TreeSystem(shallow), moved), (deep_ts, deep.sample_points(0, range(400)))):
-        mat = ts.t0_matrix(ts.embed(xs))
+        mat = ts.t0_matrix(embed_points(ts, xs))
         owners = [ts.cplx.normalize(x).block for x in xs]
         assert mat.shape == (len(xs), len(xs))
         for i, a in enumerate(owners):
@@ -996,7 +1020,7 @@ def test_t0_matrix_equals_t0_distance():
             kinds |= {"root"} if a == () else set()
             kinds |= {"same" if b == a else "ancestor" if b[:len(a)] == a else "descendant"
                       for b in owners[i + 1:] if b[:len(a)] == a or a[:len(b)] == b}
-        assert ts.t0_matrix(ts.embed([])).shape == (0, 0)
+        assert ts.t0_matrix(embed_points(ts, [])).shape == (0, 0)
     assert kinds == {"root", "same", "ancestor", "descendant"}
 
 
